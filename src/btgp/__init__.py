@@ -6,23 +6,30 @@ from .bt import (
     RUNNING,
     SUCCESS,
     MalformedGenotype,
+    compile_tree,
     parse,
     serialize,
-    tick,
     validate,
 )
 from .fitness import TABLE2, FitnessValue, FitnessWeights, cost, evaluate
 from .gp import GenerationStats, GpParams, Individual, run
-from .world import Profile, builtin_profile, make_profile, reset, run_episode
+from .world import (
+    Profile,
+    build_transition_table,
+    builtin_profile,
+    make_profile,
+    reset,
+    run_episode,
+)
 
 __all__ = [
     "SUCCESS",
     "FAILURE",
     "RUNNING",
     "MalformedGenotype",
+    "compile_tree",
     "parse",
     "serialize",
-    "tick",
     "validate",
     "FitnessWeights",
     "FitnessValue",
@@ -34,6 +41,7 @@ __all__ = [
     "Individual",
     "run",
     "Profile",
+    "build_transition_table",
     "builtin_profile",
     "make_profile",
     "reset",

@@ -215,51 +215,29 @@ def validate(tokens: Iterable[str], kinds: LeafKinds) -> list[Violation]:
     return violations
 
 
-def is_valid(tokens: Iterable[str], kinds: LeafKinds) -> bool:
-    return not validate(tokens, kinds)
+def compile_tree(node: Node, table: Mapping[str, Callable]) -> Callable[[object, object], int]:
+    """Bind a tree to a transition table as one policy ``fn(state, rng) -> status``.
 
-
-def tick(node: Node, world) -> int:
-    """Reactive tick: memoryless left-to-right evaluation.
-
-    Sequence returns the first non-Success child status, Success if all
-    succeed; Fallback returns the first non-Failure child status, Failure
-    if all fail. Leaves delegate to ``world.execute(behavior_id)`` exactly
-    once per visit.
+    Each leaf is ``table[behavior_id]`` itself. A tick is reactive and
+    memoryless: a Sequence returns its first non-Success child status (Success
+    if all succeed), a Fallback its first non-Failure child status (Failure
+    if all fail), left to right, each visited leaf executed exactly once.
     """
     if isinstance(node, Leaf):
-        return world.execute(node.behavior_id)
+        return table[node.behavior_id]
+    fns = tuple(compile_tree(c, table) for c in node.children)
     if node.kind == "s":
-        for child in node.children:
-            status = tick(child, world)
-            if status != SUCCESS:
-                return status
-        return SUCCESS
-    for child in node.children:
-        status = tick(child, world)
-        if status != FAILURE:
-            return status
-    return FAILURE
-
-
-def compile_tree(node: Node) -> Callable[[object], int]:
-    """Build a closure evaluating tick(node, world); faster for hot loops."""
-    if isinstance(node, Leaf):
-        bid = node.behavior_id
-        return lambda world: world.execute(bid)
-    fns = tuple(compile_tree(c) for c in node.children)
-    if node.kind == "s":
-        def run_sequence(world, _fns=fns):
+        def run_sequence(state, rng, _fns=fns):
             for f in _fns:
-                status = f(world)
+                status = f(state, rng)
                 if status != SUCCESS:
                     return status
             return SUCCESS
         return run_sequence
 
-    def run_fallback(world, _fns=fns):
+    def run_fallback(state, rng, _fns=fns):
         for f in _fns:
-            status = f(world)
+            status = f(state, rng)
             if status != FAILURE:
                 return status
         return FAILURE

@@ -15,6 +15,7 @@ from .fitness import TABLE2, FitnessWeights
 from .gp import GenerationStats, GpParams, Individual, run
 from .world import (
     Profile,
+    build_transition_table,
     make_profile,
     leaf_kinds,
     run_compiled,
@@ -25,8 +26,9 @@ DESK_GENERATIONS = 2000
 FULL_GENERATIONS = 8000
 
 # Risk-averse path experiment: the short paths carry these risks, the safe
-# variants none. The safe detour costs this factor in travel time; 2x is too
-# cheap to separate the time optimum from the risk optimum, see README.
+# variants none, and the safe detour costs EXP3_SAFE_TIME_MULTIPLIER times the
+# travel time. At 2.0 the delta effect is not yet shown: 3 seeds x 1500
+# generations pick the safe moves for both deltas.
 EXP3_RISKY_LOSING_CUBE = 0.2
 EXP3_RISKY_LOSING_LOCALIZATION = 0.4
 EXP3_SAFE_TIME_MULTIPLIER = 2.0
@@ -84,6 +86,13 @@ class ReplayReport:
         }
 
 
+def _counting(behavior_id: str, fn, counts: Counter):
+    def counted(st, rng):
+        counts[behavior_id] += 1
+        return fn(st, rng)
+    return counted
+
+
 def replay(
     genotype: bt.Genotype,
     profile: Profile,
@@ -94,21 +103,26 @@ def replay(
     max_ticks: int = 100,
 ) -> ReplayReport:
     """Monte Carlo report for a genotype: success rate, time, risk, action log."""
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
     kinds = leaf_kinds(profile)
     violations = bt.validate(genotype, kinds)
     if violations:
         raise bt.MalformedGenotype(f"genotype fails validity: {violations[0]}")
+    executed: Counter[str] = Counter()
+    table = {
+        bid: _counting(bid, fn, executed)
+        for bid, fn in build_transition_table(profile).items()
+    }
     tree = bt.parse(genotype, kinds)
-    compiled = bt.compile_tree(tree)
+    compiled = bt.compile_tree(tree, table)
     n_nodes = bt.tree_node_count(tree)
     rng = random.Random(f"replay:{seed}")
     successes = 0
     time_sum = 0.0
     risk_sum = 0.0
     terminations: Counter[str] = Counter()
-    executed: Counter[str] = Counter()
     for _ in range(episodes):
-        trace: list[str] = []
         result = run_compiled(
             compiled,
             n_nodes,
@@ -116,14 +130,12 @@ def replay(
             rng,
             max_root_failures=max_root_failures,
             max_ticks=max_ticks,
-            trace=trace,
         )
         if result.placed:
             successes += 1
         time_sum += result.final_state.elapsed_time
         risk_sum += result.final_state.risk_sum
         terminations[result.terminated_by] += 1
-        executed.update(trace)
     return ReplayReport(
         episodes=episodes,
         success_rate=successes / episodes,

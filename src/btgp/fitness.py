@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .bt import Node, compile_tree, tree_node_count
-from .world import EpisodeResult, Profile, run_compiled
+from .world import EpisodeResult, Profile, build_transition_table, run_compiled
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def evaluate(
 ) -> FitnessValue:
     """Mean fitness of a tree over ``episodes`` independent episodes."""
     return evaluate_compiled(
-        compile_tree(tree),
+        compile_tree(tree, build_transition_table(profile)),
         tree_node_count(tree),
         profile,
         weights,

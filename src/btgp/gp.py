@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import bt
 from .bt import Genotype
 from .fitness import FitnessValue, FitnessWeights, TABLE2, evaluate_compiled
-from .world import Profile, leaf_kinds
+from .world import Profile, build_transition_table, leaf_kinds
 
-CHECKPOINT_FORMAT = "btgp-checkpoint-v1"
+CHECKPOINT_FORMAT = "btgp-checkpoint-v2"
 
 
 class SlotsExceedCandidates(ValueError):
@@ -65,33 +66,15 @@ class GpParams:
 
 
 class Individual:
-    __slots__ = ("genotype", "fitness", "birth_generation", "_compiled")
+    __slots__ = ("genotype", "fitness", "birth_generation")
 
     def __init__(self, genotype: Genotype, birth_generation: int = 0, fitness=None):
         self.genotype = tuple(genotype)
         self.birth_generation = birth_generation
         self.fitness: FitnessValue | None = fitness
-        self._compiled = None
-
-    def compiled(self, kinds):
-        """(tick closure, node count), parsed and compiled once."""
-        if self._compiled is None:
-            tree = bt.parse(self.genotype, kinds)
-            self._compiled = (bt.compile_tree(tree), bt.tree_node_count(tree))
-        return self._compiled
 
     def clone(self) -> "Individual":
-        other = Individual(self.genotype, self.birth_generation, self.fitness)
-        other._compiled = self._compiled
-        return other
-
-    # Compiled closures don't pickle; rebuild lazily on the other side.
-    def __getstate__(self):
-        return (self.genotype, self.birth_generation, self.fitness)
-
-    def __setstate__(self, state):
-        self.genotype, self.birth_generation, self.fitness = state
-        self._compiled = None
+        return Individual(self.genotype, self.birth_generation, self.fitness)
 
     def __repr__(self):
         j = None if self.fitness is None else round(self.fitness.j, 3)
@@ -108,12 +91,12 @@ class GenerationStats:
 
 
 def tournament(candidates, slots: int, rng) -> list:
-    """Survivor selection by repeated pairwise duels.
+    """Survivor selection by repeated random pairwise duels.
 
-    Shuffles, duels consecutive pairs (ties resolved uniformly) and repeats
-    until ``slots`` remain. Whenever fitness values are not all equal, the
-    top-scoring candidate is guaranteed to survive and the bottom-scoring
-    one to be eliminated.
+    Each round draws two distinct candidates uniformly at random and drops
+    the less fit one (ties resolved uniformly), until ``slots`` remain.
+    Whenever fitness values are not all equal, the top-scoring candidate is
+    guaranteed to survive and the bottom-scoring one to be eliminated.
     """
     cands = list(candidates)
     if slots > len(cands):
@@ -137,9 +120,9 @@ def tournament(candidates, slots: int, rng) -> list:
         winners = [cands[best_i]]
         pool = [c for i, c in enumerate(cands) if i != best_i and i != worst_i]
         need = slots - 1
-    # One duel per round: each round shuffles, duels the leading pair and
-    # gives everyone else a bye. Minimal pressure per round keeps genetic
-    # content from weak individuals around, which the search relies on.
+    # One duel per round between two random candidates; everyone else gets a
+    # bye. Minimal pressure per round keeps genetic content from weak
+    # individuals around, which the search relies on.
     while len(pool) > need:
         i = rng.randrange(len(pool))
         j = rng.randrange(len(pool) - 1)
@@ -343,35 +326,16 @@ def mutate(
 
 # --- evaluation, serial or via a process pool -------------------------------
 
-_WORKER_CTX: dict = {}
+_worker_evaluator: Evaluator | None = None
 
 
-def _worker_init(profile, weights, episodes, max_root_failures, max_ticks):
-    _WORKER_CTX["args"] = (profile, weights, episodes, max_root_failures, max_ticks)
-    _WORKER_CTX["kinds"] = leaf_kinds(profile)
-
-
-def _eval_genotype(genotype, seed_str, kinds, profile, weights, episodes, mrf, mticks):
-    rng = random.Random(seed_str)
-    tree = bt.parse(genotype, kinds)
-    return evaluate_compiled(
-        bt.compile_tree(tree),
-        bt.tree_node_count(tree),
-        profile,
-        weights,
-        episodes,
-        rng,
-        max_root_failures=mrf,
-        max_ticks=mticks,
-    )
+def _worker_init(profile, weights, params):
+    global _worker_evaluator
+    _worker_evaluator = Evaluator(profile, weights, params)
 
 
 def _worker_eval(payload):
-    genotype, seed_str = payload
-    profile, weights, episodes, mrf, mticks = _WORKER_CTX["args"]
-    return _eval_genotype(
-        genotype, seed_str, _WORKER_CTX["kinds"], profile, weights, episodes, mrf, mticks
-    )
+    return _worker_evaluator.evaluate_one(*payload)
 
 
 class Evaluator:
@@ -386,19 +350,29 @@ class Evaluator:
         self.weights = weights
         self.params = params
         self.kinds = leaf_kinds(profile)
+        self.table = build_transition_table(profile)
         self._pool = None
         if params.workers > 1:
             self._pool = ProcessPoolExecutor(
                 max_workers=params.workers,
                 initializer=_worker_init,
-                initargs=(
-                    profile,
-                    weights,
-                    params.episodes_per_eval,
-                    params.max_root_failures,
-                    params.max_ticks,
-                ),
+                initargs=(profile, weights, replace(params, workers=1)),
             )
+
+    def evaluate_one(self, genotype: Genotype, seed_str: str) -> FitnessValue:
+        """Mean fitness of one genotype on the rng stream ``seed_str`` names."""
+        p = self.params
+        tree = bt.parse(genotype, self.kinds)
+        return evaluate_compiled(
+            bt.compile_tree(tree, self.table),
+            bt.tree_node_count(tree),
+            self.profile,
+            self.weights,
+            p.episodes_per_eval,
+            random.Random(seed_str),
+            max_root_failures=p.max_root_failures,
+            max_ticks=p.max_ticks,
+        )
 
     def seed_string(self, tag: str, slot: int) -> str:
         return f"{self.params.seed}:{tag}:{slot}"
@@ -410,22 +384,7 @@ class Evaluator:
             (ind.genotype, self.seed_string(tag, i)) for i, ind in enumerate(individuals)
         ]
         if self._pool is None:
-            values = []
-            for ind, (_, seed_str) in zip(individuals, payloads):
-                rng = random.Random(seed_str)
-                fn, n_nodes = ind.compiled(self.kinds)
-                values.append(
-                    evaluate_compiled(
-                        fn,
-                        n_nodes,
-                        self.profile,
-                        self.weights,
-                        p.episodes_per_eval,
-                        rng,
-                        max_root_failures=p.max_root_failures,
-                        max_ticks=p.max_ticks,
-                    )
-                )
+            values = [self.evaluate_one(*payload) for payload in payloads]
         else:
             chunk = max(1, -(-len(payloads) // (p.workers * 2)))
             values = list(self._pool.map(_worker_eval, payloads, chunksize=chunk))
@@ -537,12 +496,28 @@ def evolve_generation(
     return new_population, stats
 
 
-def save_checkpoint(path, params: GpParams, generation: int, population, history, rng) -> None:
-    """Resumable snapshot: population with fitness cache, rng cursor, history."""
+# GpParams fields a resumed run may change: they decide how long a run goes
+# on and how it is scheduled, not what any generation computes.
+_RESUMABLE_PARAMS = ("generations", "workers", "early_stop_window")
+
+
+def _run_fingerprint(params: GpParams, profile: Profile, weights: FitnessWeights) -> dict:
+    """The run configuration a checkpoint is bound to, as JSON will load it."""
+    fixed = {k: v for k, v in asdict(params).items() if k not in _RESUMABLE_PARAMS}
+    run = {"profile": asdict(profile), "weights": asdict(weights), "params": fixed}
+    return json.loads(json.dumps(run))
+
+
+def save_checkpoint(path, fingerprint: dict, generation: int, population, history, rng) -> None:
+    """Resumable snapshot: population with fitness cache, rng cursor, history.
+
+    Written to a temporary file next to ``path`` and moved over it, so a
+    crash mid-write leaves the previous checkpoint intact.
+    """
     state = rng.getstate()
     data = {
         "format": CHECKPOINT_FORMAT,
-        "seed": params.seed,
+        "fingerprint": fingerprint,
         "generation": generation,
         "rng_state": [state[0], list(state[1]), state[2]],
         "population": [
@@ -565,7 +540,14 @@ def save_checkpoint(path, params: GpParams, generation: int, population, history
             for h in history
         ],
     }
-    Path(path).write_text(json.dumps(data, indent=1))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(data, indent=1))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict:
@@ -592,6 +574,7 @@ def run(
     stops after that many generations without best-fitness change. History
     row 0 describes the initial random population.
     """
+    fingerprint = _run_fingerprint(params, profile, weights)
     evaluator = Evaluator(profile, weights, params)
     try:
         rng = random.Random(params.seed)
@@ -599,8 +582,11 @@ def run(
         history: list[GenerationStats]
         if resume_from is not None:
             data = load_checkpoint(resume_from)
-            if data["seed"] != params.seed:
-                raise ValueError("checkpoint seed does not match params.seed")
+            differ = [k for k in fingerprint if data["fingerprint"].get(k) != fingerprint[k]]
+            if differ:
+                raise ValueError(
+                    f"checkpoint {resume_from} is from another run (different {', '.join(differ)})"
+                )
             rs = data["rng_state"]
             rng.setstate((rs[0], tuple(rs[1]), rs[2]))
             population = []
@@ -638,7 +624,7 @@ def run(
             if on_generation is not None:
                 on_generation(stats, population)
             if checkpoint_path is not None and checkpoint_every > 0 and g % checkpoint_every == 0:
-                save_checkpoint(checkpoint_path, params, g, population, history, rng)
+                save_checkpoint(checkpoint_path, fingerprint, g, population, history, rng)
             if stop_fn is not None:
                 best = max(population, key=lambda ind: ind.fitness.j)
                 if stop_fn(stats, best):

@@ -121,18 +121,6 @@ class Profile:
     risky_losing_cube: float | None = None
     risky_losing_localization: float | None = None
 
-    def move_risks(self, safe: bool) -> tuple[float, float]:
-        """(losing_cube, losing_localization) for a move behavior."""
-        if safe:
-            return (0.0, 0.0)
-        cube = self.losing_cube if self.risky_losing_cube is None else self.risky_losing_cube
-        loc = (
-            self.losing_localization
-            if self.risky_losing_localization is None
-            else self.risky_losing_localization
-        )
-        return (cube, loc)
-
 
 def _aux_poses() -> list[tuple[float, float]]:
     # 6x6 grid, poses within reach of either table removed, ordered by
@@ -164,64 +152,6 @@ def scenario_pool_ids(scenario: str) -> tuple[str, ...]:
     if scenario == "safe_paths":
         return CORE9 + ("move_to_pick_safe", "move_to_goal_safe")
     raise UnknownScenario(f"unknown scenario {scenario!r}")
-
-
-def move_target(behavior_id: str, profile: Profile) -> tuple[float, float] | None:
-    """Target pose for move-type behaviors, None for everything else."""
-    if behavior_id in ("move_to_pick", "move_to_pick_safe"):
-        return profile.pick_pose
-    if behavior_id in ("move_to_goal", "move_to_goal_safe"):
-        return profile.goal_pose
-    if behavior_id.startswith("move_to_aux_"):
-        return AUX_POSES[int(behavior_id.rsplit("_", 1)[1])]
-    return None
-
-
-def is_move(behavior_id: str) -> bool:
-    return behavior_id.startswith("move_to_")
-
-
-def is_safe_move(behavior_id: str) -> bool:
-    return behavior_id.endswith("_safe")
-
-
-@dataclass(frozen=True)
-class BehaviorSpec:
-    id: str
-    kind: str  # ACTION or CONDITION
-    time_cost: float  # nominal seconds; moves charge by actual distance
-    fail_prob: float  # nominal probability of returning Failure
-    target: tuple[float, float] | None = None
-
-
-def behavior_spec(behavior_id: str, profile: Profile) -> BehaviorSpec:
-    if behavior_id == "have_block":
-        return BehaviorSpec(behavior_id, CONDITION, 0.0, 0.0)
-    if is_move(behavior_id):
-        target = move_target(behavior_id, profile)
-        if target is None:
-            raise UnknownBehavior(behavior_id)
-        safe = is_safe_move(behavior_id)
-        mult = profile.safe_time_multiplier if safe else 1.0
-        nominal = math.dist(profile.start, target) / profile.speed * mult
-        _, losing_loc = profile.move_risks(safe)
-        return BehaviorSpec(behavior_id, ACTION, nominal, losing_loc, target)
-    if behavior_id not in FIXED_TIME_COSTS:
-        raise UnknownBehavior(behavior_id)
-    fail = {
-        "localise": profile.loc_failure,
-        "pick": profile.pick_failure,
-        "place": profile.place_failure,
-    }.get(behavior_id, 0.0)
-    return BehaviorSpec(behavior_id, ACTION, FIXED_TIME_COSTS[behavior_id], fail)
-
-
-def behavior_pool(scenario: str, profile: Profile | None = None) -> list[BehaviorSpec]:
-    """Behavior specs for a named scenario pool."""
-    ids = scenario_pool_ids(scenario)
-    if profile is None:
-        profile = make_profile("det", scenario)
-    return [behavior_spec(bid, profile) for bid in ids]
 
 
 def make_profile(
@@ -305,30 +235,8 @@ class WorldState:
         self.root_failures = 0
 
     @property
-    def robot_pose_true(self) -> tuple[float, float]:
-        return (self.true_x, self.true_y)
-
-    @property
-    def robot_pose_est(self) -> tuple[float, float]:
-        return (self.est_x, self.est_y)
-
-    @property
-    def cube_pose(self) -> tuple[float, float]:
-        return (self.cube_x, self.cube_y)
-
-    @property
     def loc_error(self) -> float:
         return math.hypot(self.true_x - self.est_x, self.true_y - self.est_y)
-
-    @property
-    def head(self) -> str:
-        return "up" if self.head_up else "down"
-
-    def copy(self) -> "WorldState":
-        other = WorldState.__new__(WorldState)
-        for field in WorldState.__slots__:
-            setattr(other, field, getattr(self, field))
-        return other
 
 
 def reset(profile: Profile) -> WorldState:
@@ -354,8 +262,11 @@ class EpisodeResult:
 TransitionFn = Callable[[WorldState, object], int]
 
 
-def _make_fixed(behavior_id: str, time_cost: float, fail_prob: float) -> TransitionFn:
+def _make_fixed(behavior_id: str, profile: Profile) -> TransitionFn:
+    time_cost = FIXED_TIME_COSTS.get(behavior_id)
     if behavior_id == "localise":
+        fail_prob = profile.loc_failure
+
         def localise(st, rng):
             st.elapsed_time += time_cost
             st.risk_sum += fail_prob
@@ -481,6 +392,24 @@ def _have_block(st, rng) -> int:
 
 
 def build_transition_table(profile: Profile) -> dict[str, TransitionFn]:
+    """Transition function per pool behavior, with the profile's time, failure
+    probability and risk bound in; the one place that defines a behavior.
+
+    Raises UnknownBehavior for any pool id this world cannot execute.
+    """
+    targets = {
+        "move_to_pick": profile.pick_pose,
+        "move_to_pick_safe": profile.pick_pose,
+        "move_to_goal": profile.goal_pose,
+        "move_to_goal_safe": profile.goal_pose,
+        **dict(zip(AUX_IDS, AUX_POSES)),
+    }
+    risky_cube = profile.losing_cube
+    if profile.risky_losing_cube is not None:
+        risky_cube = profile.risky_losing_cube
+    risky_loc = profile.losing_localization
+    if profile.risky_losing_localization is not None:
+        risky_loc = profile.risky_losing_localization
     table: dict[str, TransitionFn] = {}
     for bid in profile.pool:
         if bid == "have_block":
@@ -496,62 +425,18 @@ def build_transition_table(profile: Profile) -> dict[str, TransitionFn]:
                 profile.goal_pose,
                 profile.reach_radius,
             )
-        elif is_move(bid):
-            target = move_target(bid, profile)
-            if target is None:
-                raise UnknownBehavior(bid)
-            safe = is_safe_move(bid)
-            losing_cube, losing_loc = profile.move_risks(safe)
-            mult = profile.safe_time_multiplier if safe else 1.0
+        elif bid in targets:
+            safe = bid.endswith("_safe")
             table[bid] = _make_move(
-                target,
-                losing_cube,
-                losing_loc,
+                targets[bid],
+                0.0 if safe else risky_cube,
+                0.0 if safe else risky_loc,
                 profile.pick_pose,
-                mult / profile.speed,
+                (profile.safe_time_multiplier if safe else 1.0) / profile.speed,
             )
         else:
-            table[bid] = _make_fixed(bid, FIXED_TIME_COSTS[bid], behavior_spec(bid, profile).fail_prob)
+            table[bid] = _make_fixed(bid, profile)
     return table
-
-
-class World:
-    """Binds one episode's state, transition table and rng for the tick engine."""
-
-    __slots__ = ("state", "table", "rng", "trace")
-
-    def __init__(self, state: WorldState, table: dict[str, TransitionFn], rng, trace=None):
-        self.state = state
-        self.table = table
-        self.rng = rng
-        self.trace = trace
-
-    def execute(self, behavior_id: str) -> int:
-        fn = self.table.get(behavior_id)
-        if fn is None:
-            raise UnknownBehavior(behavior_id)
-        if self.trace is not None:
-            self.trace.append(behavior_id)
-        return fn(self.state, self.rng)
-
-
-_TABLE_CACHE: dict[Profile, dict[str, TransitionFn]] = {}
-
-
-def transition_table(profile: Profile) -> dict[str, TransitionFn]:
-    table = _TABLE_CACHE.get(profile)
-    if table is None:
-        table = build_transition_table(profile)
-        _TABLE_CACHE[profile] = table
-    return table
-
-
-def execute(behavior_id: str, state: WorldState, profile: Profile, rng) -> int:
-    """Execute one behavior against the state (mutating it)."""
-    fn = transition_table(profile).get(behavior_id)
-    if fn is None:
-        raise UnknownBehavior(behavior_id)
-    return fn(state, rng)
 
 
 def run_compiled(
@@ -562,14 +447,12 @@ def run_compiled(
     *,
     max_root_failures: int = 5,
     max_ticks: int = 100,
-    trace=None,
 ) -> EpisodeResult:
     """Episode loop over a compiled tree; the hot path for evaluation."""
     state = reset(profile)
-    w = World(state, transition_table(profile), rng, trace)
     ticks = 0
     while True:
-        status = compiled(w)
+        status = compiled(state, rng)
         ticks += 1
         if status == SUCCESS:
             terminated = ROOT_SUCCESS
@@ -600,15 +483,13 @@ def run_episode(
     *,
     max_root_failures: int = 5,
     max_ticks: int = 100,
-    trace=None,
 ) -> EpisodeResult:
     """Tick the tree from the root until success or a budget runs out."""
     return run_compiled(
-        compile_tree(tree),
+        compile_tree(tree, build_transition_table(profile)),
         tree_node_count(tree),
         profile,
         rng,
         max_root_failures=max_root_failures,
         max_ticks=max_ticks,
-        trace=trace,
     )

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btgp import bt
 
@@ -19,16 +21,33 @@ KINDS = {
 }
 
 
-class ScriptedWorld:
-    """Returns a fixed status per behavior id and records every execution."""
+def scripted_table(results, calls):
+    """Transition table returning a fixed status per behavior id; each call
+    appends its id to ``calls``."""
 
-    def __init__(self, results):
-        self.results = results
-        self.calls = []
+    def leaf(bid, status):
+        def fn(state, rng):
+            calls.append(bid)
+            return status
+        return fn
 
-    def execute(self, behavior_id):
-        self.calls.append(behavior_id)
-        return self.results[behavior_id]
+    return {bid: leaf(bid, status) for bid, status in results.items()}
+
+
+def tick(tokens, results):
+    """(status, executed ids) of one tick of the compiled tree."""
+    calls = []
+    policy = bt.compile_tree(bt.parse(tokens, KINDS), scripted_table(results, calls))
+    return policy(None, None), calls
+
+
+def oracle(node, results, calls):
+    """Sequence = all, Fallback = any, both short-circuiting left to right."""
+    if isinstance(node, bt.Leaf):
+        calls.append(node.behavior_id)
+        return results[node.behavior_id] == bt.SUCCESS
+    children = (oracle(c, results, calls) for c in node.children)
+    return all(children) if node.kind == "s" else any(children)
 
 
 def test_parse_sequence_of_two_actions():
@@ -113,62 +132,73 @@ def test_validate_identical_adjacent_conditions():
 
 
 def test_validate_accepts_plain_sequence():
-    assert bt.is_valid(("s(", "a", "b", ")"), KINDS)
-    assert bt.is_valid(("have_block",), KINDS)
+    assert not bt.validate(("s(", "a", "b", ")"), KINDS)
+    assert not bt.validate(("have_block",), KINDS)
     # conditions may be adjacent when not identical, and last child may be a control
-    assert bt.is_valid(("f(", "have_block", "s(", "a", "have_block", "b", ")", ")"), KINDS)
+    assert not bt.validate(("f(", "have_block", "s(", "a", "have_block", "b", ")", ")"), KINDS)
 
 
 def test_tick_sequence_and_fallback_basics():
-    world = ScriptedWorld({"a": bt.SUCCESS, "b": bt.SUCCESS})
-    assert bt.tick(bt.parse(("s(", "a", "b", ")"), KINDS), world) == bt.SUCCESS
-    world = ScriptedWorld({"a": bt.FAILURE, "b": bt.FAILURE})
-    assert bt.tick(bt.parse(("f(", "a", "b", ")"), KINDS), world) == bt.FAILURE
+    status, _ = tick(("s(", "a", "b", ")"), {"a": bt.SUCCESS, "b": bt.SUCCESS})
+    assert status == bt.SUCCESS
+    status, calls = tick(("f(", "a", "b", ")"), {"a": bt.FAILURE, "b": bt.FAILURE})
+    assert status == bt.FAILURE
+    assert calls == ["a", "b"]
 
 
 def test_tick_sequence_short_circuits():
-    world = ScriptedWorld({"a": bt.FAILURE, "b": bt.SUCCESS})
-    assert bt.tick(bt.parse(("s(", "a", "b", ")"), KINDS), world) == bt.FAILURE
-    assert world.calls == ["a"]
+    status, calls = tick(("s(", "a", "b", ")"), {"a": bt.FAILURE, "b": bt.SUCCESS})
+    assert status == bt.FAILURE
+    assert calls == ["a"]
 
 
 def test_tick_fallback_short_circuits():
-    world = ScriptedWorld({"a": bt.SUCCESS, "b": bt.FAILURE})
-    assert bt.tick(bt.parse(("f(", "a", "b", ")"), KINDS), world) == bt.SUCCESS
-    assert world.calls == ["a"]
+    status, calls = tick(("f(", "a", "b", ")"), {"a": bt.SUCCESS, "b": bt.FAILURE})
+    assert status == bt.SUCCESS
+    assert calls == ["a"]
 
 
 def test_tick_fallback_runs_pick_sequence_once():
-    world = ScriptedWorld(
-        {"have_block": bt.FAILURE, "move_pick": bt.SUCCESS, "pick": bt.SUCCESS}
-    )
-    tree = bt.parse(("f(", "have_block", "s(", "move_pick", "pick", ")", ")"), KINDS)
-    assert bt.tick(tree, world) == bt.SUCCESS
-    assert world.calls.count("pick") == 1
+    results = {"have_block": bt.FAILURE, "move_pick": bt.SUCCESS, "pick": bt.SUCCESS}
+    status, calls = tick(("f(", "have_block", "s(", "move_pick", "pick", ")", ")"), results)
+    assert status == bt.SUCCESS
+    assert calls == ["have_block", "move_pick", "pick"]
 
 
 def test_tick_propagates_running():
-    world = ScriptedWorld({"a": bt.SUCCESS, "b": bt.RUNNING, "c": bt.SUCCESS})
-    tree = bt.parse(("s(", "a", "b", "c", ")"), KINDS)
-    assert bt.tick(tree, world) == bt.RUNNING
-    assert world.calls == ["a", "b"]
+    results = {"a": bt.SUCCESS, "b": bt.RUNNING, "c": bt.SUCCESS}
+    assert tick(("s(", "a", "b", "c", ")"), results) == (bt.RUNNING, ["a", "b"])
+    assert tick(("f(", "c", "b", ")"), results) == (bt.SUCCESS, ["c"])
+    results["c"] = bt.FAILURE
+    assert tick(("f(", "c", "b", "a", ")"), results) == (bt.RUNNING, ["c", "b"])
 
 
-def test_compile_tree_matches_tick():
-    rng = random.Random(3)
-    for _ in range(100):
-        g = bt.random_genotype(KINDS, rng.randint(1, 15), rng)
-        tree = bt.parse(g, KINDS)
-        results = {bid: rng.choice((bt.SUCCESS, bt.FAILURE)) for bid in KINDS}
-        assert bt.compile_tree(tree)(ScriptedWorld(results)) == bt.tick(
-            tree, ScriptedWorld(results)
-        )
+def test_compile_tree_leaf_is_the_table_entry():
+    table = scripted_table({"a": bt.SUCCESS}, [])
+    assert bt.compile_tree(bt.parse(("a",), KINDS), table) is table["a"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 15),
+    statuses=st.lists(
+        st.sampled_from((bt.SUCCESS, bt.FAILURE)), min_size=len(KINDS), max_size=len(KINDS)
+    ),
+)
+def test_compile_tree_matches_short_circuit_oracle(seed, length, statuses):
+    g = bt.random_genotype(KINDS, length, random.Random(seed))
+    results = dict(zip(sorted(KINDS), statuses))
+    expected_calls: list[str] = []
+    expected = bt.SUCCESS if oracle(bt.parse(g, KINDS), results, expected_calls) else bt.FAILURE
+    assert tick(g, results) == (expected, expected_calls)
 
 
 def test_tick_determinism_with_stub_world():
-    tree = bt.parse(("f(", "have_block", "s(", "move_pick", "pick", ")", ")"), KINDS)
+    tokens = ("f(", "have_block", "s(", "move_pick", "pick", ")", ")")
     results = {"have_block": bt.FAILURE, "move_pick": bt.SUCCESS, "pick": bt.FAILURE}
-    assert bt.tick(tree, ScriptedWorld(results)) == bt.tick(tree, ScriptedWorld(results))
+    assert tick(tokens, results) == tick(tokens, results)
+    assert tick(tokens, results) == (bt.FAILURE, ["have_block", "move_pick", "pick"])
 
 
 def test_random_genotype_length_one_is_a_leaf():
@@ -187,7 +217,7 @@ def test_random_genotype_always_valid():
     for _ in range(10_000):
         g = bt.random_genotype(KINDS, 4, rng)
         assert bt.node_count(g) == 4
-        assert bt.is_valid(g, KINDS)
+        assert not bt.validate(g, KINDS)
 
 
 def test_random_genotype_rejects_bad_args():
@@ -238,7 +268,7 @@ def test_repair_produces_valid_genotype():
     ]
     for tokens in broken:
         fixed = bt.repair(tokens, KINDS, rng)
-        assert bt.is_valid(fixed, KINDS)
+        assert not bt.validate(fixed, KINDS)
 
 
 def test_text_roundtrip():

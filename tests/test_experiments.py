@@ -63,6 +63,12 @@ def test_replay_stoch4_reproducible_and_strictly_between_0_and_1():
     assert a.executed["localise"] > 0
 
 
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_replay_rejects_nonpositive_episodes(episodes):
+    with pytest.raises(ValueError, match="episodes"):
+        experiments.replay(REFERENCE_SOLUTION, DET, episodes, 0)
+
+
 def test_replay_rejects_invalid_genotype():
     with pytest.raises(bt.MalformedGenotype):
         experiments.replay(bt.from_text("s( localise have_block )"), DET, 5, 0)
@@ -175,6 +181,16 @@ def test_cli_replay_invalid_tree_fails(tmp_path, capsys):
     rc = cli.main(["replay", "--tree", str(tree_file)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_replay_zero_episodes_fails(tmp_path, capsys):
+    tree_file = tmp_path / "tree.txt"
+    experiments.write_genotype(tree_file, REFERENCE_SOLUTION)
+    rc = cli.main(["replay", "--tree", str(tree_file), "--episodes", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: episodes must be >= 1\n"
 
 
 def test_cli_run_writes_outputs(tmp_path, capsys):

@@ -97,8 +97,8 @@ def test_crossover_leaf_swap_against_splice_oracle():
         c1, c2 = gp.crossover(p1, p2, KINDS, random.Random(seed))
         outcomes.add((c1.genotype, c2.genotype))
         # both offspring are splices of the two parents
-        assert bt.is_valid(c1.genotype, KINDS)
-        assert bt.is_valid(c2.genotype, KINDS)
+        assert not bt.validate(c1.genotype, KINDS)
+        assert not bt.validate(c2.genotype, KINDS)
     assert (bt.from_text("s( localise pick )"), ("tuck",)) in outcomes
     assert (bt.from_text("s( pick tuck )"), ("localise",)) in outcomes
     # root swap: offspring are copies of the opposite parents
@@ -120,8 +120,8 @@ def test_crossover_offspring_are_valid():
         p1 = gp.Individual(bt.random_genotype(KINDS, rng.randint(1, 12), rng))
         p2 = gp.Individual(bt.random_genotype(KINDS, rng.randint(1, 12), rng))
         c1, c2 = gp.crossover(p1, p2, KINDS, rng)
-        assert bt.is_valid(c1.genotype, KINDS)
-        assert bt.is_valid(c2.genotype, KINDS)
+        assert not bt.validate(c1.genotype, KINDS)
+        assert not bt.validate(c2.genotype, KINDS)
 
 
 def test_mutate_offspring_are_valid_and_capped():
@@ -130,7 +130,7 @@ def test_mutate_offspring_are_valid_and_capped():
     for _ in range(500):
         parent = gp.Individual(bt.random_genotype(KINDS, rng.randint(1, 10), rng))
         child = gp.mutate(parent, KINDS, params, rng)
-        assert bt.is_valid(child.genotype, KINDS)
+        assert not bt.validate(child.genotype, KINDS)
         assert bt.node_count(child.genotype) <= params.node_cap
 
 
@@ -141,7 +141,7 @@ def test_mutate_single_leaf_redraws_operator():
     changed = 0
     for seed in range(100):
         child = gp.mutate(parent, KINDS, params, random.Random(seed))
-        assert bt.is_valid(child.genotype, KINDS)
+        assert not bt.validate(child.genotype, KINDS)
         changed += child.genotype != parent.genotype
     assert changed > 60
 
@@ -200,7 +200,7 @@ def test_evolve_generation_offspring_accounting():
     # 12 crossover parents -> 6 pairs x 4 = 24; 18 mutation parents x 2 = 36
     assert counted == [("g1:off", 60)]
     assert stats.episodes == 60
-    assert all(bt.is_valid(i.genotype, KINDS) for i in new_pop)
+    assert not any(bt.validate(i.genotype, KINDS) for i in new_pop)
 
 
 def test_evolve_generation_reevaluates_elites_when_asked():
@@ -297,6 +297,45 @@ def test_checkpoint_rejects_wrong_seed(tmp_path):
     )
     with pytest.raises(ValueError):
         gp.run(gp.GpParams(generations=5, seed=2), DET, fitness.TABLE2, resume_from=path)
+
+
+@pytest.mark.parametrize(
+    "profile, weights, differs",
+    [
+        (world.builtin_profile("stoch1"), fitness.TABLE2, "profile"),
+        (DET, fitness.TABLE2.with_delta(150.0), "weights"),
+    ],
+)
+def test_checkpoint_rejects_other_profile_or_weights(tmp_path, profile, weights, differs):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=2, seed=1, population=6)
+    gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
+    with pytest.raises(ValueError, match=f"another run \\(different {differs}\\)"):
+        gp.run(params, profile, weights, resume_from=path)
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=2, seed=1, population=6)
+    gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(gp.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        gp.run(
+            gp.GpParams(generations=4, seed=1, population=6),
+            DET,
+            fitness.TABLE2,
+            checkpoint_path=path,
+            checkpoint_every=2,
+            resume_from=path,
+        )
+    assert path.read_bytes() == before
+    assert gp.load_checkpoint(path)["generation"] == 2
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_parallel_evaluation_matches_serial():

@@ -18,6 +18,10 @@ REFERENCE_SOLUTION = bt.from_text(
 )
 
 
+def execute(bid, st, profile, rng):
+    return world.build_transition_table(profile)[bid](st, rng)
+
+
 def state_tuple(st: world.WorldState):
     return tuple(getattr(st, f) for f in world.WorldState.__slots__)
 
@@ -41,7 +45,7 @@ def test_reset_initial_state():
     st = world.reset(DET)
     assert (st.cube_x, st.cube_y) == DET.pick_pose
     assert not st.holding and not st.localized and not st.arm_tucked
-    assert st.head == "up"
+    assert st.head_up
     assert st.elapsed_time == 0.0 and st.risk_sum == 0.0
     assert st.loc_error == pytest.approx(1.0)
 
@@ -56,32 +60,43 @@ def test_reset_is_deterministic():
 
 
 def test_behavior_pool_sizes():
-    assert len(world.behavior_pool("core9")) == 9
-    assert len(world.behavior_pool("low_noise")) == 12
-    assert len(world.behavior_pool("high_noise")) == 39
-    assert len(world.behavior_pool("safe_paths")) == 11
+    sizes = {"core9": 9, "low_noise": 12, "high_noise": 39, "safe_paths": 11}
+    for scenario, size in sizes.items():
+        profile = world.make_profile("det", scenario)
+        assert len(profile.pool) == size
+        assert list(world.build_transition_table(profile)) == list(profile.pool)
     with pytest.raises(world.UnknownScenario):
-        world.behavior_pool("nope")
+        world.make_profile("det", "nope")
 
 
 def test_safe_move_costs_double_time():
-    pool = {spec.id: spec for spec in world.behavior_pool("safe_paths")}
-    assert pool["move_to_goal_safe"].time_cost == pytest.approx(
-        2 * pool["move_to_goal"].time_cost
-    )
-    assert pool["move_to_pick_safe"].fail_prob == 0.0
+    prof = world.make_profile("stoch3", "safe_paths")
+    table = world.build_transition_table(prof)
+    for target, pose in (("pick", prof.pick_pose), ("goal", prof.goal_pose)):
+        risky = ready_state(prof, at=prof.start, head_up=True)
+        safe = ready_state(prof, at=prof.start, head_up=True)
+        assert table[f"move_to_{target}_safe"](safe, random.Random(0)) == bt.SUCCESS
+        assert table[f"move_to_{target}"](risky, random.Random(0)) == bt.SUCCESS
+        assert risky.elapsed_time == pytest.approx(math.dist(prof.start, pose) / prof.speed)
+        assert safe.elapsed_time == pytest.approx(2 * risky.elapsed_time)
+        assert safe.risk_sum == 0.0
+        assert risky.risk_sum == prof.losing_localization
 
 
-def test_condition_spec_has_no_cost_or_risk():
-    spec = world.behavior_spec("have_block", DET)
-    assert spec.kind == bt.CONDITION
-    assert spec.time_cost == 0.0 and spec.fail_prob == 0.0
+def test_have_block_adds_no_time_or_risk():
+    assert world.leaf_kinds(STOCH3)["have_block"] == bt.CONDITION
+    for holding in (False, True):
+        st = ready_state(STOCH3, holding=holding)
+        before = state_tuple(st)
+        status = execute("have_block", st, STOCH3, random.Random(0))
+        assert status == (bt.SUCCESS if holding else bt.FAILURE)
+        assert state_tuple(st) == before
 
 
 def test_pick_succeeds_when_ready():
     st = ready_state(DET)
     rng = random.Random(0)
-    assert world.execute("pick", st, DET, rng) == bt.SUCCESS
+    assert execute("pick", st, DET, rng) == bt.SUCCESS
     assert st.holding and st.picked_once
     assert (st.cube_x, st.cube_y) == (st.true_x, st.true_y)
 
@@ -89,7 +104,7 @@ def test_pick_succeeds_when_ready():
 def test_pick_while_holding_only_charges_time_and_risk():
     st = ready_state(DET, holding=True)
     before = state_tuple(st)
-    assert world.execute("pick", st, DET, random.Random(0)) == bt.FAILURE
+    assert execute("pick", st, DET, random.Random(0)) == bt.FAILURE
     after = state_tuple(st)
     # only elapsed_time (and risk under stochastic profiles) may differ
     diffs = {
@@ -102,26 +117,26 @@ def test_pick_while_holding_only_charges_time_and_risk():
 
 def test_pick_requires_head_down_and_reach():
     st = ready_state(DET, head_up=True)
-    assert world.execute("pick", st, DET, random.Random(0)) == bt.FAILURE
+    assert execute("pick", st, DET, random.Random(0)) == bt.FAILURE
     st = ready_state(DET, at=(0.0, 0.0))  # cube is 2 m away
-    assert world.execute("pick", st, DET, random.Random(0)) == bt.FAILURE
+    assert execute("pick", st, DET, random.Random(0)) == bt.FAILURE
     assert not st.holding
 
 
 def test_place_full_semantics():
     st = ready_state(DET, at=DET.goal_pose, holding=True)
-    assert world.execute("place", st, DET, random.Random(0)) == bt.SUCCESS
+    assert execute("place", st, DET, random.Random(0)) == bt.SUCCESS
     assert st.placed and not st.holding
     assert (st.cube_x, st.cube_y) == DET.goal_pose
     # place without holding fails
     st = ready_state(DET, at=DET.goal_pose)
-    assert world.execute("place", st, DET, random.Random(0)) == bt.FAILURE
+    assert execute("place", st, DET, random.Random(0)) == bt.FAILURE
     assert not st.placed
 
 
 def test_localise_sets_small_error():
     st = world.reset(DET)
-    assert world.execute("localise", st, DET, random.Random(0)) == bt.SUCCESS
+    assert execute("localise", st, DET, random.Random(0)) == bt.SUCCESS
     assert st.localized
     assert st.loc_error == pytest.approx(world.LOC_ERROR_LOCALIZED)
     assert st.elapsed_time == pytest.approx(5.0)
@@ -130,7 +145,7 @@ def test_localise_sets_small_error():
 def test_move_guard_failure_leaves_pose_unchanged():
     st = world.reset(DET)  # not localized, not tucked
     t_before = st.elapsed_time
-    assert world.execute("move_to_pick", st, DET, random.Random(0)) == bt.FAILURE
+    assert execute("move_to_pick", st, DET, random.Random(0)) == bt.FAILURE
     assert (st.true_x, st.true_y) == DET.start
     assert st.elapsed_time > t_before  # execution still costs time
 
@@ -138,7 +153,7 @@ def test_move_guard_failure_leaves_pose_unchanged():
 def test_move_success_reaches_target_and_keeps_loc_error():
     st = ready_state(DET, at=(0.0, 0.0), head_up=True)
     err = st.loc_error
-    assert world.execute("move_to_pick", st, DET, random.Random(0)) == bt.SUCCESS
+    assert execute("move_to_pick", st, DET, random.Random(0)) == bt.SUCCESS
     assert (st.true_x, st.true_y) == DET.pick_pose
     assert st.loc_error == pytest.approx(err)
     assert st.elapsed_time == pytest.approx(2.0 / DET.speed)
@@ -147,7 +162,7 @@ def test_move_success_reaches_target_and_keeps_loc_error():
 def test_losing_localization_strands_at_midpoint():
     prof = world.make_profile("det", "core9", risky_losing_localization=1.0)
     st = ready_state(prof, at=(0.0, 0.0), head_up=True)
-    assert world.execute("move_to_pick", st, prof, random.Random(0)) == bt.FAILURE
+    assert execute("move_to_pick", st, prof, random.Random(0)) == bt.FAILURE
     assert (st.true_x, st.true_y) == (1.0, 0.0)
     assert not st.localized
     assert st.loc_error == pytest.approx(world.LOC_ERROR_LOST)
@@ -157,7 +172,7 @@ def test_losing_localization_strands_at_midpoint():
 def test_losing_cube_respawns_but_move_succeeds():
     prof = world.make_profile("det", "core9", risky_losing_cube=1.0)
     st = ready_state(prof, holding=True, head_up=True)
-    assert world.execute("move_to_goal", st, prof, random.Random(0)) == bt.SUCCESS
+    assert execute("move_to_goal", st, prof, random.Random(0)) == bt.SUCCESS
     assert (st.true_x, st.true_y) == prof.goal_pose
     assert not st.holding
     assert (st.cube_x, st.cube_y) == prof.pick_pose
@@ -165,23 +180,24 @@ def test_losing_cube_respawns_but_move_succeeds():
 
 def test_cube_tracks_robot_while_holding():
     st = ready_state(DET, holding=True, head_up=True)
-    world.execute("move_to_goal", st, DET, random.Random(0))
+    execute("move_to_goal", st, DET, random.Random(0))
     assert (st.cube_x, st.cube_y) == (st.true_x, st.true_y)
 
 
 def test_unknown_behavior_raises():
-    st = world.reset(DET)
-    with pytest.raises(world.UnknownBehavior):
-        world.execute("fly", st, DET, random.Random(0))
+    for bid in ("fly", "move_to_nowhere", "move_to_aux_99", "tuck_safe"):
+        with pytest.raises(world.UnknownBehavior):
+            world.build_transition_table(world.make_profile("det", ["localise", bid]))
 
 
 def test_stoch3_pick_failure_rate_calibrated():
     rng = random.Random(123)
+    pick = world.build_transition_table(STOCH3)["pick"]
     failures = 0
     n = 10_000
     for _ in range(n):
         st = ready_state(STOCH3)
-        if world.execute("pick", st, STOCH3, rng) == bt.FAILURE:
+        if pick(st, rng) == bt.FAILURE:
             failures += 1
     assert abs(failures / n - STOCH3.pick_failure) <= 0.012  # 3 sigma
 
@@ -223,22 +239,40 @@ def test_episode_deterministic_given_seed():
 
 
 def test_risk_sum_matches_executed_fail_probs():
+    # stoch3 column: loc_failure, pick_failure, place_failure, and
+    # losing_localization on the moves; the other behaviors carry no risk
+    risk = {"localise": 0.2, "pick": 0.2, "place": 0.1, "move_to_pick": 0.1, "move_to_goal": 0.1}
+    executed: list[str] = []
+
+    def recording(bid, fn):
+        def run(st, rng):
+            executed.append(bid)
+            return fn(st, rng)
+        return run
+
+    table = {bid: recording(bid, fn) for bid, fn in world.build_transition_table(STOCH3).items()}
     tree = bt.parse(REFERENCE_SOLUTION, world.leaf_kinds(STOCH3))
-    trace: list[str] = []
-    result = world.run_episode(tree, STOCH3, random.Random(17), trace=trace)
-    expected = sum(world.behavior_spec(bid, STOCH3).fail_prob for bid in trace)
-    assert result.final_state.risk_sum == pytest.approx(expected, abs=1e-12)
+    compiled, n_nodes = bt.compile_tree(tree, table), bt.tree_node_count(tree)
+    seen = set()
+    for seed in range(20):
+        executed.clear()
+        result = world.run_compiled(compiled, n_nodes, STOCH3, random.Random(seed))
+        expected = sum(risk.get(bid, 0.0) for bid in executed)
+        assert result.final_state.risk_sum == pytest.approx(expected, abs=1e-12)
+        seen.update(executed)
+    assert seen >= set(risk)
 
 
 def test_cube_conservation_under_random_actions():
     # held cubes track the robot; loose cubes sit on the pick or goal table
     prof = world.builtin_profile("stoch4")
     rng = random.Random(21)
+    table = world.build_transition_table(prof)
     pool = list(prof.pool)
     for _ in range(50):
         st = world.reset(prof)
         for _ in range(60):
-            world.execute(pool[rng.randrange(len(pool))], st, prof, rng)
+            table[pool[rng.randrange(len(pool))]](st, rng)
             cube = (st.cube_x, st.cube_y)
             if st.holding:
                 assert cube == (st.true_x, st.true_y)
@@ -258,7 +292,7 @@ def test_guard_soundness_under_random_states():
         st.head_up = rng.random() < 0.5
         before = state_tuple(st)
         bid = pool[rng.randrange(len(pool))]
-        status = world.execute(bid, st, DET, rng)
+        status = execute(bid, st, DET, rng)
         if status == bt.FAILURE:
             after = state_tuple(st)
             diffs = {
@@ -270,12 +304,8 @@ def test_guard_soundness_under_random_states():
 
 
 def test_tick_budget_termination():
-    class RunningForever:
-        def execute(self, bid):
-            return bt.RUNNING
-
     # drive run_compiled directly with a tree that always reports Running
-    compiled = lambda w: bt.RUNNING  # noqa: E731
+    compiled = lambda st, rng: bt.RUNNING  # noqa: E731
     result = world.run_compiled(compiled, 1, DET, random.Random(0), max_ticks=17)
     assert result.terminated_by == world.TICK_BUDGET
     assert result.ticks_used == 17
