@@ -264,6 +264,28 @@ def subtree_span(tokens: Genotype, index: int) -> tuple[int, int]:
     raise MalformedGenotype("unclosed control node")
 
 
+def node_spans(tokens: Genotype) -> list[tuple[int, int, int]]:
+    """(start, stop, node count) of every node's subtree, in token order.
+
+    One stack pass; ``tokens[start:stop]`` equals ``subtree_span`` for each
+    node, so an operator that draws many spans from one genotype builds
+    this table once.
+    """
+    spans: list[tuple[int, int, int]] = []
+    stack: list[int] = []  # indices into spans of the open controls
+    for i, tok in enumerate(tokens):
+        if tok == CLOSE:
+            k = stack.pop()
+            start = spans[k][0]
+            spans[k] = (start, i + 1, len(spans) - k)
+        elif tok == SEQUENCE_OPEN or tok == FALLBACK_OPEN:
+            stack.append(len(spans))
+            spans.append((i, i, 0))
+        else:
+            spans.append((i, i + 1, 1))
+    return spans
+
+
 def node_indices(tokens: Genotype) -> list[int]:
     """Indices of all node tokens (everything except closes)."""
     return [i for i, t in enumerate(tokens) if t != CLOSE]
@@ -362,26 +384,28 @@ def canonical(tokens: Genotype) -> Genotype:
     unchanged, so such wrappers don't affect execution. Two genotypes with
     the same canonical form encode the same policy; duplicate detection in
     the evolution layer keys on this.
+
+    One O(n) stack pass marks the open and close of every control with
+    exactly one child and drops them. Splicing a wrapper leaves every other
+    control's child count as it was, so no second pass can find more. An
+    already canonical genotype is returned as the same object.
     """
-    toks = tokens
-    changed = True
-    while changed:
-        changed = False
-        stack: list[list[int]] = []  # [open_index, child_count]
-        for i, tok in enumerate(toks):
-            if is_control_open(tok):
-                if stack:
-                    stack[-1][1] += 1
-                stack.append([i, 0])
-            elif tok == CLOSE:
-                open_index, children = stack.pop()
-                if children == 1:
-                    toks = toks[:open_index] + toks[open_index + 1 : i] + toks[i + 1 :]
-                    changed = True
-                    break
-            elif stack:
-                stack[-1][1] += 1
-    return toks
+    stack: list[list[int]] = []  # [open_index, child_count]
+    drop: set[int] = set()
+    for i, tok in enumerate(tokens):
+        if tok == CLOSE:
+            open_index, children = stack.pop()
+            if children == 1:
+                drop.add(open_index)
+                drop.add(i)
+            continue
+        if stack:
+            stack[-1][1] += 1
+        if tok == SEQUENCE_OPEN or tok == FALLBACK_OPEN:
+            stack.append([i, 0])
+    if not drop:
+        return tokens
+    return tuple(tok for i, tok in enumerate(tokens) if i not in drop)
 
 
 def to_text(tokens: Genotype) -> str:

@@ -37,7 +37,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        seeds = tuple(range(int(lo), int(hi) + 1))
+        if not seeds:
+            raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+        return seeds
     return tuple(int(part) for part in text.split(","))
 
 

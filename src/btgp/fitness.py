@@ -45,7 +45,7 @@ TABLE2 = FitnessWeights()
 WEIGHT_SETS = {"table2": TABLE2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitnessValue:
     """Fitness J = -cost, with the cost broken down by term.
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import bt
 from .bt import Genotype
 from .fitness import FitnessValue, FitnessWeights, TABLE2, evaluate_compiled
-from .world import Profile, build_transition_table, leaf_kinds
+from .world import Profile, build_transition_table, draws_nothing, leaf_kinds
 
 CHECKPOINT_FORMAT = "btgp-checkpoint-v2"
 
@@ -63,18 +63,34 @@ class GpParams:
             raise ValueError("population must be >= 2")
         if self.start_length < 1 or self.start_length > self.node_cap:
             raise ValueError("start_length must be in [1, node_cap]")
+        if self.generations < 0:
+            raise ValueError(f"generations must be >= 0, got {self.generations}")
+        if self.episodes_per_eval < 1:
+            raise ValueError(f"episodes_per_eval must be >= 1, got {self.episodes_per_eval}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 class Individual:
-    __slots__ = ("genotype", "fitness", "birth_generation")
+    __slots__ = ("genotype", "fitness", "birth_generation", "_key")
 
-    def __init__(self, genotype: Genotype, birth_generation: int = 0, fitness=None):
+    def __init__(
+        self, genotype: Genotype, birth_generation: int = 0, fitness=None, key=None
+    ):
         self.genotype = tuple(genotype)
         self.birth_generation = birth_generation
         self.fitness: FitnessValue | None = fitness
+        self._key: Genotype | None = key  # canonical(genotype), once asked for
+
+    @property
+    def key(self) -> Genotype:
+        """Canonical form of the genotype, computed at most once."""
+        if self._key is None:
+            self._key = bt.canonical(self.genotype)
+        return self._key
 
     def clone(self) -> "Individual":
-        return Individual(self.genotype, self.birth_generation, self.fitness)
+        return Individual(self.genotype, self.birth_generation, self.fitness, self._key)
 
     def __repr__(self):
         j = None if self.fitness is None else round(self.fitness.j, 3)
@@ -156,29 +172,40 @@ def crossover(
     Invalid or over-cap offspring, offspring equal to each other, or
     offspring listed in ``exclude`` (duplicate rejection across repeated
     applications) trigger a re-draw of the crossover points; after
-    ``max_attempts`` the parents are returned unchanged.
+    ``max_attempts`` the parents are returned unchanged. The checks run
+    cheapest first; each is pure, so their order decides no outcome.
     """
     g1, g2 = p1.genotype, p2.genotype
     if g1 == g2 and len(g1) == 1:
         # identical single-leaf parents can never yield distinct offspring
         return (Individual(g1, birth_generation), Individual(g2, birth_generation))
-    nodes1 = bt.node_indices(g1)
-    nodes2 = bt.node_indices(g2)
+    spans1 = bt.node_spans(g1)
+    spans2 = bt.node_spans(g2)
+    n1, n2 = len(spans1), len(spans2)
     for _ in range(max_attempts):
-        i1 = nodes1[rng.randrange(len(nodes1))]
-        i2 = nodes2[rng.randrange(len(nodes2))]
-        s1, e1 = bt.subtree_span(g1, i1)
-        s2, e2 = bt.subtree_span(g2, i2)
+        s1, e1, k1 = spans1[rng.randrange(n1)]
+        s2, e2, k2 = spans2[rng.randrange(n2)]
         c1 = g1[:s1] + g2[s2:e2] + g1[e1:]
         c2 = g2[:s2] + g1[s1:e1] + g2[e2:]
-        if c1 == c2 or bt.canonical(c1) in exclude or bt.canonical(c2) in exclude:
+        # each child's node count: its parent's, less the subtree given, plus the one taken
+        if c1 == c2 or n1 - k1 + k2 > node_cap or n2 - k2 + k1 > node_cap:
             continue
-        if bt.node_count(c1) > node_cap or bt.node_count(c2) > node_cap:
+        key1 = bt.canonical(c1)
+        if key1 in exclude:
+            continue
+        key2 = bt.canonical(c2)
+        if key2 in exclude:
             continue
         if bt.validate(c1, kinds) or bt.validate(c2, kinds):
             continue
-        return (Individual(c1, birth_generation), Individual(c2, birth_generation))
-    return (Individual(g1, birth_generation), Individual(g2, birth_generation))
+        return (
+            Individual(c1, birth_generation, key=key1),
+            Individual(c2, birth_generation, key=key2),
+        )
+    return (
+        Individual(g1, birth_generation, key=p1._key),
+        Individual(g2, birth_generation, key=p2._key),
+    )
 
 
 def _insertion_slots(tokens: Genotype) -> list[int]:
@@ -296,6 +323,7 @@ def mutate(
     g = parent.genotype
     last = None
     valid_dup = None
+    dup_key = None
     for _ in range(max_attempts):
         r = rng.random()
         if r < params.p_node_mutation:
@@ -311,17 +339,18 @@ def mutate(
             continue
         if bt.validate(cand, kinds):
             continue
-        if bt.canonical(cand) in exclude:
-            valid_dup = cand  # acceptable if nothing novel shows up
+        key = bt.canonical(cand)
+        if key in exclude:
+            valid_dup, dup_key = cand, key  # acceptable if nothing novel shows up
             continue
-        return Individual(cand, birth_generation)
+        return Individual(cand, birth_generation, key=key)
     if valid_dup is not None:
-        return Individual(valid_dup, birth_generation)
+        return Individual(valid_dup, birth_generation, key=dup_key)
     if last is not None:
         repaired = bt.repair(last, kinds, rng)
         if bt.node_count(repaired) <= params.node_cap and not bt.validate(repaired, kinds):
             return Individual(repaired, birth_generation)
-    return Individual(g, birth_generation)
+    return Individual(g, birth_generation, key=parent._key)
 
 
 # --- evaluation, serial or via a process pool -------------------------------
@@ -343,6 +372,11 @@ class Evaluator:
 
     Every evaluation seeds its own rng stream from (master seed, tag, slot),
     so parallel and serial schedules produce identical fitness values.
+
+    When the profile draws nothing from the rng (``world.draws_nothing``),
+    an episode is a pure function of the genotype, so ``eval_batch`` keeps a
+    genotype -> fitness dict for the evaluator's lifetime and simulates each
+    distinct genotype once. On any other profile nothing is cached.
     """
 
     def __init__(self, profile: Profile, weights: FitnessWeights, params: GpParams):
@@ -351,6 +385,9 @@ class Evaluator:
         self.params = params
         self.kinds = leaf_kinds(profile)
         self.table = build_transition_table(profile)
+        self._cache: dict[Genotype, FitnessValue] | None = (
+            {} if draws_nothing(profile) else None
+        )
         self._pool = None
         if params.workers > 1:
             self._pool = ProcessPoolExecutor(
@@ -378,16 +415,31 @@ class Evaluator:
         return f"{self.params.seed}:{tag}:{slot}"
 
     def eval_batch(self, individuals, tag: str) -> int:
-        """Evaluate in order; returns episodes consumed."""
+        """Evaluate in order; returns the episode budget spent.
+
+        Every individual counts ``episodes_per_eval`` episodes, whether it
+        was simulated or its fitness came from the cache.
+        """
         p = self.params
-        payloads = [
-            (ind.genotype, self.seed_string(tag, i)) for i, ind in enumerate(individuals)
-        ]
+        cache = self._cache
+        if cache is None:
+            payloads = [
+                (ind.genotype, self.seed_string(tag, i)) for i, ind in enumerate(individuals)
+            ]
+        else:
+            misses = {}
+            for i, ind in enumerate(individuals):
+                if ind.genotype not in cache and ind.genotype not in misses:
+                    misses[ind.genotype] = self.seed_string(tag, i)
+            payloads = list(misses.items())
         if self._pool is None:
             values = [self.evaluate_one(*payload) for payload in payloads]
         else:
             chunk = max(1, -(-len(payloads) // (p.workers * 2)))
             values = list(self._pool.map(_worker_eval, payloads, chunksize=chunk))
+        if cache is not None:
+            cache.update(zip((g for g, _ in payloads), values))
+            values = [cache[ind.genotype] for ind in individuals]
         for ind, fv in zip(individuals, values):
             ind.fitness = fv
         return len(individuals) * p.episodes_per_eval
@@ -420,7 +472,7 @@ def evolve_generation(
     # each other (bounded retries), where "duplicate" means same canonical
     # form: duplicates would be discarded by survivor selection anyway,
     # wasting the generation's search budget.
-    taken: set[Genotype] = {bt.canonical(ind.genotype) for ind in population}
+    taken: set[Genotype] = {ind.key for ind in population}
     offspring: list[Individual] = []
     cx_parents = tournament(population, n_cx, rng)
     rng.shuffle(cx_parents)
@@ -436,8 +488,8 @@ def evolve_generation(
                 birth_generation=generation,
                 exclude=taken,
             )
-            taken.add(bt.canonical(c1.genotype))
-            taken.add(bt.canonical(c2.genotype))
+            taken.add(c1.key)
+            taken.add(c2.key)
             offspring.append(c1)
             offspring.append(c2)
 
@@ -452,7 +504,7 @@ def evolve_generation(
                 birth_generation=generation,
                 exclude=taken,
             )
-            taken.add(bt.canonical(child.genotype))
+            taken.add(child.key)
             offspring.append(child)
 
     episodes = evaluator.eval_batch(offspring, f"g{generation}:off")
@@ -469,7 +521,7 @@ def evolve_generation(
     distinct_rest: list[Individual] = []
     for i in order:
         ind = combined[i]
-        key = bt.canonical(ind.genotype)
+        key = ind.key
         if key in seen:
             continue
         seen.add(key)

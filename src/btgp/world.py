@@ -439,6 +439,25 @@ def build_transition_table(profile: Profile) -> dict[str, TransitionFn]:
     return table
 
 
+def draws_nothing(profile: Profile) -> bool:
+    """True when no transition in ``build_transition_table(profile)`` can draw
+    from the rng, so an episode is a pure function of the tree.
+
+    Every failure and loss probability must be 0, the risky-path overrides
+    included, so the profile's name does not decide it: the exp3 profile is
+    the det column with risky paths that draw.
+    """
+    return not (
+        profile.loc_failure
+        or profile.pick_failure
+        or profile.place_failure
+        or profile.losing_cube
+        or profile.losing_localization
+        or profile.risky_losing_cube
+        or profile.risky_losing_localization
+    )
+
+
 def run_compiled(
     compiled,
     n_nodes: int,

@@ -257,6 +257,95 @@ def test_canonical_splices_single_child_controls():
     assert bt.canonical(tokens) == tokens
 
 
+def restart_loop_canonical(tokens):
+    """Reference splicing: remove the first single-child control found, then
+    rescan from the start, until a full scan splices nothing."""
+    toks = tokens
+    changed = True
+    while changed:
+        changed = False
+        stack = []  # [open_index, child_count]
+        for i, tok in enumerate(toks):
+            if bt.is_control_open(tok):
+                if stack:
+                    stack[-1][1] += 1
+                stack.append([i, 0])
+            elif tok == bt.CLOSE:
+                open_index, children = stack.pop()
+                if children == 1:
+                    toks = toks[:open_index] + toks[open_index + 1 : i] + toks[i + 1 :]
+                    changed = True
+                    break
+            elif stack:
+                stack[-1][1] += 1
+    return toks
+
+
+@st.composite
+def wrapped_genotypes(draw):
+    """Random valid genotypes with up to six single-child wrappers injected
+    around random subtrees (wrappers may nest)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    toks = bt.random_genotype(KINDS, draw(st.integers(1, 15)), rng)
+    for _ in range(draw(st.integers(0, 6))):
+        start, stop = bt.subtree_span(toks, rng.choice(bt.node_indices(toks)))
+        wrapper = rng.choice((bt.SEQUENCE_OPEN, bt.FALLBACK_OPEN))
+        toks = toks[:start] + (wrapper,) + toks[start:stop] + (bt.CLOSE,) + toks[stop:]
+    return toks
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        ("a",),
+        ("s(", ")"),
+        ("s(", "f(", ")", ")"),
+        ("s(", "f(", ")", "a", ")"),
+        ("f(", "s(", "f(", "a", ")", ")", ")"),
+        ("s(", "f(", "a", ")", "f(", "s(", "b", "c", ")", ")", ")"),
+    ],
+)
+def test_canonical_matches_restart_loop_on_edge_cases(tokens):
+    assert bt.canonical(tokens) == restart_loop_canonical(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrapped_genotypes())
+def test_canonical_matches_restart_loop(tokens):
+    assert bt.canonical(tokens) == restart_loop_canonical(tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wrapped_genotypes())
+def test_canonical_is_idempotent(tokens):
+    once = bt.canonical(tokens)
+    assert bt.canonical(once) == once
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tokens=wrapped_genotypes(),
+    statuses=st.lists(
+        st.sampled_from((bt.SUCCESS, bt.FAILURE, bt.RUNNING)),
+        min_size=len(KINDS),
+        max_size=len(KINDS),
+    ),
+)
+def test_canonical_preserves_behavior(tokens, statuses):
+    results = dict(zip(sorted(KINDS), statuses))
+    assert tick(bt.canonical(tokens), results) == tick(tokens, results)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wrapped_genotypes())
+def test_node_spans_match_subtree_span(tokens):
+    spans = bt.node_spans(tokens)
+    assert [(s, e) for s, e, _ in spans] == [
+        bt.subtree_span(tokens, i) for i in bt.node_indices(tokens)
+    ]
+    assert [n for _, _, n in spans] == [bt.node_count(tokens[s:e]) for s, e, _ in spans]
+
+
 def test_repair_produces_valid_genotype():
     rng = random.Random(5)
     broken = [

@@ -252,6 +252,20 @@ def test_cli_seed_parsing():
     assert cli._parse_seeds("4") == (4,)
 
 
+def test_cli_run_rejects_negative_generations(tmp_path, capsys):
+    rc = cli.main(["run", "--generations", "-2", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: generations must be >= 0, got -2\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_empty_seed_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["exp1", "--seeds", "5..3"])
+    assert exc.value.code == 2
+    assert "argument --seeds: empty seed range '5..3'" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_profile():
     with pytest.raises(SystemExit):
         cli.main(["run", "--profile", "nope"])

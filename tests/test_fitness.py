@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -198,3 +199,11 @@ def test_weight_sets_table2_defaults():
     assert (w.beta, w.gamma, w.delta) == (0.5, 0.1, 0.0)
     assert (w.pick_reward, w.place_reward) == (50.0, 100.0)
     assert w.with_delta(150.0).delta == 150.0
+
+
+def test_fitness_value_is_slotted_and_pickles():
+    fv = fitness.FitnessValue(-1.5, 1.0, 0.5, 0.25, 0.0, 0.25)
+    assert not hasattr(fv, "__dict__")
+    assert fv.cost == 1.5
+    again = pickle.loads(pickle.dumps(fv))
+    assert again == fv and again.cost == fv.cost

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from btgp import bt, fitness, gp, world
+from btgp import bt, experiments, fitness, gp, world
 
 DET = world.builtin_profile("det")
 KINDS = world.leaf_kinds(DET)
@@ -36,6 +40,15 @@ def test_params_validation():
         gp.GpParams(crossover_fraction=1.5)
     with pytest.raises(ValueError):
         gp.GpParams(population=1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("generations", -1), ("episodes_per_eval", 0), ("workers", 0)],
+)
+def test_params_reject_out_of_range_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        gp.GpParams(**{field: value})
 
 
 def test_tournament_single_duel():
@@ -112,6 +125,19 @@ def test_crossover_respects_node_cap():
         c1, c2 = gp.crossover(p1, p2, KINDS, random.Random(seed), node_cap=8)
         assert bt.node_count(c1.genotype) <= 8
         assert bt.node_count(c2.genotype) <= 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), slack=st.integers(0, 12))
+def test_crossover_offspring_respect_any_node_cap(seed, slack):
+    rng = random.Random(seed)
+    p1 = gp.Individual(bt.random_genotype(KINDS, rng.randint(1, 12), rng))
+    p2 = gp.Individual(bt.random_genotype(KINDS, rng.randint(1, 12), rng))
+    # a cap the parents meet, so that returning them unchanged is within it too
+    cap = max(bt.node_count(p1.genotype), bt.node_count(p2.genotype)) + slack
+    c1, c2 = gp.crossover(p1, p2, KINDS, rng, node_cap=cap)
+    assert bt.node_count(c1.genotype) <= cap
+    assert bt.node_count(c2.genotype) <= cap
 
 
 def test_crossover_offspring_are_valid():
@@ -355,3 +381,71 @@ def test_individual_repr_and_clone():
     assert clone.genotype == individual.genotype
     assert clone.fitness == individual.fitness
     assert "localise" in repr(individual)
+
+
+def history_digest(history) -> str:
+    rows = "".join(
+        f"{h.generation},{h.best_j!r},{h.mean_j!r},{bt.to_text(h.best_genotype)},{h.episodes}\n"
+        for h in history
+    )
+    return hashlib.sha256(rows.encode()).hexdigest()
+
+
+# SHA-256 of the history rows of two fixed runs, taken before canonical became
+# one pass and det fitness was cached. A change to any row's best_j, mean_j,
+# best genotype or episode count breaks them.
+DET_SEED0_100_DIGEST = "ce6c15463ee1b4ce3f4fc0edc5cf2c691257fcd96f710eff59a9d1ffee331498"
+STOCH3_SEED0_40_DIGEST = "a6ec9712424f24be67832e95871aae156b6e2b030ea5c1f6bf4651b16fd3907a"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_det_history_digest_is_pinned(workers):
+    params = gp.GpParams(generations=100, seed=0, workers=workers)
+    history, _ = gp.run(params, DET, fitness.TABLE2)
+    assert history_digest(history) == DET_SEED0_100_DIGEST
+
+
+def test_stoch3_history_digest_is_pinned():
+    params = gp.GpParams(generations=40, seed=0, episodes_per_eval=5, reevaluate_elites=True)
+    history, _ = gp.run(params, world.builtin_profile("stoch3"), fitness.TABLE2)
+    assert history_digest(history) == STOCH3_SEED0_40_DIGEST
+
+
+def count_evaluations(monkeypatch, profile, params):
+    """(genotypes simulated by evaluate_one, genotypes handed to eval_batch)."""
+    simulated: Counter = Counter()
+    requested: list = []
+    evaluate_one = gp.Evaluator.evaluate_one
+    eval_batch = gp.Evaluator.eval_batch
+
+    def counting_evaluate_one(self, genotype, seed_str):
+        simulated[genotype] += 1
+        return evaluate_one(self, genotype, seed_str)
+
+    def recording_eval_batch(self, individuals, tag):
+        requested.extend(ind.genotype for ind in individuals)
+        return eval_batch(self, individuals, tag)
+
+    monkeypatch.setattr(gp.Evaluator, "evaluate_one", counting_evaluate_one)
+    monkeypatch.setattr(gp.Evaluator, "eval_batch", recording_eval_batch)
+    history, _ = gp.run(params, profile, fitness.TABLE2)
+    assert sum(h.episodes for h in history) == len(requested) * params.episodes_per_eval
+    return simulated, requested
+
+
+def test_det_simulates_each_distinct_genotype_once(monkeypatch):
+    params = gp.GpParams(generations=30, seed=0, reevaluate_elites=True)
+    simulated, requested = count_evaluations(monkeypatch, DET, params)
+    assert set(simulated) == set(requested)
+    assert set(simulated.values()) == {1}
+    assert len(requested) > len(simulated)  # repeats were served from the cache
+
+
+@pytest.mark.parametrize(
+    "profile", [world.builtin_profile("stoch3"), experiments.exp3_profile()], ids=["stoch3", "exp3"]
+)
+def test_stochastic_profiles_simulate_every_evaluation(monkeypatch, profile):
+    params = gp.GpParams(generations=10, seed=0, reevaluate_elites=True)
+    simulated, requested = count_evaluations(monkeypatch, profile, params)
+    assert sum(simulated.values()) == len(requested)
+    assert len(requested) > len(set(requested))  # repeats were simulated again

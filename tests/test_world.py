@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from btgp import bt, world
+from btgp import bt, experiments, world
 
 DET = world.builtin_profile("det")
 STOCH3 = world.builtin_profile("stoch3")
@@ -326,3 +326,13 @@ def test_deterministic_profile_episode_is_pure():
     assert rng.random() == random.Random(0).random()
     r2 = world.run_episode(tree, DET, random.Random(99))
     assert state_tuple(r1.final_state) == state_tuple(r2.final_state)
+
+
+def test_draws_nothing_only_on_all_zero_probabilities():
+    pure = [c for c in world.PROBABILITY_COLUMNS if world.draws_nothing(world.builtin_profile(c))]
+    assert pure == ["det"]
+    # exp3 is the det column with risky-path overrides, and those draw
+    exp3 = experiments.exp3_profile()
+    assert all(getattr(exp3, k) == 0.0 for k in world.PROBABILITY_COLUMNS["det"])
+    assert not world.draws_nothing(exp3)
+    assert world.draws_nothing(world.make_profile("det", "high_noise", risky_losing_cube=0.0))
