@@ -139,13 +139,8 @@ def serialize(node: Node) -> Genotype:
 
 def node_count(tokens: Iterable[str]) -> int:
     """Number of tree nodes: every token except the closing parentheses."""
-    return sum(1 for t in tokens if t != CLOSE)
-
-
-def tree_node_count(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return 1 + sum(tree_node_count(c) for c in node.children)
+    toks = tuple(tokens)
+    return len(toks) - toks.count(CLOSE)
 
 
 @dataclass(frozen=True)
@@ -215,33 +210,61 @@ def validate(tokens: Iterable[str], kinds: LeafKinds) -> list[Violation]:
     return violations
 
 
-def compile_tree(node: Node, table: Mapping[str, Callable]) -> Callable[[object, object], int]:
-    """Bind a tree to a transition table as one policy ``fn(state, rng) -> status``.
+def compile_tree(
+    tokens: Iterable[str], table: Mapping[str, Callable]
+) -> Callable[[object, object], int]:
+    """Bind a genotype to a transition table as one policy ``fn(state, rng) -> status``.
 
-    Each leaf is ``table[behavior_id]`` itself. A tick is reactive and
-    memoryless: a Sequence returns its first non-Success child status (Success
-    if all succeed), a Fallback its first non-Failure child status (Failure
-    if all fail), left to right, each visited leaf executed exactly once.
+    One stack pass over the tokens, no tree: a leaf is ``table[behavior_id]``
+    itself, and a control's closure is built at its ``)`` over its
+    children's. Raises MalformedGenotype for every input ``parse`` rejects;
+    childless controls compile. A tick is reactive and memoryless: a
+    Sequence returns its first non-Success child status (Success if all
+    succeed), a Fallback its first non-Failure child status (Failure if all
+    fail), left to right, each visited leaf executed exactly once.
     """
-    if isinstance(node, Leaf):
-        return table[node.behavior_id]
-    fns = tuple(compile_tree(c, table) for c in node.children)
-    if node.kind == "s":
-        def run_sequence(state, rng, _fns=fns):
-            for f in _fns:
-                status = f(state, rng)
-                if status != SUCCESS:
-                    return status
-            return SUCCESS
-        return run_sequence
-
-    def run_fallback(state, rng, _fns=fns):
-        for f in _fns:
-            status = f(state, rng)
-            if status != FAILURE:
-                return status
-        return FAILURE
-    return run_fallback
+    stack: list[tuple[bool, list]] = []  # (is_sequence, child policies) per open control
+    root = None
+    for i, tok in enumerate(tokens):
+        if root is not None:
+            raise MalformedGenotype(f"trailing tokens after position {i}")
+        if tok == CLOSE:
+            if not stack:
+                raise MalformedGenotype(f"unmatched close at token {i}")
+            is_sequence, children = stack.pop()
+            fns = tuple(children)
+            if is_sequence:
+                def run_sequence(state, rng, _fns=fns):
+                    for f in _fns:
+                        status = f(state, rng)
+                        if status != SUCCESS:
+                            return status
+                    return SUCCESS
+                fn = run_sequence
+            else:
+                def run_fallback(state, rng, _fns=fns):
+                    for f in _fns:
+                        status = f(state, rng)
+                        if status != FAILURE:
+                            return status
+                    return FAILURE
+                fn = run_fallback
+        elif tok == SEQUENCE_OPEN or tok == FALLBACK_OPEN:
+            stack.append((tok == SEQUENCE_OPEN, []))
+            continue
+        else:
+            fn = table.get(tok)
+            if fn is None:
+                raise MalformedGenotype(f"unknown leaf id {tok!r}")
+        if stack:
+            stack[-1][1].append(fn)
+        else:
+            root = fn
+    if stack:
+        raise MalformedGenotype("unclosed control node")
+    if root is None:
+        raise MalformedGenotype("empty genotype")
+    return root
 
 
 def subtree_span(tokens: Genotype, index: int) -> tuple[int, int]:

@@ -114,9 +114,8 @@ def replay(
         bid: _counting(bid, fn, executed)
         for bid, fn in build_transition_table(profile).items()
     }
-    tree = bt.parse(genotype, kinds)
-    compiled = bt.compile_tree(tree, table)
-    n_nodes = bt.tree_node_count(tree)
+    compiled = bt.compile_tree(genotype, table)
+    n_nodes = bt.node_count(genotype)
     rng = random.Random(f"replay:{seed}")
     successes = 0
     time_sum = 0.0

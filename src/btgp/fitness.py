@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bt import Node, compile_tree, tree_node_count
+from .bt import Node, compile_tree, node_count, serialize
 from .world import EpisodeResult, Profile, build_transition_table, run_compiled
 
 
@@ -71,8 +71,9 @@ def _from_terms(distance, length, time, risk, rewards) -> FitnessValue:
     return FitnessValue(-total, distance, length, time, risk, rewards)
 
 
-def cost(result: EpisodeResult, weights: FitnessWeights) -> FitnessValue:
-    """Score one episode result; robot-cube distance counts as 0 while holding."""
+def _terms(result: EpisodeResult, weights: FitnessWeights) -> tuple[float, ...]:
+    """(distance, length, time, risk, rewards) cost terms of one episode;
+    robot-cube distance counts as 0 while holding."""
     st = result.final_state
     gx, gy = result.goal_pose
     d_cube_goal = math.hypot(st.cube_x - gx, st.cube_y - gy)
@@ -85,15 +86,23 @@ def cost(result: EpisodeResult, weights: FitnessWeights) -> FitnessValue:
         + weights.alpha2 * d_robot_cube * d_robot_cube
         + weights.alpha3 * err * err
     )
-    length_term = weights.beta * result.node_count
-    time_term = weights.gamma * st.elapsed_time
-    risk_term = weights.delta * st.risk_sum
     rewards = 0.0
     if result.picked:
         rewards += weights.pick_reward
     if result.placed:
         rewards += weights.place_reward
-    return _from_terms(distance_term, length_term, time_term, risk_term, rewards)
+    return (
+        distance_term,
+        weights.beta * result.node_count,
+        weights.gamma * st.elapsed_time,
+        weights.delta * st.risk_sum,
+        rewards,
+    )
+
+
+def cost(result: EpisodeResult, weights: FitnessWeights) -> FitnessValue:
+    """Score one episode result."""
+    return _from_terms(*_terms(result, weights))
 
 
 def evaluate_compiled(
@@ -109,12 +118,14 @@ def evaluate_compiled(
 ) -> FitnessValue:
     """Mean fitness over independent episodes of an already-compiled tree.
 
-    The returned value carries the per-term means, with j re-derived from
-    them so the breakdown-sums-to-cost property holds exactly.
+    Each episode's cost terms are added straight into five running sums, in
+    the order ``cost`` lists them, and one FitnessValue is built from their
+    means at the end, with j re-derived so the breakdown sums to the cost
+    exactly.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    sums = [0.0, 0.0, 0.0, 0.0, 0.0]
+    distance = length = time = risk = rewards = 0.0
     for _ in range(episodes):
         result = run_compiled(
             compiled,
@@ -124,14 +135,14 @@ def evaluate_compiled(
             max_root_failures=max_root_failures,
             max_ticks=max_ticks,
         )
-        fv = cost(result, weights)
-        sums[0] += fv.distance_term
-        sums[1] += fv.length_term
-        sums[2] += fv.time_term
-        sums[3] += fv.risk_term
-        sums[4] += fv.rewards
+        d, n, t, r, w = _terms(result, weights)
+        distance += d
+        length += n
+        time += t
+        risk += r
+        rewards += w
     inv = 1.0 / episodes
-    return _from_terms(*(s * inv for s in sums))
+    return _from_terms(distance * inv, length * inv, time * inv, risk * inv, rewards * inv)
 
 
 def evaluate(
@@ -145,9 +156,10 @@ def evaluate(
     max_ticks: int = 100,
 ) -> FitnessValue:
     """Mean fitness of a tree over ``episodes`` independent episodes."""
+    tokens = serialize(tree)
     return evaluate_compiled(
-        compile_tree(tree, build_transition_table(profile)),
-        tree_node_count(tree),
+        compile_tree(tokens, build_transition_table(profile)),
+        node_count(tokens),
         profile,
         weights,
         episodes,

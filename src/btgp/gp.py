@@ -173,7 +173,9 @@ def crossover(
     offspring listed in ``exclude`` (duplicate rejection across repeated
     applications) trigger a re-draw of the crossover points; after
     ``max_attempts`` the parents are returned unchanged. The checks run
-    cheapest first; each is pure, so their order decides no outcome.
+    cheapest first; each is pure, so their order decides no outcome, and a
+    span pair already rejected in this call is skipped without re-checking
+    (both points are still drawn, so the rng stream is the same).
     """
     g1, g2 = p1.genotype, p2.genotype
     if g1 == g2 and len(g1) == 1:
@@ -182,9 +184,14 @@ def crossover(
     spans1 = bt.node_spans(g1)
     spans2 = bt.node_spans(g2)
     n1, n2 = len(spans1), len(spans2)
+    tried: set[tuple[int, int]] = set()
     for _ in range(max_attempts):
-        s1, e1, k1 = spans1[rng.randrange(n1)]
-        s2, e2, k2 = spans2[rng.randrange(n2)]
+        pair = (rng.randrange(n1), rng.randrange(n2))
+        if pair in tried:
+            continue
+        tried.add(pair)
+        s1, e1, k1 = spans1[pair[0]]
+        s2, e2, k2 = spans2[pair[1]]
         c1 = g1[:s1] + g2[s2:e2] + g1[e1:]
         c2 = g2[:s2] + g1[s1:e1] + g2[e2:]
         # each child's node count: its parent's, less the subtree given, plus the one taken
@@ -399,10 +406,9 @@ class Evaluator:
     def evaluate_one(self, genotype: Genotype, seed_str: str) -> FitnessValue:
         """Mean fitness of one genotype on the rng stream ``seed_str`` names."""
         p = self.params
-        tree = bt.parse(genotype, self.kinds)
         return evaluate_compiled(
-            bt.compile_tree(tree, self.table),
-            bt.tree_node_count(tree),
+            bt.compile_tree(genotype, self.table),
+            bt.node_count(genotype),
             self.profile,
             self.weights,
             p.episodes_per_eval,
@@ -595,7 +601,7 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(json.dumps(data, indent=1))
+        tmp.write_text(json.dumps(data))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .bt import ACTION, CONDITION, FAILURE, SUCCESS, Node, compile_tree, tree_node_count
+from .bt import ACTION, CONDITION, FAILURE, SUCCESS, Node, compile_tree, node_count, serialize
 
 ROOT_SUCCESS = "root_success"
 FAILURE_BUDGET = "failure_budget"
@@ -504,9 +504,10 @@ def run_episode(
     max_ticks: int = 100,
 ) -> EpisodeResult:
     """Tick the tree from the root until success or a budget runs out."""
+    tokens = serialize(tree)
     return run_compiled(
-        compile_tree(tree, build_transition_table(profile)),
-        tree_node_count(tree),
+        compile_tree(tokens, build_transition_table(profile)),
+        node_count(tokens),
         profile,
         rng,
         max_root_failures=max_root_failures,

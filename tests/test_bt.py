@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -37,17 +38,26 @@ def scripted_table(results, calls):
 def tick(tokens, results):
     """(status, executed ids) of one tick of the compiled tree."""
     calls = []
-    policy = bt.compile_tree(bt.parse(tokens, KINDS), scripted_table(results, calls))
+    policy = bt.compile_tree(tokens, scripted_table(results, calls))
     return policy(None, None), calls
 
 
 def oracle(node, results, calls):
-    """Sequence = all, Fallback = any, both short-circuiting left to right."""
+    """Status of one tick of a parsed tree: a Sequence's first non-Success
+    child status, else Success; a Fallback's first non-Failure child status,
+    else Failure; children are visited lazily, left to right."""
     if isinstance(node, bt.Leaf):
         calls.append(node.behavior_id)
-        return results[node.behavior_id] == bt.SUCCESS
-    children = (oracle(c, results, calls) for c in node.children)
-    return all(children) if node.kind == "s" else any(children)
+        return results[node.behavior_id]
+    skip = bt.SUCCESS if node.kind == "s" else bt.FAILURE
+    statuses = (oracle(c, results, calls) for c in node.children)
+    return next((status for status in statuses if status != skip), skip)
+
+
+def tree_size(node):
+    if isinstance(node, bt.Leaf):
+        return 1
+    return 1 + sum(tree_size(c) for c in node.children)
 
 
 def test_parse_sequence_of_two_actions():
@@ -85,6 +95,8 @@ def test_parse_nested_fallback():
 def test_parse_rejects_malformed(tokens):
     with pytest.raises(bt.MalformedGenotype):
         bt.parse(tokens, KINDS)
+    with pytest.raises(bt.MalformedGenotype):
+        bt.compile_tree(tokens, scripted_table(dict.fromkeys(KINDS, bt.SUCCESS), []))
 
 
 def test_serialize_inverts_parse():
@@ -108,7 +120,7 @@ def test_roundtrip_random_genotypes():
     for _ in range(300):
         g = bt.random_genotype(KINDS, rng.randint(1, 20), rng)
         assert bt.serialize(bt.parse(g, KINDS)) == g
-        assert bt.node_count(g) == bt.tree_node_count(bt.parse(g, KINDS))
+        assert bt.node_count(g) == tree_size(bt.parse(g, KINDS))
 
 
 def test_validate_same_control_kind_nesting():
@@ -175,7 +187,7 @@ def test_tick_propagates_running():
 
 def test_compile_tree_leaf_is_the_table_entry():
     table = scripted_table({"a": bt.SUCCESS}, [])
-    assert bt.compile_tree(bt.parse(("a",), KINDS), table) is table["a"]
+    assert bt.compile_tree(("a",), table) is table["a"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,8 +202,68 @@ def test_compile_tree_matches_short_circuit_oracle(seed, length, statuses):
     g = bt.random_genotype(KINDS, length, random.Random(seed))
     results = dict(zip(sorted(KINDS), statuses))
     expected_calls: list[str] = []
-    expected = bt.SUCCESS if oracle(bt.parse(g, KINDS), results, expected_calls) else bt.FAILURE
+    expected = oracle(bt.parse(g, KINDS), results, expected_calls)
     assert tick(g, results) == (expected, expected_calls)
+
+
+def tree_tokens():
+    """Token strings of random parseable trees: any nesting, childless
+    controls included, validity not enforced."""
+
+    def control(children):
+        return st.tuples(
+            st.sampled_from((bt.SEQUENCE_OPEN, bt.FALLBACK_OPEN)), st.lists(children, max_size=4)
+        ).map(lambda kc: (kc[0], *itertools.chain.from_iterable(kc[1]), bt.CLOSE))
+
+    leaves = st.sampled_from(sorted(KINDS)).map(lambda tok: (tok,))
+    return st.recursive(leaves, control, max_leaves=12)
+
+
+def noise_tokens():
+    alphabet = (bt.SEQUENCE_OPEN, bt.FALLBACK_OPEN, bt.CLOSE, "a", "have_block", "nope")
+    return st.lists(st.sampled_from(alphabet), max_size=12).map(tuple)
+
+
+def token_strings():
+    """Parseable trees, near misses of them (a token cut from either end,
+    trailing tokens) and raw noise (stray closes, unknown ids, empty input)."""
+    trees = tree_tokens()
+    return st.one_of(
+        trees,
+        trees.map(lambda t: t[1:]),
+        trees.map(lambda t: t[:-1]),
+        st.tuples(trees, noise_tokens().filter(bool)).map(lambda p: p[0] + p[1]),
+        noise_tokens(),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(token_strings())
+def test_compile_tree_raises_exactly_when_parse_does(tokens):
+    table = scripted_table(dict.fromkeys(KINDS, bt.SUCCESS), [])
+    try:
+        bt.parse(tokens, KINDS)
+    except bt.MalformedGenotype:
+        with pytest.raises(bt.MalformedGenotype):
+            bt.compile_tree(tokens, table)
+    else:
+        assert callable(bt.compile_tree(tokens, table))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tokens=tree_tokens(),
+    statuses=st.lists(
+        st.sampled_from((bt.SUCCESS, bt.FAILURE, bt.RUNNING)),
+        min_size=len(KINDS),
+        max_size=len(KINDS),
+    ),
+)
+def test_compile_tree_matches_oracle_on_any_parseable_tree(tokens, statuses):
+    results = dict(zip(sorted(KINDS), statuses))
+    expected_calls: list[str] = []
+    expected = oracle(bt.parse(tokens, KINDS), results, expected_calls)
+    assert tick(tokens, results) == (expected, expected_calls)
 
 
 def test_tick_determinism_with_stub_world():

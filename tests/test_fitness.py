@@ -186,6 +186,35 @@ def test_evaluate_stochastic_mean_below_deterministic():
     assert stoch_j < det_j
 
 
+def test_evaluate_compiled_equals_mean_of_per_episode_costs():
+    # the running sums must reproduce, bit for bit, the mean of the terms
+    # that cost() gives each episode, risk term included
+    tokens = bt.from_text(
+        "s( f( have_block s( localise tuck move_to_pick head_down pick ) ) "
+        "head_up move_to_goal head_down place )"
+    )
+    table = world.build_transition_table(STOCH3)
+    compiled, n_nodes = bt.compile_tree(tokens, table), bt.node_count(tokens)
+    weights = fitness.TABLE2.with_delta(150.0)
+    for seed in range(5):
+        got = fitness.evaluate_compiled(
+            compiled, n_nodes, STOCH3, weights, 7, random.Random(seed)
+        )
+        rng = random.Random(seed)
+        costs = [
+            fitness.cost(world.run_compiled(compiled, n_nodes, STOCH3, rng), weights)
+            for _ in range(7)
+        ]
+        sums = [0.0] * 5
+        for fv in costs:
+            for k, term in enumerate(
+                (fv.distance_term, fv.length_term, fv.time_term, fv.risk_term, fv.rewards)
+            ):
+                sums[k] += term
+        assert got == fitness._from_terms(*(total * (1.0 / 7) for total in sums))
+        assert got.risk_term > 0.0
+
+
 def test_evaluate_rejects_zero_episodes():
     kinds = world.leaf_kinds(DET)
     tree = bt.parse(("have_block",), kinds)

@@ -140,6 +140,66 @@ def test_crossover_offspring_respect_any_node_cap(seed, slack):
     assert bt.node_count(c2.genotype) <= cap
 
 
+def crossover_retrying_every_pair(p1, p2, kinds, rng, *, node_cap, max_attempts, exclude):
+    """``gp.crossover`` without its memo of rejected span pairs: every
+    attempt re-checks its pair, repeats included."""
+    g1, g2 = p1.genotype, p2.genotype
+    if g1 == g2 and len(g1) == 1:
+        return (gp.Individual(g1), gp.Individual(g2))
+    spans1 = bt.node_spans(g1)
+    spans2 = bt.node_spans(g2)
+    n1, n2 = len(spans1), len(spans2)
+    for _ in range(max_attempts):
+        s1, e1, k1 = spans1[rng.randrange(n1)]
+        s2, e2, k2 = spans2[rng.randrange(n2)]
+        c1 = g1[:s1] + g2[s2:e2] + g1[e1:]
+        c2 = g2[:s2] + g1[s1:e1] + g2[e2:]
+        if c1 == c2 or n1 - k1 + k2 > node_cap or n2 - k2 + k1 > node_cap:
+            continue
+        key1 = bt.canonical(c1)
+        if key1 in exclude:
+            continue
+        key2 = bt.canonical(c2)
+        if key2 in exclude:
+            continue
+        if bt.validate(c1, kinds) or bt.validate(c2, kinds):
+            continue
+        return (gp.Individual(c1, key=key1), gp.Individual(c2, key=key2))
+    return (gp.Individual(g1, key=p1._key), gp.Individual(g2, key=p2._key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    node_cap=st.integers(1, 16),
+    max_attempts=st.integers(1, 100),
+    p_exclude=st.floats(0.0, 1.0),
+)
+def test_crossover_matches_retrying_oracle(seed, node_cap, max_attempts, p_exclude):
+    setup = random.Random(seed)
+    p1 = gp.Individual(bt.random_genotype(KINDS, setup.randint(1, 8), setup))
+    p2 = gp.Individual(bt.random_genotype(KINDS, setup.randint(1, 8), setup))
+    # exclude a random share of the canonical forms any span swap can produce
+    g1, g2 = p1.genotype, p2.genotype
+    swaps = [
+        (g1[:s1] + g2[s2:e2] + g1[e1:], g2[:s2] + g1[s1:e1] + g2[e2:])
+        for s1, e1, _ in bt.node_spans(g1)
+        for s2, e2, _ in bt.node_spans(g2)
+    ]
+    exclude = {
+        bt.canonical(c) for pair in swaps for c in pair if setup.random() < p_exclude
+    }
+    rng_a, rng_b = random.Random(seed), random.Random(seed)
+    got = gp.crossover(
+        p1, p2, KINDS, rng_a, node_cap=node_cap, max_attempts=max_attempts, exclude=exclude
+    )
+    want = crossover_retrying_every_pair(
+        p1, p2, KINDS, rng_b, node_cap=node_cap, max_attempts=max_attempts, exclude=exclude
+    )
+    assert [(c.genotype, c.key) for c in got] == [(c.genotype, c.key) for c in want]
+    assert rng_a.getstate() == rng_b.getstate()
+
+
 def test_crossover_offspring_are_valid():
     rng = random.Random(4)
     for _ in range(200):
@@ -396,6 +456,10 @@ def history_digest(history) -> str:
 # best genotype or episode count breaks them.
 DET_SEED0_100_DIGEST = "ce6c15463ee1b4ce3f4fc0edc5cf2c691257fcd96f710eff59a9d1ffee331498"
 STOCH3_SEED0_40_DIGEST = "a6ec9712424f24be67832e95871aae156b6e2b030ea5c1f6bf4651b16fd3907a"
+# Taken on the same code as the two above plus the single-pass canonical and
+# the det cache; exp3 with delta = 150 is the one pinned run whose risk term
+# is not zero.
+EXP3_DELTA150_SEED0_40_DIGEST = "131201f524a9b3a6cc7557b323c6163b42ff8c73fe9ec90e20b9a3918b26e2c1"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -409,6 +473,13 @@ def test_stoch3_history_digest_is_pinned():
     params = gp.GpParams(generations=40, seed=0, episodes_per_eval=5, reevaluate_elites=True)
     history, _ = gp.run(params, world.builtin_profile("stoch3"), fitness.TABLE2)
     assert history_digest(history) == STOCH3_SEED0_40_DIGEST
+
+
+def test_exp3_risk_weighted_history_digest_is_pinned():
+    params = gp.GpParams(generations=40, seed=0, episodes_per_eval=5, reevaluate_elites=True)
+    weights = fitness.TABLE2.with_delta(150.0)
+    history, _ = gp.run(params, experiments.exp3_profile(), weights)
+    assert history_digest(history) == EXP3_DELTA150_SEED0_40_DIGEST
 
 
 def count_evaluations(monkeypatch, profile, params):

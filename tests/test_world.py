@@ -251,8 +251,8 @@ def test_risk_sum_matches_executed_fail_probs():
         return run
 
     table = {bid: recording(bid, fn) for bid, fn in world.build_transition_table(STOCH3).items()}
-    tree = bt.parse(REFERENCE_SOLUTION, world.leaf_kinds(STOCH3))
-    compiled, n_nodes = bt.compile_tree(tree, table), bt.tree_node_count(tree)
+    compiled = bt.compile_tree(REFERENCE_SOLUTION, table)
+    n_nodes = bt.node_count(REFERENCE_SOLUTION)
     seen = set()
     for seed in range(20):
         executed.clear()
