@@ -16,7 +16,6 @@ from .gp import GenerationStats, GpParams, Individual, run
 from .world import (
     Profile,
     build_transition_table,
-    builtin_profile,
     make_profile,
     reset,
     run_episode,
@@ -42,7 +41,6 @@ __all__ = [
     "run",
     "Profile",
     "build_transition_table",
-    "builtin_profile",
     "make_profile",
     "reset",
     "run_episode",

@@ -41,7 +41,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         if not seeds:
             raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
         return seeds
-    return tuple(int(part) for part in text.split(","))
+    seeds = tuple(int(part) for part in text.split(","))
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
+    return seeds
 
 
 def _generations(args) -> int:
@@ -58,7 +61,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--population", type=int, default=30)
     parser.add_argument("--episodes-per-eval", type=int, default=1)
     parser.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV_VAR})")
-    parser.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,6 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
         exp_p.add_argument(
             "--reevaluate-elites", action=argparse.BooleanOptionalAction, default=True
         )
+        exp_p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="run this many (variant, seed) jobs at once in parallel processes",
+        )
         _add_common(exp_p)
 
     replay_p = sub.add_parser("replay", help="Monte Carlo replay of a genotype file")
@@ -116,7 +124,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         reevaluate_elites=args.reevaluate_elites,
         early_stop_window=args.early_stop_window,
-        workers=args.workers,
     )
     checkpoint = args.checkpoint
     if checkpoint is None and args.checkpoint_every > 0:

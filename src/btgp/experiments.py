@@ -157,15 +157,13 @@ def write_history_csv(path, history: list[GenerationStats]) -> None:
             )
 
 
-def write_curve_csv(path, curve: list[CurvePoint]) -> None:
+def write_curve_csv(path, curve: list[CurvePoint], seeds: tuple[int, ...]) -> None:
+    """Curve CSV with one ``seed<N>`` column per seed, in ``per_seed`` order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n_seeds = len(curve[0].per_seed) if curve else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["generation", "mean_best", "std_best"] + [f"seed{i}" for i in range(n_seeds)]
-        )
+        writer.writerow(["generation", "mean_best", "std_best"] + [f"seed{s}" for s in seeds])
         for point in curve:
             writer.writerow(
                 [point.generation, repr(point.mean_best), repr(point.std_best)]
@@ -198,6 +196,10 @@ class ExperimentConfig:
     profile: str = "det"  # custom experiment only
     pool: str = "core9"
     delta: float | None = None
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def gp_params(self, seed: int) -> GpParams:
         return GpParams(
@@ -289,6 +291,6 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
             write_genotype(best_txt, best.genotype)
             written.extend([run_csv, best_txt])
         curve_csv = out_root / f"{variant}_curve.csv"
-        write_curve_csv(curve_csv, aggregate(histories))
+        write_curve_csv(curve_csv, aggregate(histories), config.seeds)
         written.append(curve_csv)
     return written

@@ -42,8 +42,6 @@ class FitnessWeights:
 
 TABLE2 = FitnessWeights()
 
-WEIGHT_SETS = {"table2": TABLE2}
-
 
 @dataclass(frozen=True, slots=True)
 class FitnessValue:

@@ -6,8 +6,7 @@ import json
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import bt
@@ -47,7 +46,6 @@ class GpParams:
     # the top forever; re-evaluating elites each generation washes that out.
     reevaluate_elites: bool = False
     early_stop_window: int = 0  # 0 disables
-    workers: int = 1
     max_root_failures: int = 5
     max_ticks: int = 100
 
@@ -67,8 +65,8 @@ class GpParams:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
         if self.episodes_per_eval < 1:
             raise ValueError(f"episodes_per_eval must be >= 1, got {self.episodes_per_eval}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.early_stop_window < 0:
+            raise ValueError(f"early_stop_window must be >= 0, got {self.early_stop_window}")
 
 
 class Individual:
@@ -254,7 +252,7 @@ def _child_boundaries(tokens: Genotype) -> list[list[int]]:
     """Per control node, the token positions of its child boundaries.
 
     Each list holds the start position of every direct child plus the
-    position of the node's close token, so a (i, j) pair of entries brackets
+    position of the node's closing token, so a (i, j) pair of entries brackets
     a contiguous sibling run.
     """
     bounds: dict[int, list[int]] = {}
@@ -360,25 +358,15 @@ def mutate(
     return Individual(g, birth_generation, key=parent._key)
 
 
-# --- evaluation, serial or via a process pool -------------------------------
-
-_worker_evaluator: Evaluator | None = None
-
-
-def _worker_init(profile, weights, params):
-    global _worker_evaluator
-    _worker_evaluator = Evaluator(profile, weights, params)
-
-
-def _worker_eval(payload):
-    return _worker_evaluator.evaluate_one(*payload)
+# --- evaluation --------------------------------------------------------------
 
 
 class Evaluator:
-    """Assigns fitness to individuals; owns the optional worker pool.
+    """Assigns fitness to individuals, one at a time.
 
     Every evaluation seeds its own rng stream from (master seed, tag, slot),
-    so parallel and serial schedules produce identical fitness values.
+    so an individual's fitness depends only on its genotype and its slot in
+    the batch, never on what else the batch holds.
 
     When the profile draws nothing from the rng (``world.draws_nothing``),
     an episode is a pure function of the genotype, so ``eval_batch`` keeps a
@@ -395,13 +383,6 @@ class Evaluator:
         self._cache: dict[Genotype, FitnessValue] | None = (
             {} if draws_nothing(profile) else None
         )
-        self._pool = None
-        if params.workers > 1:
-            self._pool = ProcessPoolExecutor(
-                max_workers=params.workers,
-                initializer=_worker_init,
-                initargs=(profile, weights, replace(params, workers=1)),
-            )
 
     def evaluate_one(self, genotype: Genotype, seed_str: str) -> FitnessValue:
         """Mean fitness of one genotype on the rng stream ``seed_str`` names."""
@@ -426,34 +407,19 @@ class Evaluator:
         Every individual counts ``episodes_per_eval`` episodes, whether it
         was simulated or its fitness came from the cache.
         """
-        p = self.params
         cache = self._cache
         if cache is None:
-            payloads = [
-                (ind.genotype, self.seed_string(tag, i)) for i, ind in enumerate(individuals)
-            ]
-        else:
-            misses = {}
             for i, ind in enumerate(individuals):
-                if ind.genotype not in cache and ind.genotype not in misses:
-                    misses[ind.genotype] = self.seed_string(tag, i)
-            payloads = list(misses.items())
-        if self._pool is None:
-            values = [self.evaluate_one(*payload) for payload in payloads]
+                ind.fitness = self.evaluate_one(ind.genotype, self.seed_string(tag, i))
         else:
-            chunk = max(1, -(-len(payloads) // (p.workers * 2)))
-            values = list(self._pool.map(_worker_eval, payloads, chunksize=chunk))
-        if cache is not None:
-            cache.update(zip((g for g, _ in payloads), values))
-            values = [cache[ind.genotype] for ind in individuals]
-        for ind, fv in zip(individuals, values):
-            ind.fitness = fv
-        return len(individuals) * p.episodes_per_eval
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+            for i, ind in enumerate(individuals):
+                fv = cache.get(ind.genotype)
+                if fv is None:
+                    fv = cache[ind.genotype] = self.evaluate_one(
+                        ind.genotype, self.seed_string(tag, i)
+                    )
+                ind.fitness = fv
+        return len(individuals) * self.params.episodes_per_eval
 
 
 def evolve_generation(
@@ -554,9 +520,9 @@ def evolve_generation(
     return new_population, stats
 
 
-# GpParams fields a resumed run may change: they decide how long a run goes
-# on and how it is scheduled, not what any generation computes.
-_RESUMABLE_PARAMS = ("generations", "workers", "early_stop_window")
+# GpParams fields a resumed run may change: they decide only when a run
+# stops, never what any generation computes.
+_RESUMABLE_PARAMS = ("generations", "early_stop_window")
 
 
 def _run_fingerprint(params: GpParams, profile: Profile, weights: FitnessWeights) -> dict:
@@ -632,68 +598,71 @@ def run(
     stops after that many generations without best-fitness change. History
     row 0 describes the initial random population.
     """
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+    if checkpoint_path is not None and checkpoint_every == 0:
+        raise ValueError("a checkpoint path needs checkpoint_every >= 1")
     fingerprint = _run_fingerprint(params, profile, weights)
     evaluator = Evaluator(profile, weights, params)
-    try:
-        rng = random.Random(params.seed)
-        kinds = evaluator.kinds
-        history: list[GenerationStats]
-        if resume_from is not None:
-            data = load_checkpoint(resume_from)
-            differ = [k for k in fingerprint if data["fingerprint"].get(k) != fingerprint[k]]
-            if differ:
-                raise ValueError(
-                    f"checkpoint {resume_from} is from another run (different {', '.join(differ)})"
-                )
-            rs = data["rng_state"]
-            rng.setstate((rs[0], tuple(rs[1]), rs[2]))
-            population = []
-            for entry in data["population"]:
-                ind = Individual(
-                    bt.from_text(entry["genotype"]),
-                    entry["birth_generation"],
-                    FitnessValue(*entry["fitness"]),
-                )
-                population.append(ind)
-            history = [
-                GenerationStats(g, bj, mj, bt.from_text(gt), ep)
-                for g, bj, mj, gt, ep in data["history"]
-            ]
-            start_generation = data["generation"] + 1
-        else:
-            population = [
-                Individual(
-                    bt.random_genotype(
-                        kinds, params.start_length, rng, node_cap=params.node_cap
-                    ),
-                    0,
-                )
-                for _ in range(params.population)
-            ]
-            episodes = evaluator.eval_batch(population, "init")
-            best0 = max(population, key=lambda ind: ind.fitness.j)
-            mean0 = sum(ind.fitness.j for ind in population) / len(population)
-            history = [GenerationStats(0, best0.fitness.j, mean0, best0.genotype, episodes)]
-            start_generation = 1
+    rng = random.Random(params.seed)
+    kinds = evaluator.kinds
+    history: list[GenerationStats]
+    if resume_from is not None:
+        data = load_checkpoint(resume_from)
+        differ = [k for k in fingerprint if data["fingerprint"].get(k) != fingerprint[k]]
+        if differ:
+            raise ValueError(
+                f"checkpoint {resume_from} is from another run (different {', '.join(differ)})"
+            )
+        if data["generation"] > params.generations:
+            raise ValueError(
+                f"checkpoint {resume_from} is at generation {data['generation']}, "
+                f"past generations={params.generations}"
+            )
+        rs = data["rng_state"]
+        rng.setstate((rs[0], tuple(rs[1]), rs[2]))
+        population = []
+        for entry in data["population"]:
+            ind = Individual(
+                bt.from_text(entry["genotype"]),
+                entry["birth_generation"],
+                FitnessValue(*entry["fitness"]),
+            )
+            population.append(ind)
+        history = [
+            GenerationStats(g, bj, mj, bt.from_text(gt), ep)
+            for g, bj, mj, gt, ep in data["history"]
+        ]
+        start_generation = data["generation"] + 1
+    else:
+        population = [
+            Individual(
+                bt.random_genotype(kinds, params.start_length, rng, node_cap=params.node_cap), 0
+            )
+            for _ in range(params.population)
+        ]
+        episodes = evaluator.eval_batch(population, "init")
+        best0 = max(population, key=lambda ind: ind.fitness.j)
+        mean0 = sum(ind.fitness.j for ind in population) / len(population)
+        history = [GenerationStats(0, best0.fitness.j, mean0, best0.genotype, episodes)]
+        start_generation = 1
 
-        for g in range(start_generation, params.generations + 1):
-            population, stats = evolve_generation(population, evaluator, params, rng, g)
-            history.append(stats)
-            if on_generation is not None:
-                on_generation(stats, population)
-            if checkpoint_path is not None and checkpoint_every > 0 and g % checkpoint_every == 0:
-                save_checkpoint(checkpoint_path, fingerprint, g, population, history, rng)
-            if stop_fn is not None:
-                best = max(population, key=lambda ind: ind.fitness.j)
-                if stop_fn(stats, best):
-                    break
-            w = params.early_stop_window
-            if w > 0 and len(history) > w:
-                recent = [h.best_j for h in history[-(w + 1) :]]
-                if all(v == recent[0] for v in recent):
-                    break
+    for g in range(start_generation, params.generations + 1):
+        population, stats = evolve_generation(population, evaluator, params, rng, g)
+        history.append(stats)
+        if on_generation is not None:
+            on_generation(stats, population)
+        if checkpoint_path is not None and g % checkpoint_every == 0:
+            save_checkpoint(checkpoint_path, fingerprint, g, population, history, rng)
+        if stop_fn is not None:
+            best = max(population, key=lambda ind: ind.fitness.j)
+            if stop_fn(stats, best):
+                break
+        w = params.early_stop_window
+        if w > 0 and len(history) > w:
+            recent = [h.best_j for h in history[-(w + 1) :]]
+            if all(v == recent[0] for v in recent):
+                break
 
-        best = max(population, key=lambda ind: ind.fitness.j)
-        return history, best
-    finally:
-        evaluator.close()
+    best = max(population, key=lambda ind: ind.fitness.j)
+    return history, best

@@ -187,10 +187,6 @@ def make_profile(
     )
 
 
-def builtin_profile(name: str) -> Profile:
-    return make_profile(name, "core9")
-
-
 def leaf_kinds(profile: Profile) -> dict[str, str]:
     """Leaf-kind map for the genotype layer."""
     return {bid: (CONDITION if bid == "have_block" else ACTION) for bid in profile.pool}

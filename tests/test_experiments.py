@@ -9,8 +9,8 @@ import pytest
 
 from btgp import bt, cli, experiments, fitness, gp, world
 
-DET = world.builtin_profile("det")
-STOCH4 = world.builtin_profile("stoch4")
+DET = world.make_profile("det")
+STOCH4 = world.make_profile("stoch4")
 
 REFERENCE_SOLUTION = bt.from_text(
     "s( f( have_block s( localise tuck head_up move_to_pick head_down pick ) ) "
@@ -90,7 +90,7 @@ def test_curve_csv_schema(tmp_path):
         [fake_history([1.0, 2.0]), fake_history([3.0, 4.0])]
     )
     path = tmp_path / "curve.csv"
-    experiments.write_curve_csv(path, curve)
+    experiments.write_curve_csv(path, curve, (0, 1))
     lines = path.read_text().splitlines()
     assert lines[0] == "generation,mean_best,std_best,seed0,seed1"
     assert len(lines) == 3
@@ -155,12 +155,14 @@ def test_experiment_outputs_are_deterministic(tmp_path):
 
 
 def test_experiment_workers_fanout_matches_serial(tmp_path):
-    serial = tiny_config(tmp_path / "s", "custom", seeds=(0, 1), generations=3)
-    fanned = tiny_config(tmp_path / "p", "custom", seeds=(0, 1), generations=3, workers=2)
+    serial = tiny_config(tmp_path / "s", "custom", seeds=(3, 7), generations=3)
+    fanned = tiny_config(tmp_path / "p", "custom", seeds=(3, 7), generations=3, workers=2)
     w1 = experiments.run_experiment(serial)
     w2 = experiments.run_experiment(fanned)
     for p1, p2 in zip(sorted(w1), sorted(w2)):
         assert p1.read_bytes() == p2.read_bytes()
+    curve = tmp_path / "s" / "custom" / "det_core9_curve.csv"
+    assert curve.read_text().splitlines()[0] == "generation,mean_best,std_best,seed3,seed7"
 
 
 def test_cli_replay_reports_json(tmp_path, capsys):
@@ -264,6 +266,42 @@ def test_cli_rejects_empty_seed_range(capsys):
         cli.main(["exp1", "--seeds", "5..3"])
     assert exc.value.code == 2
     assert "argument --seeds: empty seed range '5..3'" in capsys.readouterr().err
+
+
+def test_cli_rejects_repeated_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["exp3", "--seeds", "0,0", "--generations", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --seeds: repeated seed in '0,0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_exp_rejects_workers_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["exp1", "--workers", workers, "--generations", "1", "--seeds", "0", "--out", str(out)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+    assert not out.exists()
+
+
+def test_cli_run_has_no_workers_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--workers", "2", "--generations", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_checkpoint_without_interval(tmp_path, capsys):
+    ckpt = tmp_path / "x.json"
+    rc = cli.main(
+        ["run", "--generations", "2", "--population", "6", "--checkpoint", str(ckpt)]
+        + ["--out", str(tmp_path)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: a checkpoint path needs checkpoint_every >= 1\n"
+    assert not ckpt.exists()
 
 
 def test_cli_rejects_unknown_profile():

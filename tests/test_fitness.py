@@ -9,8 +9,8 @@ import pytest
 
 from btgp import bt, fitness, world
 
-DET = world.builtin_profile("det")
-STOCH3 = world.builtin_profile("stoch3")
+DET = world.make_profile("det")
+STOCH3 = world.make_profile("stoch3")
 
 
 def make_result(
@@ -223,7 +223,7 @@ def test_evaluate_rejects_zero_episodes():
 
 
 def test_weight_sets_table2_defaults():
-    w = fitness.WEIGHT_SETS["table2"]
+    w = fitness.TABLE2
     assert (w.alpha1, w.alpha2, w.alpha3) == (10.0, 2.0, 1.0)
     assert (w.beta, w.gamma, w.delta) == (0.5, 0.1, 0.0)
     assert (w.pick_reward, w.place_reward) == (50.0, 100.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from btgp import bt, experiments, fitness, gp, world
 
-DET = world.builtin_profile("det")
+DET = world.make_profile("det")
 KINDS = world.leaf_kinds(DET)
 
 
@@ -44,7 +44,7 @@ def test_params_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("generations", -1), ("episodes_per_eval", 0), ("workers", 0)],
+    [("generations", -1), ("episodes_per_eval", 0), ("early_stop_window", -1)],
 )
 def test_params_reject_out_of_range_counts(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be >= "):
@@ -388,7 +388,7 @@ def test_checkpoint_rejects_wrong_seed(tmp_path):
 @pytest.mark.parametrize(
     "profile, weights, differs",
     [
-        (world.builtin_profile("stoch1"), fitness.TABLE2, "profile"),
+        (world.make_profile("stoch1"), fitness.TABLE2, "profile"),
         (DET, fitness.TABLE2.with_delta(150.0), "weights"),
     ],
 )
@@ -424,15 +424,32 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_parallel_evaluation_matches_serial():
-    serial = gp.GpParams(generations=10, seed=4, workers=1)
-    parallel = gp.GpParams(generations=10, seed=4, workers=2)
-    h1, b1 = gp.run(serial, DET, fitness.TABLE2)
-    h2, b2 = gp.run(parallel, DET, fitness.TABLE2)
-    assert [(s.best_j, s.mean_j, s.best_genotype) for s in h1] == [
-        (s.best_j, s.mean_j, s.best_genotype) for s in h2
-    ]
-    assert b1.genotype == b2.genotype
+@pytest.mark.parametrize(
+    "every, message",
+    [
+        (-1, "^checkpoint_every must be >= 0, got -1$"),
+        (0, "^a checkpoint path needs checkpoint_every >= 1$"),
+    ],
+    ids=["negative", "zero"],
+)
+def test_run_rejects_checkpoint_interval(tmp_path, every, message):
+    params = gp.GpParams(generations=2, population=6)
+    path = tmp_path / "c.json"
+    with pytest.raises(ValueError, match=message):
+        gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=every)
+    assert not path.exists()
+
+
+def test_resume_rejects_checkpoint_past_generations(tmp_path):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=4, seed=1, population=6)
+    gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=4)
+    # resuming at the checkpoint's own generation runs nothing more
+    history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
+    assert history[-1].generation == 4
+    shorter = gp.GpParams(generations=3, seed=1, population=6)
+    with pytest.raises(ValueError, match="at generation 4, past generations=3"):
+        gp.run(shorter, DET, fitness.TABLE2, resume_from=path)
 
 
 def test_individual_repr_and_clone():
@@ -462,16 +479,15 @@ STOCH3_SEED0_40_DIGEST = "a6ec9712424f24be67832e95871aae156b6e2b030ea5c1f6bf4651
 EXP3_DELTA150_SEED0_40_DIGEST = "131201f524a9b3a6cc7557b323c6163b42ff8c73fe9ec90e20b9a3918b26e2c1"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_det_history_digest_is_pinned(workers):
-    params = gp.GpParams(generations=100, seed=0, workers=workers)
+def test_det_history_digest_is_pinned():
+    params = gp.GpParams(generations=100, seed=0)
     history, _ = gp.run(params, DET, fitness.TABLE2)
     assert history_digest(history) == DET_SEED0_100_DIGEST
 
 
 def test_stoch3_history_digest_is_pinned():
     params = gp.GpParams(generations=40, seed=0, episodes_per_eval=5, reevaluate_elites=True)
-    history, _ = gp.run(params, world.builtin_profile("stoch3"), fitness.TABLE2)
+    history, _ = gp.run(params, world.make_profile("stoch3"), fitness.TABLE2)
     assert history_digest(history) == STOCH3_SEED0_40_DIGEST
 
 
@@ -513,7 +529,7 @@ def test_det_simulates_each_distinct_genotype_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "profile", [world.builtin_profile("stoch3"), experiments.exp3_profile()], ids=["stoch3", "exp3"]
+    "profile", [world.make_profile("stoch3"), experiments.exp3_profile()], ids=["stoch3", "exp3"]
 )
 def test_stochastic_profiles_simulate_every_evaluation(monkeypatch, profile):
     params = gp.GpParams(generations=10, seed=0, reevaluate_elites=True)

@@ -9,8 +9,8 @@ import pytest
 
 from btgp import bt, experiments, world
 
-DET = world.builtin_profile("det")
-STOCH3 = world.builtin_profile("stoch3")
+DET = world.make_profile("det")
+STOCH3 = world.make_profile("stoch3")
 
 REFERENCE_SOLUTION = bt.from_text(
     "s( f( have_block s( localise tuck head_up move_to_pick head_down pick ) ) "
@@ -265,7 +265,7 @@ def test_risk_sum_matches_executed_fail_probs():
 
 def test_cube_conservation_under_random_actions():
     # held cubes track the robot; loose cubes sit on the pick or goal table
-    prof = world.builtin_profile("stoch4")
+    prof = world.make_profile("stoch4")
     rng = random.Random(21)
     table = world.build_transition_table(prof)
     pool = list(prof.pool)
@@ -329,7 +329,7 @@ def test_deterministic_profile_episode_is_pure():
 
 
 def test_draws_nothing_only_on_all_zero_probabilities():
-    pure = [c for c in world.PROBABILITY_COLUMNS if world.draws_nothing(world.builtin_profile(c))]
+    pure = [c for c in world.PROBABILITY_COLUMNS if world.draws_nothing(world.make_profile(c))]
     assert pure == ["det"]
     # exp3 is the det column with risky-path overrides, and those draw
     exp3 = experiments.exp3_profile()
