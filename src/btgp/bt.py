@@ -287,31 +287,61 @@ def subtree_span(tokens: Genotype, index: int) -> tuple[int, int]:
     raise MalformedGenotype("unclosed control node")
 
 
-def node_spans(tokens: Genotype) -> list[tuple[int, int, int]]:
-    """(start, stop, node count) of every node's subtree, in token order.
+def node_facts(tokens: Genotype) -> list[tuple[int, int, int, int, int]]:
+    """(start, stop, node count, parent, children) of every node, in token order.
 
-    One stack pass; ``tokens[start:stop]`` equals ``subtree_span`` for each
-    node, so an operator that draws many spans from one genotype builds
-    this table once.
+    One stack pass. ``tokens[start:stop]`` is the subtree, ``parent`` the
+    token index of the enclosing control's open (-1 for the root) and
+    ``children`` the number of direct children. Row k's subtree is rows
+    ``k .. k + count - 1``: its first child is row k + 1, and each next
+    sibling starts ``count`` rows after the one before. The siblings are
+    the tokens bordering the span: ``tokens[start - 1]`` is the left
+    sibling's last token (its leaf id or a close) or the parent's open,
+    ``tokens[stop]`` the right sibling's first token or the parent's close.
     """
-    spans: list[tuple[int, int, int]] = []
-    stack: list[int] = []  # indices into spans of the open controls
+    facts: list[tuple[int, int, int, int, int]] = []
+    stack: list[list[int]] = []  # [row, open token index, children] per open control
     for i, tok in enumerate(tokens):
         if tok == CLOSE:
-            k = stack.pop()
-            start = spans[k][0]
-            spans[k] = (start, i + 1, len(spans) - k)
-        elif tok == SEQUENCE_OPEN or tok == FALLBACK_OPEN:
-            stack.append(len(spans))
-            spans.append((i, i, 0))
+            k, start, children = stack.pop()
+            facts[k] = (start, i + 1, len(facts) - k, facts[k][3], children)
+            continue
+        parent = -1
+        if stack:
+            top = stack[-1]
+            top[2] += 1
+            parent = top[1]
+        if tok == SEQUENCE_OPEN or tok == FALLBACK_OPEN:
+            stack.append([len(facts), i, 0])
+            facts.append((i, i, 0, parent, 0))
         else:
-            spans.append((i, i + 1, 1))
-    return spans
+            facts.append((i, i + 1, 1, parent, 0))
+    return facts
 
 
-def node_indices(tokens: Genotype) -> list[int]:
-    """Indices of all node tokens (everything except closes)."""
-    return [i for i, t in enumerate(tokens) if t != CLOSE]
+def node_spans(tokens: Genotype) -> list[tuple[int, int, int]]:
+    """(start, stop, node count) of every node's subtree: ``node_facts`` cut short."""
+    return [row[:3] for row in node_facts(tokens)]
+
+
+def fits(tokens: Genotype, row: tuple, root: str, kinds: LeafKinds) -> bool:
+    """Whether a valid subtree whose root token is ``root`` may replace the
+    node ``row`` (a ``node_facts`` row) of the valid genotype ``tokens``.
+
+    Equals ``not validate(splice)``: the splice keeps every constraint
+    inside the subtree and away from the node, so only the boundary
+    can break, by V1 against the parent's kind, or, for a condition
+    root, V2 as the last child and V4 next to an equal sibling.
+    """
+    start, stop, _, parent, _ = row
+    if parent < 0:
+        return True  # the subtree becomes the whole tree
+    if root == SEQUENCE_OPEN or root == FALLBACK_OPEN:
+        return tokens[parent] != root
+    if kinds[root] != CONDITION:
+        return True
+    after = tokens[stop]
+    return after != CLOSE and after != root and tokens[start - 1] != root
 
 
 def random_genotype(

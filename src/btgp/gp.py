@@ -70,7 +70,7 @@ class GpParams:
 
 
 class Individual:
-    __slots__ = ("genotype", "fitness", "birth_generation", "_key")
+    __slots__ = ("genotype", "fitness", "birth_generation", "_key", "_facts")
 
     def __init__(
         self, genotype: Genotype, birth_generation: int = 0, fitness=None, key=None
@@ -79,6 +79,7 @@ class Individual:
         self.birth_generation = birth_generation
         self.fitness: FitnessValue | None = fitness
         self._key: Genotype | None = key  # canonical(genotype), once asked for
+        self._facts: list | None = None  # node_facts(genotype), once asked for
 
     @property
     def key(self) -> Genotype:
@@ -86,6 +87,14 @@ class Individual:
         if self._key is None:
             self._key = bt.canonical(self.genotype)
         return self._key
+
+    @property
+    def facts(self) -> list:
+        """``bt.node_facts`` of the genotype, built at most once: a parent
+        bred from several times scans its genotype once."""
+        if self._facts is None:
+            self._facts = bt.node_facts(self.genotype)
+        return self._facts
 
     def clone(self) -> "Individual":
         return Individual(self.genotype, self.birth_generation, self.fitness, self._key)
@@ -173,23 +182,35 @@ def crossover(
     ``max_attempts`` the parents are returned unchanged. The checks run
     cheapest first; each is pure, so their order decides no outcome, and a
     span pair already rejected in this call is skipped without re-checking
-    (both points are still drawn, so the rng stream is the same).
+    (both points are still drawn, so the rng stream is the same). Once
+    every span pair has been rejected, the remaining attempts only make
+    their draws.
+
+    Both parents must be valid: an offspring's validity is then decided
+    from its parent's ``node_facts`` row and the inserted root token
+    (``bt.fits``), without validating the offspring.
     """
     g1, g2 = p1.genotype, p2.genotype
     if g1 == g2 and len(g1) == 1:
         # identical single-leaf parents can never yield distinct offspring
         return (Individual(g1, birth_generation), Individual(g2, birth_generation))
-    spans1 = bt.node_spans(g1)
-    spans2 = bt.node_spans(g2)
-    n1, n2 = len(spans1), len(spans2)
+    facts1, facts2 = p1.facts, p2.facts
+    n1, n2 = len(facts1), len(facts2)
     tried: set[tuple[int, int]] = set()
-    for _ in range(max_attempts):
-        pair = (rng.randrange(n1), rng.randrange(n2))
+    draw = rng.randrange
+    for left in range(max_attempts, 0, -1):
+        if len(tried) == n1 * n2:
+            for _ in range(left):
+                draw(n1)
+                draw(n2)
+            break
+        pair = (draw(n1), draw(n2))
         if pair in tried:
             continue
         tried.add(pair)
-        s1, e1, k1 = spans1[pair[0]]
-        s2, e2, k2 = spans2[pair[1]]
+        row1, row2 = facts1[pair[0]], facts2[pair[1]]
+        s1, e1, k1, _, _ = row1
+        s2, e2, k2, _, _ = row2
         c1 = g1[:s1] + g2[s2:e2] + g1[e1:]
         c2 = g2[:s2] + g1[s1:e1] + g2[e2:]
         # each child's node count: its parent's, less the subtree given, plus the one taken
@@ -201,7 +222,7 @@ def crossover(
         key2 = bt.canonical(c2)
         if key2 in exclude:
             continue
-        if bt.validate(c1, kinds) or bt.validate(c2, kinds):
+        if not (bt.fits(g1, row1, g2[s2], kinds) and bt.fits(g2, row2, g1[s1], kinds)):
             continue
         return (
             Individual(c1, birth_generation, key=key1),
@@ -213,98 +234,115 @@ def crossover(
     )
 
 
-def _insertion_slots(tokens: Genotype) -> list[int]:
-    # Every inter-token position nested inside at least one control node is a
-    # legal child slot of its innermost enclosing control.
-    slots = []
-    depth = 0
-    for j, tok in enumerate(tokens):
-        if depth >= 1:
-            slots.append(j)
-        if bt.is_control_open(tok):
-            depth += 1
-        elif tok == bt.CLOSE:
-            depth -= 1
-    return slots
+# The mutation operators below each return (candidate, valid) for a valid
+# genotype ``g`` with rows ``facts = bt.node_facts(g)``. ``valid`` equals
+# ``not bt.validate(candidate)``: an edit can break V1-V4 only where it
+# touches the tree, so each operator checks just the nodes next to its edit.
+
+
+def _is_condition(kinds, tok: str) -> bool:
+    return kinds.get(tok) == bt.CONDITION  # open and close tokens are not in kinds
+
+
+def _child_starts(facts: list, k: int) -> list[int]:
+    """Start token of each child of control row ``k``, then its close."""
+    starts = []
+    j = k + 1
+    for _ in range(facts[k][4]):
+        starts.append(facts[j][0])
+        j += facts[j][2]
+    starts.append(facts[k][1] - 1)
+    return starts
 
 
 def _random_control(rng) -> str:
     return bt.SEQUENCE_OPEN if rng.random() < 0.5 else bt.FALLBACK_OPEN
 
 
-def _op_node_mutation(g: Genotype, ids, rng, p_control: float) -> Genotype:
-    nodes = bt.node_indices(g)
-    i = nodes[rng.randrange(len(nodes))]
+def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng, p_control: float):
+    k = rng.randrange(len(facts))
+    i, e, _, parent, _ = facts[k]
     if rng.random() < p_control:
         tok = _random_control(rng)
+        # V1 against the parent, which is the only check when the node is the root
+        ok = parent < 0 or g[parent] != tok
         if bt.is_control_open(g[i]):
-            return g[:i] + (tok,) + g[i + 1 :]
-        # leaf -> control: the leaf becomes the new control's only child
-        return g[:i] + (tok, g[i], bt.CLOSE) + g[i + 1 :]
+            # kind flip: V1 against every control child as well
+            ok = ok and all(g[j] != tok for j in _child_starts(facts, k))
+            return g[:i] + (tok,) + g[i + 1 :], ok
+        # leaf -> control: the leaf becomes the new control's only child (V2)
+        return g[:i] + (tok, g[i], bt.CLOSE) + g[i + 1 :], ok and not _is_condition(kinds, g[i])
     leaf = ids[rng.randrange(len(ids))]
-    if bt.is_control_open(g[i]):
-        s, e = bt.subtree_span(g, i)
-        return g[:s] + (leaf,) + g[e:]
-    return g[:i] + (leaf,) + g[i + 1 :]
+    return g[:i] + (leaf,) + g[e:], bt.fits(g, facts[k], leaf, kinds)
 
 
-def _child_boundaries(tokens: Genotype) -> list[list[int]]:
-    """Per control node, the token positions of its child boundaries.
-
-    Each list holds the start position of every direct child plus the
-    position of the node's closing token, so a (i, j) pair of entries brackets
-    a contiguous sibling run.
-    """
-    bounds: dict[int, list[int]] = {}
-    stack: list[int] = []
-    for j, tok in enumerate(tokens):
-        if stack:
-            bounds[stack[-1]].append(j)
-        if bt.is_control_open(tok):
-            bounds[j] = []
-            stack.append(j)
-        elif tok == bt.CLOSE:
-            stack.pop()
-    return list(bounds.values())
-
-
-def _op_node_addition(g: Genotype, ids, rng, p_control: float) -> Genotype | None:
+def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: float):
     if rng.random() < p_control:
-        # New control node over a contiguous run of siblings.
-        runs = [
-            (slots[x], slots[y])
-            for slots in _child_boundaries(g)
-            for x in range(len(slots) - 1)
-            for y in range(x + 1, len(slots))
-        ]
+        # New control node over a contiguous run of siblings: the runs of a
+        # control with m children are its (x, y) child boundary pairs,
+        # 0 <= x < y <= m, numbered x-major, controls in token order.
         tok = _random_control(rng)
-        if not runs:
-            return (tok,) + g + (bt.CLOSE,)  # bare leaf: wrap the root
-        lo, hi = runs[rng.randrange(len(runs))]
-        return g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:]
+        n_runs = sum(m * (m + 1) // 2 for *_, m in facts)
+        if not n_runs:  # bare leaf: wrap the root, which becomes the last child (V2)
+            return (tok,) + g + (bt.CLOSE,), not _is_condition(kinds, g[0])
+        r = rng.randrange(n_runs)
+        for k, row in enumerate(facts):
+            m = row[4]
+            if r < m * (m + 1) // 2:
+                break
+            r -= m * (m + 1) // 2
+        x = 0
+        while r >= m - x:
+            r -= m - x
+            x += 1
+        bounds = _child_starts(facts, k)
+        lo, hi = bounds[x], bounds[x + 1 + r]
+        # V1 against the control above and every wrapped child; V2 for the
+        # last wrapped child, read off the token before the run's end
+        ok = (
+            g[row[0]] != tok
+            and all(g[j] != tok for j in bounds[x : x + 1 + r])
+            and not _is_condition(kinds, g[hi - 1])
+        )
+        return g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:], ok
     # New leaf, either as a sibling in an existing child list or at a new
     # level (bundled with an existing node under a fresh control).
     leaf = ids[rng.randrange(len(ids))]
-    slots = _insertion_slots(g)
-    nodes = bt.node_indices(g)
-    if slots and rng.random() < 0.5:
-        j = slots[rng.randrange(len(slots))]
-        return g[:j] + (leaf,) + g[j:]
-    r = rng.randrange(2 * len(nodes))
-    s, e = bt.subtree_span(g, nodes[r // 2])
+    cond = _is_condition(kinds, leaf)
+    # every position inside the root control is a child slot of the
+    # innermost control around it; a bare leaf has none
+    if len(g) > 1 and rng.random() < 0.5:
+        j = 1 + rng.randrange(len(g) - 1)
+        # V2 as the last child, V4 next to an equal leaf
+        ok = not cond or (g[j] != bt.CLOSE and g[j] != leaf and g[j - 1] != leaf)
+        return g[:j] + (leaf,) + g[j:], ok
+    r = rng.randrange(2 * len(facts))
+    s, e, _, parent, _ = facts[r // 2]
     tok = _random_control(rng)
+    # V1 against the parent and the bundled node; V2 for whichever is last
+    # (a V4 pair of equal conditions always puts a condition last)
+    ok = (parent < 0 or g[parent] != tok) and g[s] != tok
     if r % 2 == 0:
-        return g[:s] + (tok, leaf) + g[s:e] + (bt.CLOSE,) + g[e:]
-    return g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:]
+        return (
+            g[:s] + (tok, leaf) + g[s:e] + (bt.CLOSE,) + g[e:],
+            ok and not _is_condition(kinds, g[s]),
+        )
+    return g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:], ok and not cond
 
 
-def _op_node_deletion(g: Genotype, rng) -> Genotype | None:
-    nodes = bt.node_indices(g)
-    if len(nodes) <= 1:
-        return None  # deleting the only node would empty the tree
-    i = nodes[rng.randrange(len(nodes) - 1) + 1]  # never the root
-    s, e = bt.subtree_span(g, i)
-    return g[:s] + g[e:]
+def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
+    if len(facts) <= 1:
+        return None, False  # deleting the only node would empty the tree
+    s, e, *_ = facts[rng.randrange(len(facts) - 1) + 1]  # never the root
+    before, after = g[s - 1], g[e]
+    if after == bt.CLOSE:
+        # the node was the last child: V3 if it was the only one, else V2
+        # for the left sibling that becomes last
+        ok = not bt.is_control_open(before) and not _is_condition(kinds, before)
+    else:
+        # V4 for the siblings that become neighbours
+        ok = before != after or not _is_condition(kinds, before)
+    return g[:s] + g[e:], ok
 
 
 def mutate(
@@ -323,26 +361,29 @@ def mutate(
     the operator; after ``max_attempts`` the best candidate so far is kept
     (repaired by node deletion if invalid), and as a final fallback the
     parent is copied unchanged.
+
+    The parent must be valid: each operator then decides its candidate's
+    validity from the parent's ``node_facts`` at the edit, and only the
+    repair fallback calls ``bt.validate``.
     """
     ids = sorted(kinds)
     g = parent.genotype
+    facts = parent.facts
     last = None
     valid_dup = None
     dup_key = None
     for _ in range(max_attempts):
         r = rng.random()
         if r < params.p_node_mutation:
-            cand = _op_node_mutation(g, ids, rng, params.p_control_node)
+            cand, ok = _op_node_mutation(g, facts, ids, kinds, rng, params.p_control_node)
         elif r < params.p_node_mutation + params.p_node_addition:
-            cand = _op_node_addition(g, ids, rng, params.p_control_node)
+            cand, ok = _op_node_addition(g, facts, ids, kinds, rng, params.p_control_node)
         else:
-            cand = _op_node_deletion(g, rng)
+            cand, ok = _op_node_deletion(g, facts, kinds, rng)
         if cand is None:
             continue
         last = cand
-        if bt.node_count(cand) > params.node_cap:
-            continue
-        if bt.validate(cand, kinds):
+        if not ok or bt.node_count(cand) > params.node_cap:
             continue
         key = bt.canonical(cand)
         if key in exclude:
@@ -364,14 +405,17 @@ def mutate(
 class Evaluator:
     """Assigns fitness to individuals, one at a time.
 
-    Every evaluation seeds its own rng stream from (master seed, tag, slot),
-    so an individual's fitness depends only on its genotype and its slot in
-    the batch, never on what else the batch holds.
+    On a profile that draws from the rng, every evaluation seeds its own rng
+    stream from (master seed, tag, slot), so an individual's fitness depends
+    only on its genotype and its slot in the batch, never on what else the
+    batch holds. Nothing is cached.
 
-    When the profile draws nothing from the rng (``world.draws_nothing``),
-    an episode is a pure function of the genotype, so ``eval_batch`` keeps a
-    genotype -> fitness dict for the evaluator's lifetime and simulates each
-    distinct genotype once. On any other profile nothing is cached.
+    When the profile draws nothing (``world.draws_nothing``), an episode is
+    a pure function of the genotype, so ``eval_batch`` keeps a genotype ->
+    fitness dict for the evaluator's lifetime and simulates each distinct
+    genotype once. Every such evaluation is handed the one rng the evaluator
+    holds for its lifetime: no episode draws from it, so a stream seeded per
+    evaluation would change nothing.
     """
 
     def __init__(self, profile: Profile, weights: FitnessWeights, params: GpParams):
@@ -380,12 +424,14 @@ class Evaluator:
         self.params = params
         self.kinds = leaf_kinds(profile)
         self.table = build_transition_table(profile)
-        self._cache: dict[Genotype, FitnessValue] | None = (
-            {} if draws_nothing(profile) else None
-        )
+        self._cache: dict[Genotype, FitnessValue] | None = None
+        self._rng = None
+        if draws_nothing(profile):
+            self._cache = {}
+            self._rng = random.Random(params.seed)
 
-    def evaluate_one(self, genotype: Genotype, seed_str: str) -> FitnessValue:
-        """Mean fitness of one genotype on the rng stream ``seed_str`` names."""
+    def evaluate_one(self, genotype: Genotype, rng) -> FitnessValue:
+        """Mean fitness of one genotype over episodes drawing from ``rng``."""
         p = self.params
         return evaluate_compiled(
             bt.compile_tree(genotype, self.table),
@@ -393,7 +439,7 @@ class Evaluator:
             self.profile,
             self.weights,
             p.episodes_per_eval,
-            random.Random(seed_str),
+            rng,
             max_root_failures=p.max_root_failures,
             max_ticks=p.max_ticks,
         )
@@ -410,14 +456,13 @@ class Evaluator:
         cache = self._cache
         if cache is None:
             for i, ind in enumerate(individuals):
-                ind.fitness = self.evaluate_one(ind.genotype, self.seed_string(tag, i))
+                rng = random.Random(self.seed_string(tag, i))
+                ind.fitness = self.evaluate_one(ind.genotype, rng)
         else:
-            for i, ind in enumerate(individuals):
+            for ind in individuals:
                 fv = cache.get(ind.genotype)
                 if fv is None:
-                    fv = cache[ind.genotype] = self.evaluate_one(
-                        ind.genotype, self.seed_string(tag, i)
-                    )
+                    fv = cache[ind.genotype] = self.evaluate_one(ind.genotype, self._rng)
                 ind.fitness = fv
         return len(individuals) * self.params.episodes_per_eval
 
@@ -574,11 +619,39 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
         raise
 
 
+_CHECKPOINT_KEYS = ("fingerprint", "generation", "rng_state", "population", "history")
+_ENTRY_KEYS = ("genotype", "birth_generation", "fitness")
+
+
 def load_checkpoint(path) -> dict:
+    """Read a checkpoint; a missing key is a one-line ValueError naming it."""
     data = json.loads(Path(path).read_text())
-    if data.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
+    for key in _CHECKPOINT_KEYS:
+        if key not in data:
+            raise ValueError(f"checkpoint {path} has no {key!r} entry")
+    for i, entry in enumerate(data["population"]):
+        for key in _ENTRY_KEYS:
+            if key not in entry:
+                raise ValueError(f"checkpoint {path}: population entry {i} has no {key!r}")
     return data
+
+
+def _loaded_genotype(text: str, kinds, node_cap: int, where: str) -> Genotype:
+    """A checkpoint's genotype, rejected unless it is one a run could breed."""
+    try:
+        genotype = bt.from_text(text)
+        violations = bt.validate(genotype, kinds)
+    except bt.MalformedGenotype as exc:
+        raise ValueError(f"{where} {text!r}: {exc}") from None
+    if violations:
+        v = violations[0]
+        raise ValueError(f"{where} {text!r} breaks {v.code} ({v.message})")
+    n = bt.node_count(genotype)
+    if n > node_cap:
+        raise ValueError(f"{where} {text!r} has {n} nodes, over node_cap={node_cap}")
+    return genotype
 
 
 def run(
@@ -621,16 +694,20 @@ def run(
             )
         rs = data["rng_state"]
         rng.setstate((rs[0], tuple(rs[1]), rs[2]))
-        population = []
-        for entry in data["population"]:
-            ind = Individual(
-                bt.from_text(entry["genotype"]),
-                entry["birth_generation"],
-                FitnessValue(*entry["fitness"]),
+        # breeding assumes valid parents, so a checkpoint is held to that too
+        where, cap = f"checkpoint {resume_from}:", params.node_cap
+        population = [
+            Individual(
+                _loaded_genotype(e["genotype"], kinds, cap, f"{where} population genotype"),
+                e["birth_generation"],
+                FitnessValue(*e["fitness"]),
             )
-            population.append(ind)
+            for e in data["population"]
+        ]
         history = [
-            GenerationStats(g, bj, mj, bt.from_text(gt), ep)
+            GenerationStats(
+                g, bj, mj, _loaded_genotype(gt, kinds, cap, f"{where} history genotype"), ep
+            )
             for g, bj, mj, gt, ep in data["history"]
         ]
         start_generation = data["generation"] + 1

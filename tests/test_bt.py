@@ -353,6 +353,11 @@ def restart_loop_canonical(tokens):
     return toks
 
 
+def node_indices(tokens):
+    """Indices of all node tokens (everything except closes)."""
+    return [i for i, t in enumerate(tokens) if t != bt.CLOSE]
+
+
 @st.composite
 def wrapped_genotypes(draw):
     """Random valid genotypes with up to six single-child wrappers injected
@@ -360,7 +365,7 @@ def wrapped_genotypes(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     toks = bt.random_genotype(KINDS, draw(st.integers(1, 15)), rng)
     for _ in range(draw(st.integers(0, 6))):
-        start, stop = bt.subtree_span(toks, rng.choice(bt.node_indices(toks)))
+        start, stop = bt.subtree_span(toks, rng.choice(node_indices(toks)))
         wrapper = rng.choice((bt.SEQUENCE_OPEN, bt.FALLBACK_OPEN))
         toks = toks[:start] + (wrapper,) + toks[start:stop] + (bt.CLOSE,) + toks[stop:]
     return toks
@@ -413,9 +418,36 @@ def test_canonical_preserves_behavior(tokens, statuses):
 def test_node_spans_match_subtree_span(tokens):
     spans = bt.node_spans(tokens)
     assert [(s, e) for s, e, _ in spans] == [
-        bt.subtree_span(tokens, i) for i in bt.node_indices(tokens)
+        bt.subtree_span(tokens, i) for i in node_indices(tokens)
     ]
     assert [n for _, _, n in spans] == [bt.node_count(tokens[s:e]) for s, e, _ in spans]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrapped_genotypes())
+def test_node_facts_agree_with_the_tree(tokens):
+    facts = bt.node_facts(tokens)
+    assert [row[:3] for row in facts] == bt.node_spans(tokens)
+    spans = [bt.subtree_span(tokens, i) for i in node_indices(tokens)]
+    assert [row[:2] for row in facts] == spans
+    for k, (start, stop, count, parent, children) in enumerate(facts):
+        assert count == bt.node_count(tokens[start:stop])
+        # the parent is the innermost span strictly around the node
+        assert parent == max((s for s, e in spans if s < start and stop <= e), default=-1)
+        # the children are row k + 1 and then each sibling ``count`` rows on
+        kids = [row for row in facts if row[3] == start]
+        assert children == len(kids)
+        walked, j = [], k + 1
+        while j < k + count:
+            walked.append(facts[j])
+            j += facts[j][2]
+        assert walked == kids
+        if parent >= 0:
+            # a sibling borders the span exactly when the parent's open or
+            # close does not
+            siblings = [row for row in facts if row[3] == parent]
+            assert any(row[1] == start for row in siblings) == (start - 1 != parent)
+            assert any(row[0] == stop for row in siblings) == (tokens[stop] != bt.CLOSE)
 
 
 def test_repair_produces_valid_genotype():

@@ -342,3 +342,11 @@ def test_cli_checkpoint_resume(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "resumed" / "run_det_seed0.csv").exists()
+
+
+def test_cli_resume_rejects_a_checkpoint_missing_keys(tmp_path, capsys):
+    ckpt = tmp_path / "c.json"
+    ckpt.write_text(json.dumps({"format": gp.CHECKPOINT_FORMAT}))
+    rc = cli.main(["run", "--generations", "2", "--resume", str(ckpt), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: checkpoint {ckpt} has no 'fingerprint' entry\n"

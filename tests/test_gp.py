@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -262,6 +264,197 @@ def test_mutate_can_delete_subtree():
     assert bt.from_text("s( localise place )") in outcomes
 
 
+# ``gp.mutate`` before local verdicts: every operator rescans the genotype
+# and every candidate is checked with ``bt.validate``.
+
+
+def insertion_slots(tokens):
+    slots = []
+    depth = 0
+    for j, tok in enumerate(tokens):
+        if depth >= 1:
+            slots.append(j)
+        if bt.is_control_open(tok):
+            depth += 1
+        elif tok == bt.CLOSE:
+            depth -= 1
+    return slots
+
+
+def child_boundaries(tokens):
+    bounds = {}
+    stack = []
+    for j, tok in enumerate(tokens):
+        if stack:
+            bounds[stack[-1]].append(j)
+        if bt.is_control_open(tok):
+            bounds[j] = []
+            stack.append(j)
+        elif tok == bt.CLOSE:
+            stack.pop()
+    return list(bounds.values())
+
+
+def node_indices(tokens):
+    return [i for i, t in enumerate(tokens) if t != bt.CLOSE]
+
+
+def random_control(rng):
+    return bt.SEQUENCE_OPEN if rng.random() < 0.5 else bt.FALLBACK_OPEN
+
+
+def op_node_mutation(g, ids, rng, p_control):
+    nodes = node_indices(g)
+    i = nodes[rng.randrange(len(nodes))]
+    if rng.random() < p_control:
+        tok = random_control(rng)
+        if bt.is_control_open(g[i]):
+            return g[:i] + (tok,) + g[i + 1 :]
+        return g[:i] + (tok, g[i], bt.CLOSE) + g[i + 1 :]
+    leaf = ids[rng.randrange(len(ids))]
+    if bt.is_control_open(g[i]):
+        s, e = bt.subtree_span(g, i)
+        return g[:s] + (leaf,) + g[e:]
+    return g[:i] + (leaf,) + g[i + 1 :]
+
+
+def op_node_addition(g, ids, rng, p_control):
+    if rng.random() < p_control:
+        runs = [
+            (slots[x], slots[y])
+            for slots in child_boundaries(g)
+            for x in range(len(slots) - 1)
+            for y in range(x + 1, len(slots))
+        ]
+        tok = random_control(rng)
+        if not runs:
+            return (tok,) + g + (bt.CLOSE,)
+        lo, hi = runs[rng.randrange(len(runs))]
+        return g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:]
+    leaf = ids[rng.randrange(len(ids))]
+    slots = insertion_slots(g)
+    nodes = node_indices(g)
+    if slots and rng.random() < 0.5:
+        j = slots[rng.randrange(len(slots))]
+        return g[:j] + (leaf,) + g[j:]
+    r = rng.randrange(2 * len(nodes))
+    s, e = bt.subtree_span(g, nodes[r // 2])
+    tok = random_control(rng)
+    if r % 2 == 0:
+        return g[:s] + (tok, leaf) + g[s:e] + (bt.CLOSE,) + g[e:]
+    return g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:]
+
+
+def op_node_deletion(g, rng):
+    nodes = node_indices(g)
+    if len(nodes) <= 1:
+        return None
+    i = nodes[rng.randrange(len(nodes) - 1) + 1]
+    s, e = bt.subtree_span(g, i)
+    return g[:s] + g[e:]
+
+
+def mutate_validating_every_candidate(parent, kinds, params, rng, *, max_attempts, exclude):
+    ids = sorted(kinds)
+    g = parent.genotype
+    last = None
+    valid_dup = None
+    dup_key = None
+    for _ in range(max_attempts):
+        r = rng.random()
+        if r < params.p_node_mutation:
+            cand = op_node_mutation(g, ids, rng, params.p_control_node)
+        elif r < params.p_node_mutation + params.p_node_addition:
+            cand = op_node_addition(g, ids, rng, params.p_control_node)
+        else:
+            cand = op_node_deletion(g, rng)
+        if cand is None:
+            continue
+        last = cand
+        if bt.node_count(cand) > params.node_cap:
+            continue
+        if bt.validate(cand, kinds):
+            continue
+        key = bt.canonical(cand)
+        if key in exclude:
+            valid_dup, dup_key = cand, key
+            continue
+        return gp.Individual(cand, key=key)
+    if valid_dup is not None:
+        return gp.Individual(valid_dup, key=dup_key)
+    if last is not None:
+        repaired = bt.repair(last, kinds, rng)
+        if bt.node_count(repaired) <= params.node_cap and not bt.validate(repaired, kinds):
+            return gp.Individual(repaired)
+    return gp.Individual(g, key=parent._key)
+
+
+# DET's leaves plus a second condition, so that V4 can tell two condition ids apart
+TWO_CONDITIONS = {**KINDS, "path_clear": bt.CONDITION}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.sampled_from([KINDS, TWO_CONDITIONS]),
+    slack=st.integers(0, 6),
+    max_attempts=st.integers(1, 100),
+    p_control=st.floats(0.0, 1.0),
+    p_exclude=st.floats(0.0, 1.0),
+)
+def test_mutate_matches_validating_oracle(
+    seed, kinds, slack, max_attempts, p_control, p_exclude
+):
+    setup = random.Random(seed)
+    parent = gp.Individual(bt.random_genotype(kinds, setup.randint(1, 12), setup))
+    # a cap the parent meets, so that copying it is within the cap too
+    cap = bt.node_count(parent.genotype) + slack
+    params = gp.GpParams(start_length=1, node_cap=cap, p_control_node=p_control)
+    # exclude a random share of the canonical forms mutation reaches, the parent's included
+    reachable = {parent.key} | {
+        gp.mutate(parent, kinds, params, setup).key for _ in range(30)
+    }
+    exclude = {key for key in sorted(reachable) if setup.random() < p_exclude}
+    rng_a, rng_b = random.Random(seed), random.Random(seed)
+    got = gp.mutate(parent, kinds, params, rng_a, max_attempts=max_attempts, exclude=exclude)
+    want = mutate_validating_every_candidate(
+        parent, kinds, params, rng_b, max_attempts=max_attempts, exclude=exclude
+    )
+    assert (got.genotype, got.key) == (want.genotype, want.key)
+    assert rng_a.getstate() == rng_b.getstate()
+    assert not bt.validate(got.genotype, kinds)
+    assert bt.node_count(got.genotype) <= cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.sampled_from([KINDS, TWO_CONDITIONS]),
+    p_control=st.floats(0.0, 1.0),
+)
+def test_local_verdicts_match_validate(seed, kinds, p_control):
+    """Every candidate an operator builds, invalid ones included, gets the
+    verdict ``bt.validate`` gives it."""
+    rng = random.Random(seed)
+    ids = sorted(kinds)
+    g = bt.random_genotype(kinds, rng.randint(1, 12), rng)
+    other = bt.random_genotype(kinds, rng.randint(1, 12), rng)
+    facts = bt.node_facts(g)
+    for _ in range(20):
+        for cand, ok in (
+            gp._op_node_mutation(g, facts, ids, kinds, rng, p_control),
+            gp._op_node_addition(g, facts, ids, kinds, rng, p_control),
+            gp._op_node_deletion(g, facts, kinds, rng),
+        ):
+            if cand is not None:
+                assert ok == (not bt.validate(cand, kinds)), (g, cand)
+    # every subtree swap crossover can make from g and other
+    for row in facts:
+        for s, e, _ in bt.node_spans(other):
+            child = g[: row[0]] + other[s:e] + g[row[1] :]
+            assert bt.fits(g, row, other[s], kinds) == (not bt.validate(child, kinds))
+
+
 def make_population(n=30, seed=0):
     rng = random.Random(seed)
     return [gp.Individual(bt.random_genotype(KINDS, 4, rng), 0) for _ in range(n)]
@@ -505,9 +698,9 @@ def count_evaluations(monkeypatch, profile, params):
     evaluate_one = gp.Evaluator.evaluate_one
     eval_batch = gp.Evaluator.eval_batch
 
-    def counting_evaluate_one(self, genotype, seed_str):
+    def counting_evaluate_one(self, genotype, rng):
         simulated[genotype] += 1
-        return evaluate_one(self, genotype, seed_str)
+        return evaluate_one(self, genotype, rng)
 
     def recording_eval_batch(self, individuals, tag):
         requested.extend(ind.genotype for ind in individuals)
@@ -536,3 +729,81 @@ def test_stochastic_profiles_simulate_every_evaluation(monkeypatch, profile):
     simulated, requested = count_evaluations(monkeypatch, profile, params)
     assert sum(simulated.values()) == len(requested)
     assert len(requested) > len(set(requested))  # repeats were simulated again
+
+
+def test_det_run_never_draws_from_the_shared_rng(monkeypatch):
+    rngs = []
+    evaluate_one = gp.Evaluator.evaluate_one
+
+    def recording_evaluate_one(self, genotype, rng):
+        rngs.append((rng, rng.getstate()))
+        return evaluate_one(self, genotype, rng)
+
+    monkeypatch.setattr(gp.Evaluator, "evaluate_one", recording_evaluate_one)
+    params = gp.GpParams(generations=30, seed=0, reevaluate_elites=True)
+    gp.run(params, DET, fitness.TABLE2)
+    shared, state = rngs[0]
+    # one rng for every evaluation, and no evaluation moved it
+    assert all(rng is shared for rng, _ in rngs)
+    assert {s for _, s in rngs} == {state}
+    assert shared.getstate() == state
+
+
+def write_checkpoint(path, params):
+    gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=params.generations)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s( s( tuck localise ) have_block )", "breaks V1"),
+        ("s( tuck have_block )", "breaks V2"),
+        ("s( tuck f( ) )", "breaks V3"),
+        ("s( tuck", "unclosed control node"),
+        ("s( tuck teleport )", "unknown leaf id 'teleport'"),
+        ("s( " + "tuck " * 8 + ")", "has 9 nodes, over node_cap=8"),
+    ],
+    ids=["V1", "V2", "V3", "unclosed", "unknown-leaf", "over-cap"],
+)
+@pytest.mark.parametrize("where", ["population", "history"])
+def test_resume_rejects_invalid_genotypes(tmp_path, text, message, where):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=2, seed=1, population=6, node_cap=8)
+    data = write_checkpoint(path, params)
+    if where == "population":
+        data["population"][0]["genotype"] = text
+    else:
+        data["history"][-1][3] = text
+    path.write_text(json.dumps(data))
+    pattern = f"^checkpoint {re.escape(str(path))}: {where} genotype .*{message}"
+    with pytest.raises(ValueError, match=pattern) as exc:
+        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "drop", ["fingerprint", "generation", "rng_state", "population", "history"]
+)
+def test_resume_names_a_missing_key(tmp_path, drop):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=2, seed=1, population=6)
+    data = write_checkpoint(path, params)
+    del data[drop]
+    path.write_text(json.dumps(data))
+    pattern = f"^checkpoint {re.escape(str(path))} has no '{drop}' entry$"
+    with pytest.raises(ValueError, match=pattern):
+        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+
+
+@pytest.mark.parametrize("drop", ["genotype", "birth_generation", "fitness"])
+def test_resume_names_a_missing_population_key(tmp_path, drop):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=2, seed=1, population=6)
+    data = write_checkpoint(path, params)
+    del data["population"][3][drop]
+    path.write_text(json.dumps(data))
+    pattern = f"^checkpoint {re.escape(str(path))}: population entry 3 has no '{drop}'$"
+    with pytest.raises(ValueError, match=pattern):
+        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+
