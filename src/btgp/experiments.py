@@ -86,13 +86,6 @@ class ReplayReport:
         }
 
 
-def _counting(behavior_id: str, fn, counts: Counter):
-    def counted(st, rng):
-        counts[behavior_id] += 1
-        return fn(st, rng)
-    return counted
-
-
 def replay(
     genotype: bt.Genotype,
     profile: Profile,
@@ -102,18 +95,35 @@ def replay(
     max_root_failures: int = 5,
     max_ticks: int = 100,
 ) -> ReplayReport:
-    """Monte Carlo report for a genotype: success rate, time, risk, action log."""
+    """Monte Carlo report for a genotype: success rate, time, risk, action log.
+
+    ``executed`` maps each behavior run at least once to its total
+    executions over all episodes; a pool behavior that never ran is absent.
+    Counting draws nothing from the rng, so the episodes are the ones
+    ``run_compiled`` plays for the tree uncounted.
+    """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if max_ticks < 1:
+        raise ValueError(f"max_ticks must be >= 1, got {max_ticks}")
+    if max_root_failures < 0:
+        raise ValueError(f"max_root_failures must be >= 0, got {max_root_failures}")
     kinds = leaf_kinds(profile)
     violations = bt.validate(genotype, kinds)
     if violations:
         raise bt.MalformedGenotype(f"genotype fails validity: {violations[0]}")
-    executed: Counter[str] = Counter()
-    table = {
-        bid: _counting(bid, fn, executed)
-        for bid, fn in build_transition_table(profile).items()
-    }
+    # One int cell per behavior, bound into its wrapper as a default argument:
+    # a counted call then costs one local add, with no dict lookup or hashing.
+    cells: dict[str, list[int]] = {}
+    table = {}
+    for bid, fn in build_transition_table(profile).items():
+        cell = cells[bid] = [0]
+
+        def counted(st, rng, _fn=fn, _cell=cell):
+            _cell[0] += 1
+            return _fn(st, rng)
+
+        table[bid] = counted
     compiled = bt.compile_tree(genotype, table)
     n_nodes = bt.node_count(genotype)
     rng = random.Random(f"replay:{seed}")
@@ -141,7 +151,7 @@ def replay(
         mean_time=time_sum / episodes,
         mean_risk=risk_sum / episodes,
         terminations=dict(terminations),
-        executed=dict(executed),
+        executed={bid: cell[0] for bid, cell in cells.items() if cell[0]},
     )
 
 

@@ -50,13 +50,21 @@ class GpParams:
     max_ticks: int = 100
 
     def __post_init__(self):
+        for name in (
+            "p_node_mutation",
+            "p_node_addition",
+            "p_node_deletion",
+            "p_control_node",
+            "crossover_fraction",
+            "mutation_fraction",
+            "elitism_fraction",
+        ):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {v}")
         s = self.p_node_mutation + self.p_node_addition + self.p_node_deletion
         if abs(s - 1.0) > 1e-9:
             raise ValueError("mutation operator probabilities must sum to 1")
-        for name in ("crossover_fraction", "mutation_fraction", "elitism_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
         if self.population < 2:
             raise ValueError("population must be >= 2")
         if self.start_length < 1 or self.start_length > self.node_cap:
@@ -67,6 +75,10 @@ class GpParams:
             raise ValueError(f"episodes_per_eval must be >= 1, got {self.episodes_per_eval}")
         if self.early_stop_window < 0:
             raise ValueError(f"early_stop_window must be >= 0, got {self.early_stop_window}")
+        if self.max_root_failures < 0:
+            raise ValueError(f"max_root_failures must be >= 0, got {self.max_root_failures}")
+        if self.max_ticks < 1:
+            raise ValueError(f"max_ticks must be >= 1, got {self.max_ticks}")
 
 
 class Individual:
@@ -180,11 +192,12 @@ def crossover(
     offspring listed in ``exclude`` (duplicate rejection across repeated
     applications) trigger a re-draw of the crossover points; after
     ``max_attempts`` the parents are returned unchanged. The checks run
-    cheapest first; each is pure, so their order decides no outcome, and a
-    span pair already rejected in this call is skipped without re-checking
-    (both points are still drawn, so the rng stream is the same). Once
-    every span pair has been rejected, the remaining attempts only make
-    their draws.
+    cheapest first: node cap and validity from the parents' facts before
+    the offspring are built, canonical forms last. Each is pure, so their
+    order decides no outcome, and a span pair already rejected in this call
+    is skipped without re-checking (both points are still drawn, so the rng
+    stream is the same). Once every span pair has been rejected, the
+    remaining attempts only make their draws.
 
     Both parents must be valid: an offspring's validity is then decided
     from its parent's ``node_facts`` row and the inserted root token
@@ -211,18 +224,20 @@ def crossover(
         row1, row2 = facts1[pair[0]], facts2[pair[1]]
         s1, e1, k1, _, _ = row1
         s2, e2, k2, _, _ = row2
+        # each child's node count: its parent's, less the subtree given, plus the one taken
+        if n1 - k1 + k2 > node_cap or n2 - k2 + k1 > node_cap:
+            continue
+        if not (bt.fits(g1, row1, g2[s2], kinds) and bt.fits(g2, row2, g1[s1], kinds)):
+            continue
         c1 = g1[:s1] + g2[s2:e2] + g1[e1:]
         c2 = g2[:s2] + g1[s1:e1] + g2[e2:]
-        # each child's node count: its parent's, less the subtree given, plus the one taken
-        if c1 == c2 or n1 - k1 + k2 > node_cap or n2 - k2 + k1 > node_cap:
+        if c1 == c2:
             continue
         key1 = bt.canonical(c1)
         if key1 in exclude:
             continue
         key2 = bt.canonical(c2)
         if key2 in exclude:
-            continue
-        if not (bt.fits(g1, row1, g2[s2], kinds) and bt.fits(g2, row2, g1[s1], kinds)):
             continue
         return (
             Individual(c1, birth_generation, key=key1),

@@ -244,7 +244,7 @@ def reset(profile: Profile) -> WorldState:
     return st
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeResult:
     final_state: WorldState
     picked: bool
@@ -480,14 +480,10 @@ def run_compiled(
         if ticks >= max_ticks:
             terminated = TICK_BUDGET
             break
+    # positional: cheaper than keywords, and every evaluation and replay
+    # episode builds one
     return EpisodeResult(
-        final_state=state,
-        picked=state.picked_once,
-        placed=state.placed,
-        node_count=n_nodes,
-        ticks_used=ticks,
-        terminated_by=terminated,
-        goal_pose=profile.goal_pose,
+        state, state.picked_once, state.placed, n_nodes, ticks, terminated, profile.goal_pose
     )
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btgp import bt, cli, experiments, fitness, gp, world
 
@@ -61,6 +65,129 @@ def test_replay_stoch4_reproducible_and_strictly_between_0_and_1():
     assert a == b
     assert 0.0 < a.success_rate < 1.0
     assert a.executed["localise"] > 0
+
+
+def replay_counting_with_a_counter(
+    genotype, profile, episodes, seed, *, max_root_failures, max_ticks
+):
+    """``experiments.replay`` as it was before its int cells: every behavior
+    call adds to one ``Counter`` through a closure."""
+    kinds = world.leaf_kinds(profile)
+    violations = bt.validate(genotype, kinds)
+    if violations:
+        raise bt.MalformedGenotype(f"genotype fails validity: {violations[0]}")
+    executed: Counter[str] = Counter()
+
+    def counting(behavior_id, fn):
+        def counted(state, rng):
+            executed[behavior_id] += 1
+            return fn(state, rng)
+        return counted
+
+    table = {bid: counting(bid, fn) for bid, fn in world.build_transition_table(profile).items()}
+    compiled = bt.compile_tree(genotype, table)
+    n_nodes = bt.node_count(genotype)
+    rng = random.Random(f"replay:{seed}")
+    successes = 0
+    time_sum = risk_sum = 0.0
+    terminations: Counter[str] = Counter()
+    for _ in range(episodes):
+        result = world.run_compiled(
+            compiled,
+            n_nodes,
+            profile,
+            rng,
+            max_root_failures=max_root_failures,
+            max_ticks=max_ticks,
+        )
+        successes += result.placed
+        time_sum += result.final_state.elapsed_time
+        risk_sum += result.final_state.risk_sum
+        terminations[result.terminated_by] += 1
+    return experiments.ReplayReport(
+        episodes=episodes,
+        success_rate=successes / episodes,
+        mean_time=time_sum / episodes,
+        mean_risk=risk_sum / episodes,
+        terminations=dict(terminations),
+        executed=dict(executed),
+    )
+
+
+ORACLE_PROFILES = {
+    "det": DET,
+    "stoch3": world.make_profile("stoch3"),
+    "stoch4": STOCH4,
+    "exp3": experiments.exp3_profile(),
+    "stoch3_high_noise": world.make_profile("stoch3", "high_noise"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    profile_name=st.sampled_from(sorted(ORACLE_PROFILES)),
+    tree_seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 14),
+    seed=st.integers(0, 10**6),
+    episodes=st.integers(1, 40),
+    max_root_failures=st.integers(0, 6),
+    max_ticks=st.integers(1, 100),
+)
+def test_replay_matches_counter_oracle(
+    profile_name, tree_seed, length, seed, episodes, max_root_failures, max_ticks
+):
+    profile = ORACLE_PROFILES[profile_name]
+    genotype = bt.random_genotype(world.leaf_kinds(profile), length, random.Random(tree_seed))
+    budgets = dict(max_root_failures=max_root_failures, max_ticks=max_ticks)
+    got = experiments.replay(genotype, profile, episodes, seed, **budgets)
+    want = replay_counting_with_a_counter(genotype, profile, episodes, seed, **budgets)
+    assert got.as_dict() == want.as_dict()
+    assert 0 not in got.executed.values()
+
+
+@pytest.mark.parametrize(
+    "text, never_run",
+    [
+        # on det localise always succeeds, so the fallback never reaches tuck
+        ("f( localise tuck )", {"tuck"}),
+        # the root is the only leaf; every other pool behavior stays idle
+        ("have_block", set(world.CORE9) - {"have_block"}),
+        # move_to_pick fails its guard, so the sequence stops before pick
+        ("s( move_to_pick pick place )", {"pick", "place"}),
+    ],
+)
+def test_replay_leaves_idle_behaviors_out_of_executed(text, never_run):
+    genotype = bt.from_text(text)
+    got = experiments.replay(genotype, DET, 30, 4)
+    want = replay_counting_with_a_counter(
+        genotype, DET, 30, 4, max_root_failures=5, max_ticks=100
+    )
+    assert got.as_dict() == want.as_dict()
+    assert never_run.isdisjoint(got.executed)
+    assert set(got.executed) <= set(genotype)
+
+
+# SHA-256 of the sorted-key JSON of the reference tree's stoch4 replay at seed
+# 11, taken before replay counted into int cells and EpisodeResult gained
+# slots. A change to any episode, termination or execution count breaks it.
+REFERENCE_STOCH4_SEED11_REPLAY_DIGEST = (
+    "91e82b8d545c5d591d0140fd59bfedf5765ce22d120d6cc8796e923fbddb937d"
+)
+
+
+def test_reference_stoch4_replay_digest_is_pinned():
+    report = experiments.replay(REFERENCE_SOLUTION, STOCH4, 1000, 11)
+    digest = hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == REFERENCE_STOCH4_SEED11_REPLAY_DIGEST
+
+
+@pytest.mark.parametrize(
+    "budget, value, least",
+    [("max_ticks", 0, 1), ("max_ticks", -2, 1), ("max_root_failures", -1, 0)],
+)
+def test_replay_rejects_out_of_range_budgets(budget, value, least):
+    with pytest.raises(ValueError, match=f"^{budget} must be >= {least}, got {value}$"):
+        experiments.replay(REFERENCE_SOLUTION, DET, 5, 0, **{budget: value})
 
 
 @pytest.mark.parametrize("episodes", [0, -3])
@@ -175,6 +302,40 @@ def test_cli_replay_reports_json(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["success_rate"] == 1.0
     assert report["episodes"] == 20
+
+
+@pytest.mark.parametrize(
+    "args, profile",
+    [
+        ([], DET),
+        (["--profile", "stoch4"], STOCH4),
+        (["--pool", "safe_paths"], world.make_profile("det", "safe_paths")),
+        (["--exp3-paths"], experiments.exp3_profile()),
+    ],
+)
+def test_cli_replay_picks_the_profile(tmp_path, capsys, args, profile):
+    tree_file = tmp_path / "tree.txt"
+    experiments.write_genotype(tree_file, REFERENCE_SOLUTION)
+    rc = cli.main(["replay", "--tree", str(tree_file), "--episodes", "30", "--seed", "2", *args])
+    assert rc == 0
+    want = experiments.replay(REFERENCE_SOLUTION, profile, 30, 2).as_dict()
+    assert json.loads(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--profile", "det"], ["--pool", "core9"], ["--profile", "stoch3", "--pool", "safe_paths"]],
+)
+def test_cli_replay_exp3_paths_rejects_profile_and_pool(tmp_path, capsys, flags):
+    tree_file = tmp_path / "tree.txt"
+    experiments.write_genotype(tree_file, REFERENCE_SOLUTION)
+    rc = cli.main(["replay", "--tree", str(tree_file), "--exp3-paths", *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --exp3-paths sets its own profile and pool; drop --profile/--pool\n"
+    )
 
 
 def test_cli_replay_invalid_tree_fails(tmp_path, capsys):

@@ -46,11 +46,40 @@ def test_params_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("generations", -1), ("episodes_per_eval", 0), ("early_stop_window", -1)],
+    [
+        ("generations", -1),
+        ("episodes_per_eval", 0),
+        ("early_stop_window", -1),
+        ("max_ticks", 0),
+        ("max_root_failures", -3),
+    ],
 )
 def test_params_reject_out_of_range_counts(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+    with pytest.raises(ValueError, match=f"^{field} must be >= \\d+, got {value}$"):
         gp.GpParams(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "probs, field",
+    [
+        # each operator triple sums to 1, so only a range check per field catches it
+        ((1.5, -0.5, 0.0, 0.5), "p_node_mutation"),
+        ((0.0, -0.2, 1.2, 0.5), "p_node_addition"),
+        ((0.0, 0.0, 1.0 + 1e-12, 0.5), "p_node_deletion"),
+        ((0.3, 0.4, 0.3, 2.0), "p_control_node"),
+        ((0.3, 0.4, 0.3, -0.1), "p_control_node"),
+    ],
+)
+def test_params_reject_probabilities_outside_unit_interval(probs, field):
+    names = ("p_node_mutation", "p_node_addition", "p_node_deletion", "p_control_node")
+    overrides = dict(zip(names, probs))
+    with pytest.raises(ValueError, match=rf"^{field} must be in \[0, 1\], got {overrides[field]}$"):
+        gp.GpParams(**overrides)
+
+
+def test_params_accept_probability_bounds():
+    gp.GpParams(p_node_mutation=1.0, p_node_addition=0.0, p_node_deletion=0.0, p_control_node=0.0)
+    gp.GpParams(p_control_node=1.0, max_ticks=1, max_root_failures=0)
 
 
 def test_tournament_single_duel():

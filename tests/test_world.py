@@ -311,6 +311,24 @@ def test_tick_budget_termination():
     assert result.ticks_used == 17
 
 
+def test_episode_result_takes_keywords_and_positions():
+    # tests build results by keyword; run_compiled builds them positionally
+    st = world.reset(DET)
+    by_keyword = world.EpisodeResult(
+        final_state=st,
+        picked=True,
+        placed=False,
+        node_count=7,
+        ticks_used=3,
+        terminated_by=world.FAILURE_BUDGET,
+        goal_pose=(1.0, 2.0),
+    )
+    by_position = world.EpisodeResult(st, True, False, 7, 3, world.FAILURE_BUDGET, (1.0, 2.0))
+    assert by_keyword == by_position
+    assert by_keyword.ticks_used == 3 and by_keyword.goal_pose == (1.0, 2.0)
+    assert world.EpisodeResult(st, False, False, 1, 1, world.ROOT_SUCCESS).goal_pose == (-2.0, 0.0)
+
+
 def test_aux_pool_targets_are_outside_reach():
     for x, y in world.AUX_POSES:
         assert math.dist((x, y), DET.pick_pose) > DET.reach_radius
