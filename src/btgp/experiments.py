@@ -16,6 +16,7 @@ from .gp import GenerationStats, GpParams, Individual, run
 from .world import (
     Profile,
     build_transition_table,
+    check_budgets,
     make_profile,
     leaf_kinds,
     run_compiled,
@@ -104,10 +105,7 @@ def replay(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    if max_ticks < 1:
-        raise ValueError(f"max_ticks must be >= 1, got {max_ticks}")
-    if max_root_failures < 0:
-        raise ValueError(f"max_root_failures must be >= 0, got {max_root_failures}")
+    check_budgets(max_root_failures, max_ticks)
     kinds = leaf_kinds(profile)
     violations = bt.validate(genotype, kinds)
     if violations:

@@ -6,7 +6,14 @@ import math
 from dataclasses import dataclass
 
 from .bt import Node, compile_tree, node_count, serialize
-from .world import EpisodeResult, Profile, build_transition_table, run_compiled
+from .world import (
+    EpisodeResult,
+    Profile,
+    build_transition_table,
+    check_budgets,
+    draws_nothing,
+    run_compiled,
+)
 
 
 @dataclass(frozen=True)
@@ -119,21 +126,26 @@ def evaluate_compiled(
     Each episode's cost terms are added straight into five running sums, in
     the order ``cost`` lists them, and one FitnessValue is built from their
     means at the end, with j re-derived so the breakdown sums to the cost
-    exactly.
+    exactly. When the profile draws nothing every episode repeats the first,
+    so that one is simulated and its terms are added ``episodes`` times: the
+    same additions in the same order, so the same bits.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    check_budgets(max_root_failures, max_ticks)
+    simulated = 1 if episodes > 1 and draws_nothing(profile) else episodes
     distance = length = time = risk = rewards = 0.0
-    for _ in range(episodes):
-        result = run_compiled(
-            compiled,
-            n_nodes,
-            profile,
-            rng,
-            max_root_failures=max_root_failures,
-            max_ticks=max_ticks,
-        )
-        d, n, t, r, w = _terms(result, weights)
+    for i in range(episodes):
+        if i < simulated:
+            result = run_compiled(
+                compiled,
+                n_nodes,
+                profile,
+                rng,
+                max_root_failures=max_root_failures,
+                max_ticks=max_ticks,
+            )
+            d, n, t, r, w = _terms(result, weights)
         distance += d
         length += n
         time += t

@@ -12,7 +12,7 @@ from pathlib import Path
 from . import bt
 from .bt import Genotype
 from .fitness import FitnessValue, FitnessWeights, TABLE2, evaluate_compiled
-from .world import Profile, build_transition_table, draws_nothing, leaf_kinds
+from .world import Profile, build_transition_table, check_budgets, draws_nothing, leaf_kinds
 
 CHECKPOINT_FORMAT = "btgp-checkpoint-v2"
 
@@ -23,6 +23,31 @@ class SlotsExceedCandidates(ValueError):
 
 def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
+
+
+def _below(bits, n: int) -> int:
+    """Uniform int in [0, n) from ``bits = rng.getrandbits``.
+
+    The same draws as CPython's ``_randbelow_with_getrandbits`` (3.10-3.13),
+    so the value and the rng state after it equal ``rng.randrange(n)``'s,
+    at one Python frame instead of two.
+    """
+    if n < 1:
+        raise ValueError(f"empty range for _below({n})")  # getrandbits(0) is always 0
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _mean_j(individuals) -> float:
+    """Mean fitness, summed left to right: Python 3.12's compensated float
+    ``sum`` would round differently and change the history rows."""
+    total = 0.0
+    for ind in individuals:
+        total += ind.fitness.j
+    return total / len(individuals)
 
 
 @dataclass(frozen=True)
@@ -75,10 +100,7 @@ class GpParams:
             raise ValueError(f"episodes_per_eval must be >= 1, got {self.episodes_per_eval}")
         if self.early_stop_window < 0:
             raise ValueError(f"early_stop_window must be >= 0, got {self.early_stop_window}")
-        if self.max_root_failures < 0:
-            raise ValueError(f"max_root_failures must be >= 0, got {self.max_root_failures}")
-        if self.max_ticks < 1:
-            raise ValueError(f"max_ticks must be >= 1, got {self.max_ticks}")
+        check_budgets(self.max_root_failures, self.max_ticks)
 
 
 class Individual:
@@ -155,12 +177,15 @@ def tournament(candidates, slots: int, rng) -> list:
         winners = [cands[best_i]]
         pool = [c for i, c in enumerate(cands) if i != best_i and i != worst_i]
         need = slots - 1
+        if need == 0:
+            return winners  # every candidate left in the pool would lose
     # One duel per round between two random candidates; everyone else gets a
     # bye. Minimal pressure per round keeps genetic content from weak
     # individuals around, which the search relies on.
+    bits = rng.getrandbits
     while len(pool) > need:
-        i = rng.randrange(len(pool))
-        j = rng.randrange(len(pool) - 1)
+        i = _below(bits, len(pool))
+        j = _below(bits, len(pool) - 1)
         if j >= i:
             j += 1
         a, b = pool[i], pool[j]
@@ -201,7 +226,9 @@ def crossover(
 
     Both parents must be valid: an offspring's validity is then decided
     from its parent's ``node_facts`` row and the inserted root token
-    (``bt.fits``), without validating the offspring.
+    (``bt.fits``), without validating the offspring. A swap keeps every
+    control's child count, so offspring of two canonical parents are their
+    own canonical forms.
     """
     g1, g2 = p1.genotype, p2.genotype
     if g1 == g2 and len(g1) == 1:
@@ -209,15 +236,19 @@ def crossover(
         return (Individual(g1, birth_generation), Individual(g2, birth_generation))
     facts1, facts2 = p1.facts, p2.facts
     n1, n2 = len(facts1), len(facts2)
+    plain = p1.key is g1 and p2.key is g2
     tried: set[tuple[int, int]] = set()
-    draw = rng.randrange
+    bits = rng.getrandbits
     for left in range(max_attempts, 0, -1):
         if len(tried) == n1 * n2:
-            for _ in range(left):
-                draw(n1)
-                draw(n2)
+            k1, k2 = n1.bit_length(), n2.bit_length()
+            for _ in range(left):  # _below's draws, values unused
+                while bits(k1) >= n1:
+                    pass
+                while bits(k2) >= n2:
+                    pass
             break
-        pair = (draw(n1), draw(n2))
+        pair = (_below(bits, n1), _below(bits, n2))
         if pair in tried:
             continue
         tried.add(pair)
@@ -233,10 +264,10 @@ def crossover(
         c2 = g2[:s2] + g1[s1:e1] + g2[e2:]
         if c1 == c2:
             continue
-        key1 = bt.canonical(c1)
+        key1 = c1 if plain else bt.canonical(c1)
         if key1 in exclude:
             continue
-        key2 = bt.canonical(c2)
+        key2 = c2 if plain else bt.canonical(c2)
         if key2 in exclude:
             continue
         return (
@@ -249,10 +280,12 @@ def crossover(
     )
 
 
-# The mutation operators below each return (candidate, valid) for a valid
-# genotype ``g`` with rows ``facts = bt.node_facts(g)``. ``valid`` equals
-# ``not bt.validate(candidate)``: an edit can break V1-V4 only where it
+# The mutation operators below each return (candidate, valid, plain) for a
+# valid genotype ``g`` with rows ``facts = bt.node_facts(g)``. ``valid``
+# equals ``not bt.validate(candidate)``: an edit can break V1-V4 only where it
 # touches the tree, so each operator checks just the nodes next to its edit.
+# ``plain`` says the edit leaves no control with a single child, so the
+# candidate of a canonical ``g`` is its own canonical form.
 
 
 def _is_condition(kinds, tok: str) -> bool:
@@ -275,7 +308,8 @@ def _random_control(rng) -> str:
 
 
 def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng, p_control: float):
-    k = rng.randrange(len(facts))
+    bits = rng.getrandbits
+    k = _below(bits, len(facts))
     i, e, _, parent, _ = facts[k]
     if rng.random() < p_control:
         tok = _random_control(rng)
@@ -284,14 +318,16 @@ def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
         if bt.is_control_open(g[i]):
             # kind flip: V1 against every control child as well
             ok = ok and all(g[j] != tok for j in _child_starts(facts, k))
-            return g[:i] + (tok,) + g[i + 1 :], ok
+            return g[:i] + (tok,) + g[i + 1 :], ok, True
         # leaf -> control: the leaf becomes the new control's only child (V2)
-        return g[:i] + (tok, g[i], bt.CLOSE) + g[i + 1 :], ok and not _is_condition(kinds, g[i])
-    leaf = ids[rng.randrange(len(ids))]
-    return g[:i] + (leaf,) + g[e:], bt.fits(g, facts[k], leaf, kinds)
+        ok = ok and not _is_condition(kinds, g[i])
+        return g[:i] + (tok, g[i], bt.CLOSE) + g[i + 1 :], ok, False
+    leaf = ids[_below(bits, len(ids))]
+    return g[:i] + (leaf,) + g[e:], bt.fits(g, facts[k], leaf, kinds), True
 
 
 def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: float):
+    bits = rng.getrandbits
     if rng.random() < p_control:
         # New control node over a contiguous run of siblings: the runs of a
         # control with m children are its (x, y) child boundary pairs,
@@ -299,8 +335,8 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
         tok = _random_control(rng)
         n_runs = sum(m * (m + 1) // 2 for *_, m in facts)
         if not n_runs:  # bare leaf: wrap the root, which becomes the last child (V2)
-            return (tok,) + g + (bt.CLOSE,), not _is_condition(kinds, g[0])
-        r = rng.randrange(n_runs)
+            return (tok,) + g + (bt.CLOSE,), not _is_condition(kinds, g[0]), False
+        r = _below(bits, n_runs)
         for k, row in enumerate(facts):
             m = row[4]
             if r < m * (m + 1) // 2:
@@ -319,19 +355,21 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
             and all(g[j] != tok for j in bounds[x : x + 1 + r])
             and not _is_condition(kinds, g[hi - 1])
         )
-        return g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:], ok
+        # the new control gets r + 1 children, the one above keeps m - r
+        plain = r >= 1 and m - r >= 2
+        return g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:], ok, plain
     # New leaf, either as a sibling in an existing child list or at a new
     # level (bundled with an existing node under a fresh control).
-    leaf = ids[rng.randrange(len(ids))]
+    leaf = ids[_below(bits, len(ids))]
     cond = _is_condition(kinds, leaf)
     # every position inside the root control is a child slot of the
     # innermost control around it; a bare leaf has none
     if len(g) > 1 and rng.random() < 0.5:
-        j = 1 + rng.randrange(len(g) - 1)
+        j = 1 + _below(bits, len(g) - 1)
         # V2 as the last child, V4 next to an equal leaf
         ok = not cond or (g[j] != bt.CLOSE and g[j] != leaf and g[j - 1] != leaf)
-        return g[:j] + (leaf,) + g[j:], ok
-    r = rng.randrange(2 * len(facts))
+        return g[:j] + (leaf,) + g[j:], ok, True
+    r = _below(bits, 2 * len(facts))
     s, e, _, parent, _ = facts[r // 2]
     tok = _random_control(rng)
     # V1 against the parent and the bundled node; V2 for whichever is last
@@ -341,14 +379,15 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
         return (
             g[:s] + (tok, leaf) + g[s:e] + (bt.CLOSE,) + g[e:],
             ok and not _is_condition(kinds, g[s]),
+            True,
         )
-    return g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:], ok and not cond
+    return g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:], ok and not cond, True
 
 
 def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
     if len(facts) <= 1:
-        return None, False  # deleting the only node would empty the tree
-    s, e, *_ = facts[rng.randrange(len(facts) - 1) + 1]  # never the root
+        return None, False, False  # deleting the only node would empty the tree
+    s, e, *_ = facts[_below(rng.getrandbits, len(facts) - 1) + 1]  # never the root
     before, after = g[s - 1], g[e]
     if after == bt.CLOSE:
         # the node was the last child: V3 if it was the only one, else V2
@@ -357,7 +396,8 @@ def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
     else:
         # V4 for the siblings that become neighbours
         ok = before != after or not _is_condition(kinds, before)
-    return g[:s] + g[e:], ok
+    # the parent loses a child, which may leave it with one
+    return g[:s] + g[e:], ok, False
 
 
 def mutate(
@@ -379,28 +419,31 @@ def mutate(
 
     The parent must be valid: each operator then decides its candidate's
     validity from the parent's ``node_facts`` at the edit, and only the
-    repair fallback calls ``bt.validate``.
+    repair fallback calls ``bt.validate``. A canonical parent's candidate
+    skips ``bt.canonical`` when its operator says the edit left no
+    single-child control.
     """
     ids = sorted(kinds)
     g = parent.genotype
     facts = parent.facts
+    canonical_parent = parent.key is g
     last = None
     valid_dup = None
     dup_key = None
     for _ in range(max_attempts):
         r = rng.random()
         if r < params.p_node_mutation:
-            cand, ok = _op_node_mutation(g, facts, ids, kinds, rng, params.p_control_node)
+            cand, ok, plain = _op_node_mutation(g, facts, ids, kinds, rng, params.p_control_node)
         elif r < params.p_node_mutation + params.p_node_addition:
-            cand, ok = _op_node_addition(g, facts, ids, kinds, rng, params.p_control_node)
+            cand, ok, plain = _op_node_addition(g, facts, ids, kinds, rng, params.p_control_node)
         else:
-            cand, ok = _op_node_deletion(g, facts, kinds, rng)
+            cand, ok, plain = _op_node_deletion(g, facts, kinds, rng)
         if cand is None:
             continue
         last = cand
         if not ok or bt.node_count(cand) > params.node_cap:
             continue
-        key = bt.canonical(cand)
+        key = cand if plain and canonical_parent else bt.canonical(cand)
         if key in exclude:
             valid_dup, dup_key = cand, key  # acceptable if nothing novel shows up
             continue
@@ -575,8 +618,9 @@ def evolve_generation(
     new_population = elites + survivors
 
     best = max(new_population, key=lambda ind: ind.fitness.j)
-    mean_j = sum(ind.fitness.j for ind in new_population) / len(new_population)
-    stats = GenerationStats(generation, best.fitness.j, mean_j, best.genotype, episodes)
+    stats = GenerationStats(
+        generation, best.fitness.j, _mean_j(new_population), best.genotype, episodes
+    )
     return new_population, stats
 
 
@@ -735,8 +779,9 @@ def run(
         ]
         episodes = evaluator.eval_batch(population, "init")
         best0 = max(population, key=lambda ind: ind.fitness.j)
-        mean0 = sum(ind.fitness.j for ind in population) / len(population)
-        history = [GenerationStats(0, best0.fitness.j, mean0, best0.genotype, episodes)]
+        history = [
+            GenerationStats(0, best0.fitness.j, _mean_j(population), best0.genotype, episodes)
+        ]
         start_generation = 1
 
     for g in range(start_generation, params.generations + 1):

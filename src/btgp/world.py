@@ -454,6 +454,14 @@ def draws_nothing(profile: Profile) -> bool:
     )
 
 
+def check_budgets(max_root_failures: int, max_ticks: int) -> None:
+    """One-line ValueError for an episode budget no episode can run under."""
+    if max_ticks < 1:
+        raise ValueError(f"max_ticks must be >= 1, got {max_ticks}")
+    if max_root_failures < 0:
+        raise ValueError(f"max_root_failures must be >= 0, got {max_root_failures}")
+
+
 def run_compiled(
     compiled,
     n_nodes: int,
@@ -463,7 +471,11 @@ def run_compiled(
     max_root_failures: int = 5,
     max_ticks: int = 100,
 ) -> EpisodeResult:
-    """Episode loop over a compiled tree; the hot path for evaluation."""
+    """Episode loop over a compiled tree; the hot path for evaluation.
+
+    The budgets are not checked here, once per episode: its callers check
+    them once per call (``check_budgets``).
+    """
     state = reset(profile)
     ticks = 0
     while True:
@@ -496,6 +508,7 @@ def run_episode(
     max_ticks: int = 100,
 ) -> EpisodeResult:
     """Tick the tree from the root until success or a budget runs out."""
+    check_budgets(max_root_failures, max_ticks)
     tokens = serialize(tree)
     return run_compiled(
         compile_tree(tokens, build_transition_table(profile)),

@@ -379,6 +379,15 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert "episodes:" in out
 
 
+def test_cli_run_with_population_three(tmp_path):
+    # its crossover tournament keeps round(3 * 0.4) = 1 parent
+    rc = cli.main(
+        ["run", "--generations", "20", "--population", "3", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    assert (tmp_path / "run_det_seed0.csv").exists()
+
+
 def test_cli_uses_env_var_for_default_out(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "env_out"))
     rc = cli.main(

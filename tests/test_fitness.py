@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from btgp import bt, fitness, world
+from btgp import bt, fitness, gp, world
 
 DET = world.make_profile("det")
 STOCH3 = world.make_profile("stoch3")
@@ -213,6 +216,128 @@ def test_evaluate_compiled_equals_mean_of_per_episode_costs():
                 sums[k] += term
         assert got == fitness._from_terms(*(total * (1.0 / 7) for total in sums))
         assert got.risk_term > 0.0
+
+
+def evaluate_every_episode(compiled, n_nodes, profile, weights, episodes, rng, **budgets):
+    """``fitness.evaluate_compiled`` as it was before a profile that draws
+    nothing had its first episode repeated: every episode simulated."""
+    distance = length = time = risk = rewards = 0.0
+    for _ in range(episodes):
+        result = world.run_compiled(compiled, n_nodes, profile, rng, **budgets)
+        d, n, t, r, w = fitness._terms(result, weights)
+        distance += d
+        length += n
+        time += t
+        risk += r
+        rewards += w
+    inv = 1.0 / episodes
+    return fitness._from_terms(distance * inv, length * inv, time * inv, risk * inv, rewards * inv)
+
+
+def float_bits(fv: fitness.FitnessValue) -> list[str]:
+    return [getattr(fv, f.name).hex() for f in dataclasses.fields(fv)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pool=st.sampled_from(world.SCENARIOS),
+    length=st.integers(1, 16),
+    episodes=st.integers(1, 7),
+    max_root_failures=st.integers(0, 6),
+    max_ticks=st.integers(1, 120),
+)
+def test_det_evaluation_matches_every_episode_oracle(
+    seed, pool, length, episodes, max_root_failures, max_ticks
+):
+    profile = world.make_profile("det", pool)
+    rng = random.Random(seed)
+    tokens = bt.random_genotype(world.leaf_kinds(profile), length, rng)
+    compiled = bt.compile_tree(tokens, world.build_transition_table(profile))
+    n_nodes = bt.node_count(tokens)
+    weights = fitness.TABLE2.with_delta(rng.choice([0.0, 150.0]))
+    budgets = {"max_root_failures": max_root_failures, "max_ticks": max_ticks}
+    got = fitness.evaluate_compiled(
+        compiled, n_nodes, profile, weights, episodes, random.Random(seed), **budgets
+    )
+    want = evaluate_every_episode(
+        compiled, n_nodes, profile, weights, episodes, random.Random(seed), **budgets
+    )
+    assert float_bits(got) == float_bits(want)
+
+
+def count_episodes(monkeypatch) -> list:
+    calls = []
+    run_compiled = world.run_compiled
+
+    def counting_run_compiled(*args, **kwargs):
+        calls.append(args[2])
+        return run_compiled(*args, **kwargs)
+
+    monkeypatch.setattr(fitness, "run_compiled", counting_run_compiled)
+    return calls
+
+
+@pytest.mark.parametrize("profile, simulated", [(DET, 1), (STOCH3, 5)], ids=["det", "stoch3"])
+def test_evaluation_simulates_one_episode_only_when_nothing_draws(
+    monkeypatch, profile, simulated
+):
+    calls = count_episodes(monkeypatch)
+    tokens = bt.from_text("s( localise tuck move_to_pick head_down pick )")
+    compiled = bt.compile_tree(tokens, world.build_transition_table(profile))
+    fitness.evaluate_compiled(compiled, 6, profile, fitness.TABLE2, 5, random.Random(0))
+    assert calls == [profile] * simulated
+
+
+def test_det_run_simulates_one_episode_per_evaluation(monkeypatch):
+    calls = count_episodes(monkeypatch)
+    evaluations = []
+    evaluate_one = gp.Evaluator.evaluate_one
+
+    def counting_evaluate_one(self, genotype, rng):
+        evaluations.append(genotype)
+        return evaluate_one(self, genotype, rng)
+
+    monkeypatch.setattr(gp.Evaluator, "evaluate_one", counting_evaluate_one)
+    params = gp.GpParams(generations=10, seed=0, episodes_per_eval=5)
+    history, _ = gp.run(params, DET, fitness.TABLE2)
+    assert len(calls) == len(evaluations) > 0
+    # every individual is still charged its five episodes
+    assert history[1].episodes == 2 * params.population * 5
+
+
+def evaluate_compiled_entry(**budgets):
+    tokens = ("localise",)
+    compiled = bt.compile_tree(tokens, world.build_transition_table(DET))
+    fitness.evaluate_compiled(compiled, 1, DET, fitness.TABLE2, 1, random.Random(0), **budgets)
+
+
+def evaluate_entry(**budgets):
+    tree = bt.parse(("localise",), world.leaf_kinds(DET))
+    fitness.evaluate(tree, DET, fitness.TABLE2, 1, random.Random(0), **budgets)
+
+
+def run_episode_entry(**budgets):
+    tree = bt.parse(("localise",), world.leaf_kinds(DET))
+    world.run_episode(tree, DET, random.Random(0), **budgets)
+
+
+@pytest.mark.parametrize(
+    "entry", [evaluate_compiled_entry, evaluate_entry, run_episode_entry],
+    ids=["evaluate_compiled", "evaluate", "run_episode"],
+)
+@pytest.mark.parametrize(
+    "budget, value, least",
+    [("max_ticks", 0, 1), ("max_ticks", -2, 1), ("max_root_failures", -1, 0)],
+)
+def test_episode_entry_points_reject_out_of_range_budgets(entry, budget, value, least):
+    with pytest.raises(ValueError, match=f"^{budget} must be >= {least}, got {value}$"):
+        entry(**{budget: value})
+
+
+@pytest.mark.parametrize("entry", [evaluate_compiled_entry, evaluate_entry, run_episode_entry])
+def test_episode_entry_points_accept_the_least_budgets(entry):
+    entry(max_ticks=1, max_root_failures=0)
 
 
 def test_evaluate_rejects_zero_episodes():

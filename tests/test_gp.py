@@ -87,6 +87,35 @@ def test_tournament_single_duel():
     assert gp.tournament([a, b], 1, random.Random(0)) == [b]
 
 
+def test_tournament_single_slot_returns_the_best():
+    # the best is a winner before any duel, so no duel is left to draw for
+    a, b, c = evaluated([1.0, 3.0, 2.0])
+    for seed in range(20):
+        assert gp.tournament([a, b, c], 1, random.Random(seed)) == [b]
+
+
+def test_run_with_population_three_completes():
+    # a crossover tournament of round(3 * 0.4) = 1 slot
+    history, best = gp.run(gp.GpParams(population=3, generations=20), DET, fitness.TABLE2)
+    assert [h.generation for h in history] == list(range(21))
+    assert best.fitness.j == history[-1].best_j
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 2**70))
+def test_below_draws_like_randrange(seed, n):
+    a, b = random.Random(seed), random.Random(seed)
+    for bound in (n, n // 3 + 1, 1):
+        assert gp._below(a.getrandbits, bound) == b.randrange(bound)
+        assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_below_rejects_an_empty_range(n):
+    with pytest.raises(ValueError, match="empty range"):
+        gp._below(random.Random(0).getrandbits, n)
+
+
 def test_tournament_rejects_oversized_slots():
     with pytest.raises(gp.SlotsExceedCandidates):
         gp.tournament(evaluated([1.0, 2.0]), 3, random.Random(0))
@@ -470,7 +499,7 @@ def test_local_verdicts_match_validate(seed, kinds, p_control):
     other = bt.random_genotype(kinds, rng.randint(1, 12), rng)
     facts = bt.node_facts(g)
     for _ in range(20):
-        for cand, ok in (
+        for cand, ok, _ in (
             gp._op_node_mutation(g, facts, ids, kinds, rng, p_control),
             gp._op_node_addition(g, facts, ids, kinds, rng, p_control),
             gp._op_node_deletion(g, facts, kinds, rng),
@@ -482,6 +511,56 @@ def test_local_verdicts_match_validate(seed, kinds, p_control):
         for s, e, _ in bt.node_spans(other):
             child = g[: row[0]] + other[s:e] + g[row[1] :]
             assert bt.fits(g, row, other[s], kinds) == (not bt.validate(child, kinds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.sampled_from([KINDS, TWO_CONDITIONS]),
+    p_control=st.floats(0.0, 1.0),
+)
+def test_plain_edits_of_canonical_genotypes_are_canonical(seed, kinds, p_control):
+    """A candidate its operator flags ``plain``, and every crossover splice
+    of two canonical genotypes, is its own canonical form. The genotypes
+    are canonical forms of random ones, whose single-child wrappers have
+    been spliced out."""
+    rng = random.Random(seed)
+    ids = sorted(kinds)
+    g = bt.canonical(bt.random_genotype(kinds, rng.randint(1, 12), rng))
+    other = bt.canonical(bt.random_genotype(kinds, rng.randint(1, 12), rng))
+    facts = bt.node_facts(g)
+    for _ in range(20):
+        for cand, _, plain in (
+            gp._op_node_mutation(g, facts, ids, kinds, rng, p_control),
+            gp._op_node_addition(g, facts, ids, kinds, rng, p_control),
+            gp._op_node_deletion(g, facts, kinds, rng),
+        ):
+            if plain:
+                assert bt.canonical(cand) == cand, (g, cand)
+    for row in facts:
+        for s, e, _ in bt.node_spans(other):
+            child = g[: row[0]] + other[s:e] + g[row[1] :]
+            assert bt.canonical(child) == child
+
+
+def test_canonical_parents_breed_without_canonical_calls(monkeypatch):
+    # two canonical parents: crossover keys its offspring without a rescan,
+    # and so does mutate's leaf replacement
+    p1, p2 = ind("s( localise tuck )"), ind("f( pick place )")
+    assert p1.key is p1.genotype and p2.key is p2.genotype
+    calls = []
+    canonical = bt.canonical
+    monkeypatch.setattr(bt, "canonical", lambda g: calls.append(g) or canonical(g))
+    for seed in range(10):
+        c1, c2 = gp.crossover(p1, p2, KINDS, random.Random(seed))
+        assert c1.key is c1.genotype and c2.key is c2.genotype
+    params = gp.GpParams(
+        p_node_mutation=1.0, p_node_addition=0.0, p_node_deletion=0.0, p_control_node=0.0
+    )
+    for seed in range(10):
+        child = gp.mutate(p1, KINDS, params, random.Random(seed))
+        assert child.key is child.genotype
+    assert calls == []
 
 
 def make_population(n=30, seed=0):
@@ -699,6 +778,8 @@ STOCH3_SEED0_40_DIGEST = "a6ec9712424f24be67832e95871aae156b6e2b030ea5c1f6bf4651
 # the det cache; exp3 with delta = 150 is the one pinned run whose risk term
 # is not zero.
 EXP3_DELTA150_SEED0_40_DIGEST = "131201f524a9b3a6cc7557b323c6163b42ff8c73fe9ec90e20b9a3918b26e2c1"
+# Taken while every det episode was still simulated: five per evaluation here.
+DET_EP5_SEED0_60_DIGEST = "4b71c6ea47537174e75c30ce3d4e18fc951d9486b7e6979ca6c6135dcc7d9a1d"
 
 
 def test_det_history_digest_is_pinned():
@@ -718,6 +799,18 @@ def test_exp3_risk_weighted_history_digest_is_pinned():
     weights = fitness.TABLE2.with_delta(150.0)
     history, _ = gp.run(params, experiments.exp3_profile(), weights)
     assert history_digest(history) == EXP3_DELTA150_SEED0_40_DIGEST
+
+
+def test_det_five_episode_history_digest_is_pinned():
+    params = gp.GpParams(generations=60, seed=0, episodes_per_eval=5, reevaluate_elites=True)
+    history, _ = gp.run(params, DET, fitness.TABLE2)
+    assert history_digest(history) == DET_EP5_SEED0_60_DIGEST
+
+
+def test_mean_j_sums_left_to_right():
+    # a compensated sum (Python 3.12's sum of floats) would give 1.0 / 3
+    population = evaluated([1e16, 1.0, -1e16])
+    assert gp._mean_j(population) == 0.0
 
 
 def count_evaluations(monkeypatch, profile, params):
