@@ -8,7 +8,6 @@ from .bt import (
     MalformedGenotype,
     compile_tree,
     parse,
-    serialize,
     validate,
 )
 from .fitness import TABLE2, FitnessValue, FitnessWeights, cost, evaluate
@@ -18,7 +17,6 @@ from .world import (
     build_transition_table,
     make_profile,
     reset,
-    run_episode,
 )
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "MalformedGenotype",
     "compile_tree",
     "parse",
-    "serialize",
     "validate",
     "FitnessWeights",
     "FitnessValue",
@@ -43,5 +40,4 @@ __all__ = [
     "build_transition_table",
     "make_profile",
     "reset",
-    "run_episode",
 ]

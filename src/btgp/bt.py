@@ -1,4 +1,11 @@
-"""Behavior trees as token-string genotypes: parsing, validity, tick engine."""
+"""Behavior trees as token-string genotypes.
+
+The genotype is the tree: a tuple of tokens, each control open ``s(`` / ``f(``
+matched by a ``)``, each leaf a behavior id. This module checks genotypes
+(``validate``, ``parse``), compiles them straight onto a transition table
+(``compile_tree``), and gives breeding its per-node facts, spans and
+canonical forms.
+"""
 
 from __future__ import annotations
 
@@ -33,110 +40,6 @@ def is_control_open(token: str) -> bool:
     return token == SEQUENCE_OPEN or token == FALLBACK_OPEN
 
 
-class Leaf:
-    __slots__ = ("behavior_id", "is_condition")
-
-    def __init__(self, behavior_id: str, is_condition: bool):
-        self.behavior_id = behavior_id
-        self.is_condition = is_condition
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Leaf)
-            and other.behavior_id == self.behavior_id
-            and other.is_condition == self.is_condition
-        )
-
-    def __repr__(self):
-        return f"Leaf({self.behavior_id!r})"
-
-
-class Control:
-    __slots__ = ("kind", "children")
-
-    def __init__(self, kind: str, children: list):
-        self.kind = kind  # "s" or "f"
-        self.children = children
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Control)
-            and other.kind == self.kind
-            and other.children == self.children
-        )
-
-    def __repr__(self):
-        inner = " ".join(repr(c) for c in self.children)
-        return f"{self.kind}({inner})"
-
-
-Node = Leaf | Control
-
-
-def sequence(*children: Node) -> Control:
-    return Control("s", list(children))
-
-
-def fallback(*children: Node) -> Control:
-    return Control("f", list(children))
-
-
-def parse(tokens: Iterable[str], kinds: LeafKinds) -> Node:
-    """Parse a genotype into a tree; raises MalformedGenotype.
-
-    Accepts childless controls so that validity checking (V3) can report
-    them; `validate` is the place where they are rejected.
-    """
-    toks = tuple(tokens)
-    if not toks:
-        raise MalformedGenotype("empty genotype")
-    pos = 0
-
-    def parse_node() -> Node:
-        nonlocal pos
-        tok = toks[pos]
-        if tok == CLOSE:
-            raise MalformedGenotype(f"unmatched close at token {pos}")
-        if is_control_open(tok):
-            kind = "s" if tok == SEQUENCE_OPEN else "f"
-            pos += 1
-            children: list[Node] = []
-            while True:
-                if pos >= len(toks):
-                    raise MalformedGenotype("unclosed control node")
-                if toks[pos] == CLOSE:
-                    pos += 1
-                    return Control(kind, children)
-                children.append(parse_node())
-        leaf_kind = kinds.get(tok)
-        if leaf_kind is None:
-            raise MalformedGenotype(f"unknown leaf id {tok!r}")
-        pos += 1
-        return Leaf(tok, leaf_kind == CONDITION)
-
-    root = parse_node()
-    if pos != len(toks):
-        raise MalformedGenotype(f"trailing tokens after position {pos}")
-    return root
-
-
-def serialize(node: Node) -> Genotype:
-    """Inverse of parse: depth-first token sequence."""
-    out: list[str] = []
-
-    def walk(n: Node) -> None:
-        if isinstance(n, Leaf):
-            out.append(n.behavior_id)
-            return
-        out.append(SEQUENCE_OPEN if n.kind == "s" else FALLBACK_OPEN)
-        for c in n.children:
-            walk(c)
-        out.append(CLOSE)
-
-    walk(node)
-    return tuple(out)
-
-
 def node_count(tokens: Iterable[str]) -> int:
     """Number of tree nodes: every token except the closing parentheses."""
     toks = tuple(tokens)
@@ -151,11 +54,12 @@ class Violation:
 
 
 def validate(tokens: Iterable[str], kinds: LeafKinds) -> list[Violation]:
-    """Check the four structural constraints on a parseable genotype.
+    """Check the four structural constraints on a genotype.
 
     V1 same control kind on consecutive levels, V2 condition as last child,
     V3 childless control, V4 identical adjacent condition siblings.
-    Raises MalformedGenotype for sequences that do not parse at all.
+    Raises MalformedGenotype for a sequence that is not one balanced tree
+    over the leaves in ``kinds``.
     """
     toks = tuple(tokens)
     if not toks:
@@ -210,6 +114,22 @@ def validate(tokens: Iterable[str], kinds: LeafKinds) -> list[Violation]:
     return violations
 
 
+def parse(tokens: Iterable[str], kinds: LeafKinds) -> Genotype:
+    """The acceptance check for a genotype from outside the program.
+
+    Returns the tokens as a tuple when they are one balanced tree over the
+    leaves in ``kinds`` that keeps V1-V4, the genotypes a run breeds.
+    Raises MalformedGenotype otherwise, for the first V1-V4 violation as
+    ``"breaks Vn (...)"``.
+    """
+    toks = tuple(tokens)
+    violations = validate(toks, kinds)
+    if violations:
+        v = violations[0]
+        raise MalformedGenotype(f"breaks {v.code} ({v.message} at token {v.token_index})")
+    return toks
+
+
 def compile_tree(
     tokens: Iterable[str], table: Mapping[str, Callable]
 ) -> Callable[[object, object], int]:
@@ -217,8 +137,9 @@ def compile_tree(
 
     One stack pass over the tokens, no tree: a leaf is ``table[behavior_id]``
     itself, and a control's closure is built at its ``)`` over its
-    children's. Raises MalformedGenotype for every input ``parse`` rejects;
-    childless controls compile. A tick is reactive and memoryless: a
+    children's. Raises MalformedGenotype for a sequence that is not one
+    balanced tree over the table's leaves; V1-V4 are ``parse``'s to check,
+    and childless controls compile. A tick is reactive and memoryless: a
     Sequence returns its first non-Success child status (Success if all
     succeed), a Fallback its first non-Failure child status (Failure if all
     fail), left to right, each visited leaf executed exactly once.
@@ -319,11 +240,6 @@ def node_facts(tokens: Genotype) -> list[tuple[int, int, int, int, int]]:
     return facts
 
 
-def node_spans(tokens: Genotype) -> list[tuple[int, int, int]]:
-    """(start, stop, node count) of every node's subtree: ``node_facts`` cut short."""
-    return [row[:3] for row in node_facts(tokens)]
-
-
 def fits(tokens: Genotype, row: tuple, root: str, kinds: LeafKinds) -> bool:
     """Whether a valid subtree whose root token is ``root`` may replace the
     node ``row`` (a ``node_facts`` row) of the valid genotype ``tokens``.
@@ -355,7 +271,7 @@ def random_genotype(
 ) -> Genotype:
     """Random valid genotype with exactly ``length`` nodes.
 
-    Control nodes are drawn with probability ``p_control`` per slot where a
+    Controls are drawn with probability ``p_control`` per slot where a
     subtree of two or more nodes still fits. Invalid draws are resampled up
     to ``max_attempts`` times, after which the last draw is repaired by
     deleting violating nodes.

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bt
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     out_dir = Path(args.out or _default_out())
-    weights = TABLE2 if args.delta is None else TABLE2.with_delta(args.delta)
+    weights = TABLE2 if args.delta is None else replace(TABLE2, delta=args.delta)
     profile = make_profile(args.profile, args.pool)
     params = GpParams(
         population=args.population,

@@ -7,12 +7,12 @@ import random
 import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import bt
 from .fitness import TABLE2, FitnessWeights
-from .gp import GenerationStats, GpParams, Individual, run
+from .gp import GenerationStats, GpParams, Individual, mean_left_to_right, run
 from .world import (
     Profile,
     build_transition_table,
@@ -61,7 +61,7 @@ def aggregate(histories: list[list[GenerationStats]]) -> list[CurvePoint]:
     curve = []
     for g in range(length):
         values = tuple(h[g].best_j for h in histories)
-        mean = sum(values) / len(values)
+        mean = mean_left_to_right(values)
         std = statistics.stdev(values) if len(values) > 1 else 0.0
         curve.append(CurvePoint(histories[0][g].generation, mean, std, values))
     return curve
@@ -98,6 +98,7 @@ def replay(
 ) -> ReplayReport:
     """Monte Carlo report for a genotype: success rate, time, risk, action log.
 
+    The genotype must pass ``bt.parse`` (MalformedGenotype otherwise).
     ``executed`` maps each behavior run at least once to its total
     executions over all episodes; a pool behavior that never ran is absent.
     Counting draws nothing from the rng, so the episodes are the ones
@@ -106,10 +107,7 @@ def replay(
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     check_budgets(max_root_failures, max_ticks)
-    kinds = leaf_kinds(profile)
-    violations = bt.validate(genotype, kinds)
-    if violations:
-        raise bt.MalformedGenotype(f"genotype fails validity: {violations[0]}")
+    genotype = bt.parse(genotype, leaf_kinds(profile))
     # One int cell per behavior, bound into its wrapper as a default argument:
     # a counted call then costs one local add, with no dict lookup or hashing.
     cells: dict[str, list[int]] = {}
@@ -191,7 +189,7 @@ def read_genotype(path) -> bt.Genotype:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str  # exp1 | exp2 | exp3 | custom
+    experiment: str  # exp1 | exp2 | exp3
     out_dir: str
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     generations: int = DESK_GENERATIONS
@@ -201,9 +199,6 @@ class ExperimentConfig:
     # fragile tree at the top of a stochastic run.
     reevaluate_elites: bool = True
     workers: int = 1  # seed/variant fan-out processes
-    profile: str = "det"  # custom experiment only
-    pool: str = "core9"
-    delta: float | None = None
 
     def __post_init__(self):
         if self.workers < 1:
@@ -247,16 +242,7 @@ def experiment_variants(config: ExperimentConfig) -> list[tuple[str, Profile, Fi
     if config.experiment == "exp3":
         profile = exp3_profile()
         return [
-            (f"delta{delta:g}", profile, TABLE2.with_delta(delta)) for delta in EXP3_DELTAS
-        ]
-    if config.experiment == "custom":
-        weights = TABLE2 if config.delta is None else TABLE2.with_delta(config.delta)
-        return [
-            (
-                f"{config.profile}_{config.pool}",
-                make_profile(config.profile, config.pool),
-                weights,
-            )
+            (f"delta{delta:g}", profile, replace(TABLE2, delta=delta)) for delta in EXP3_DELTAS
         ]
     raise ValueError(f"unknown experiment {config.experiment!r}")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bt import Node, compile_tree, node_count, serialize
+from .bt import Genotype, compile_tree, node_count
 from .world import (
     EpisodeResult,
     Profile,
@@ -33,18 +33,6 @@ class FitnessWeights:
     delta: float = 0.0  # accumulated failure probability
     pick_reward: float = 50.0
     place_reward: float = 100.0
-
-    def with_delta(self, delta: float) -> "FitnessWeights":
-        return FitnessWeights(
-            self.alpha1,
-            self.alpha2,
-            self.alpha3,
-            self.beta,
-            self.gamma,
-            delta,
-            self.pick_reward,
-            self.place_reward,
-        )
 
 
 TABLE2 = FitnessWeights()
@@ -156,7 +144,7 @@ def evaluate_compiled(
 
 
 def evaluate(
-    tree: Node,
+    genotype: Genotype,
     profile: Profile,
     weights: FitnessWeights,
     episodes: int,
@@ -165,11 +153,10 @@ def evaluate(
     max_root_failures: int = 5,
     max_ticks: int = 100,
 ) -> FitnessValue:
-    """Mean fitness of a tree over ``episodes`` independent episodes."""
-    tokens = serialize(tree)
+    """Mean fitness of a genotype over ``episodes`` independent episodes."""
     return evaluate_compiled(
-        compile_tree(tokens, build_transition_table(profile)),
-        node_count(tokens),
+        compile_tree(genotype, build_transition_table(profile)),
+        node_count(genotype),
         profile,
         weights,
         episodes,

@@ -41,13 +41,18 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _mean_j(individuals) -> float:
-    """Mean fitness, summed left to right: Python 3.12's compensated float
-    ``sum`` would round differently and change the history rows."""
+def mean_left_to_right(values) -> float:
+    """Mean of a sequence of floats, summed left to right: Python 3.12's
+    compensated float ``sum`` would round differently, so history rows and
+    experiment curves would depend on the interpreter."""
     total = 0.0
-    for ind in individuals:
-        total += ind.fitness.j
-    return total / len(individuals)
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+def _mean_j(individuals) -> float:
+    return mean_left_to_right([ind.fitness.j for ind in individuals])
 
 
 @dataclass(frozen=True)
@@ -104,13 +109,10 @@ class GpParams:
 
 
 class Individual:
-    __slots__ = ("genotype", "fitness", "birth_generation", "_key", "_facts")
+    __slots__ = ("genotype", "fitness", "_key", "_facts")
 
-    def __init__(
-        self, genotype: Genotype, birth_generation: int = 0, fitness=None, key=None
-    ):
+    def __init__(self, genotype: Genotype, fitness=None, key=None):
         self.genotype = tuple(genotype)
-        self.birth_generation = birth_generation
         self.fitness: FitnessValue | None = fitness
         self._key: Genotype | None = key  # canonical(genotype), once asked for
         self._facts: list | None = None  # node_facts(genotype), once asked for
@@ -131,7 +133,7 @@ class Individual:
         return self._facts
 
     def clone(self) -> "Individual":
-        return Individual(self.genotype, self.birth_generation, self.fitness, self._key)
+        return Individual(self.genotype, self.fitness, self._key)
 
     def __repr__(self):
         j = None if self.fitness is None else round(self.fitness.j, 3)
@@ -208,7 +210,6 @@ def crossover(
     *,
     node_cap: int = 64,
     max_attempts: int = 100,
-    birth_generation: int = 0,
     exclude: frozenset | set = frozenset(),
 ) -> tuple[Individual, Individual]:
     """Swap one uniformly chosen subtree span between the parents.
@@ -233,7 +234,7 @@ def crossover(
     g1, g2 = p1.genotype, p2.genotype
     if g1 == g2 and len(g1) == 1:
         # identical single-leaf parents can never yield distinct offspring
-        return (Individual(g1, birth_generation), Individual(g2, birth_generation))
+        return (Individual(g1), Individual(g2))
     facts1, facts2 = p1.facts, p2.facts
     n1, n2 = len(facts1), len(facts2)
     plain = p1.key is g1 and p2.key is g2
@@ -270,14 +271,8 @@ def crossover(
         key2 = c2 if plain else bt.canonical(c2)
         if key2 in exclude:
             continue
-        return (
-            Individual(c1, birth_generation, key=key1),
-            Individual(c2, birth_generation, key=key2),
-        )
-    return (
-        Individual(g1, birth_generation, key=p1._key),
-        Individual(g2, birth_generation, key=p2._key),
-    )
+        return (Individual(c1, key=key1), Individual(c2, key=key2))
+    return (Individual(g1, key=p1._key), Individual(g2, key=p2._key))
 
 
 # The mutation operators below each return (candidate, valid, plain) for a
@@ -406,7 +401,6 @@ def mutate(
     params: GpParams,
     rng,
     *,
-    birth_generation: int = 0,
     max_attempts: int = 100,
     exclude: frozenset | set = frozenset(),
 ) -> Individual:
@@ -447,14 +441,14 @@ def mutate(
         if key in exclude:
             valid_dup, dup_key = cand, key  # acceptable if nothing novel shows up
             continue
-        return Individual(cand, birth_generation, key=key)
+        return Individual(cand, key=key)
     if valid_dup is not None:
-        return Individual(valid_dup, birth_generation, key=dup_key)
+        return Individual(valid_dup, key=dup_key)
     if last is not None:
         repaired = bt.repair(last, kinds, rng)
         if bt.node_count(repaired) <= params.node_cap and not bt.validate(repaired, kinds):
-            return Individual(repaired, birth_generation)
-    return Individual(g, birth_generation, key=parent._key)
+            return Individual(repaired)
+    return Individual(g, key=parent._key)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -554,15 +548,7 @@ def evolve_generation(
     for k in range(len(cx_parents) // 2):
         a, b = cx_parents[2 * k], cx_parents[2 * k + 1]
         for _ in range(2):
-            c1, c2 = crossover(
-                a,
-                b,
-                kinds,
-                rng,
-                node_cap=params.node_cap,
-                birth_generation=generation,
-                exclude=taken,
-            )
+            c1, c2 = crossover(a, b, kinds, rng, node_cap=params.node_cap, exclude=taken)
             taken.add(c1.key)
             taken.add(c2.key)
             offspring.append(c1)
@@ -571,14 +557,7 @@ def evolve_generation(
     mut_parents = tournament(population, n_mut, rng)
     for parent in mut_parents:
         for _ in range(2):
-            child = mutate(
-                parent,
-                kinds,
-                params,
-                rng,
-                birth_generation=generation,
-                exclude=taken,
-            )
+            child = mutate(parent, kinds, params, rng, exclude=taken)
             taken.add(child.key)
             offspring.append(child)
 
@@ -651,7 +630,6 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
         "population": [
             {
                 "genotype": bt.to_text(ind.genotype),
-                "birth_generation": ind.birth_generation,
                 "fitness": [
                     ind.fitness.j,
                     ind.fitness.distance_term,
@@ -679,7 +657,9 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
 
 
 _CHECKPOINT_KEYS = ("fingerprint", "generation", "rng_state", "population", "history")
-_ENTRY_KEYS = ("genotype", "birth_generation", "fitness")
+# Entries of older v2 checkpoints also record each individual's generation
+# of birth, which no run reads back; it is ignored, so they still resume.
+_ENTRY_KEYS = ("genotype", "fitness")
 
 
 def load_checkpoint(path) -> dict:
@@ -700,13 +680,9 @@ def load_checkpoint(path) -> dict:
 def _loaded_genotype(text: str, kinds, node_cap: int, where: str) -> Genotype:
     """A checkpoint's genotype, rejected unless it is one a run could breed."""
     try:
-        genotype = bt.from_text(text)
-        violations = bt.validate(genotype, kinds)
+        genotype = bt.parse(bt.from_text(text), kinds)
     except bt.MalformedGenotype as exc:
         raise ValueError(f"{where} {text!r}: {exc}") from None
-    if violations:
-        v = violations[0]
-        raise ValueError(f"{where} {text!r} breaks {v.code} ({v.message})")
     n = bt.node_count(genotype)
     if n > node_cap:
         raise ValueError(f"{where} {text!r} has {n} nodes, over node_cap={node_cap}")
@@ -758,7 +734,6 @@ def run(
         population = [
             Individual(
                 _loaded_genotype(e["genotype"], kinds, cap, f"{where} population genotype"),
-                e["birth_generation"],
                 FitnessValue(*e["fitness"]),
             )
             for e in data["population"]
@@ -773,7 +748,7 @@ def run(
     else:
         population = [
             Individual(
-                bt.random_genotype(kinds, params.start_length, rng, node_cap=params.node_cap), 0
+                bt.random_genotype(kinds, params.start_length, rng, node_cap=params.node_cap)
             )
             for _ in range(params.population)
         ]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .bt import ACTION, CONDITION, FAILURE, SUCCESS, Node, compile_tree, node_count, serialize
+from .bt import ACTION, CONDITION, FAILURE, SUCCESS
 
 ROOT_SUCCESS = "root_success"
 FAILURE_BUDGET = "failure_budget"
@@ -188,7 +188,7 @@ def make_profile(
 
 
 def leaf_kinds(profile: Profile) -> dict[str, str]:
-    """Leaf-kind map for the genotype layer."""
+    """Behavior id -> ACTION | CONDITION for the genotype layer."""
     return {bid: (CONDITION if bid == "have_block" else ACTION) for bid in profile.pool}
 
 
@@ -498,23 +498,3 @@ def run_compiled(
         state, state.picked_once, state.placed, n_nodes, ticks, terminated, profile.goal_pose
     )
 
-
-def run_episode(
-    tree: Node,
-    profile: Profile,
-    rng,
-    *,
-    max_root_failures: int = 5,
-    max_ticks: int = 100,
-) -> EpisodeResult:
-    """Tick the tree from the root until success or a budget runs out."""
-    check_budgets(max_root_failures, max_ticks)
-    tokens = serialize(tree)
-    return run_compiled(
-        compile_tree(tokens, build_transition_table(profile)),
-        node_count(tokens),
-        profile,
-        rng,
-        max_root_failures=max_root_failures,
-        max_ticks=max_ticks,
-    )

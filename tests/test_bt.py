@@ -1,4 +1,4 @@
-"""Genotype parsing, validity, tick semantics, spans, random generation."""
+"""Genotype acceptance, validity, tick semantics, spans, random generation."""
 
 from __future__ import annotations
 
@@ -42,42 +42,75 @@ def tick(tokens, results):
     return policy(None, None), calls
 
 
+def parse_tree(tokens):
+    """Reference parser: a leaf becomes its behavior id, a control a
+    ``(kind, children)`` pair with kind "s" or "f". Childless controls parse
+    and V1-V4 are not checked; a sequence that is not one balanced tree over
+    KINDS raises MalformedGenotype."""
+    toks = tuple(tokens)
+    if not toks:
+        raise bt.MalformedGenotype("empty genotype")
+    pos = 0
+
+    def node():
+        nonlocal pos
+        tok = toks[pos]
+        pos += 1
+        if tok == bt.CLOSE:
+            raise bt.MalformedGenotype(f"unmatched close at token {pos - 1}")
+        if tok not in (bt.SEQUENCE_OPEN, bt.FALLBACK_OPEN):
+            if tok not in KINDS:
+                raise bt.MalformedGenotype(f"unknown leaf id {tok!r}")
+            return tok
+        children = []
+        while True:
+            if pos == len(toks):
+                raise bt.MalformedGenotype("unclosed control node")
+            if toks[pos] == bt.CLOSE:
+                pos += 1
+                return (tok[0], tuple(children))
+            children.append(node())
+
+    root = node()
+    if pos != len(toks):
+        raise bt.MalformedGenotype(f"trailing tokens after position {pos}")
+    return root
+
+
 def oracle(node, results, calls):
-    """Status of one tick of a parsed tree: a Sequence's first non-Success
-    child status, else Success; a Fallback's first non-Failure child status,
-    else Failure; children are visited lazily, left to right."""
-    if isinstance(node, bt.Leaf):
-        calls.append(node.behavior_id)
-        return results[node.behavior_id]
-    skip = bt.SUCCESS if node.kind == "s" else bt.FAILURE
-    statuses = (oracle(c, results, calls) for c in node.children)
+    """Status of one tick of a ``parse_tree`` tree: a Sequence's first
+    non-Success child status, else Success; a Fallback's first non-Failure
+    child status, else Failure; children are visited lazily, left to right."""
+    if isinstance(node, str):
+        calls.append(node)
+        return results[node]
+    kind, children = node
+    skip = bt.SUCCESS if kind == "s" else bt.FAILURE
+    statuses = (oracle(c, results, calls) for c in children)
     return next((status for status in statuses if status != skip), skip)
 
 
 def tree_size(node):
-    if isinstance(node, bt.Leaf):
+    if isinstance(node, str):
         return 1
-    return 1 + sum(tree_size(c) for c in node.children)
+    return 1 + sum(tree_size(c) for c in node[1])
 
 
 def test_parse_sequence_of_two_actions():
-    tree = bt.parse(("s(", "pick", "place", ")"), KINDS)
-    assert tree == bt.sequence(bt.Leaf("pick", False), bt.Leaf("place", False))
+    tokens = ("s(", "pick", "place", ")")
+    assert bt.parse(list(tokens), KINDS) == tokens
+    assert parse_tree(tokens) == ("s", ("pick", "place"))
 
 
 def test_parse_single_condition_leaf():
-    tree = bt.parse(("have_block",), KINDS)
-    assert tree == bt.Leaf("have_block", True)
+    assert bt.parse(("have_block",), KINDS) == ("have_block",)
+    assert parse_tree(("have_block",)) == "have_block"
 
 
 def test_parse_nested_fallback():
     tokens = ("f(", "have_block", "s(", "move_pick", "pick", ")", ")")
-    tree = bt.parse(tokens, KINDS)
-    expected = bt.fallback(
-        bt.Leaf("have_block", True),
-        bt.sequence(bt.Leaf("move_pick", False), bt.Leaf("pick", False)),
-    )
-    assert tree == expected
+    assert bt.parse(tokens, KINDS) == tokens
+    assert parse_tree(tokens) == ("f", ("have_block", ("s", ("move_pick", "pick"))))
 
 
 @pytest.mark.parametrize(
@@ -94,33 +127,41 @@ def test_parse_nested_fallback():
 )
 def test_parse_rejects_malformed(tokens):
     with pytest.raises(bt.MalformedGenotype):
+        parse_tree(tokens)
+    with pytest.raises(bt.MalformedGenotype):
         bt.parse(tokens, KINDS)
     with pytest.raises(bt.MalformedGenotype):
         bt.compile_tree(tokens, scripted_table(dict.fromkeys(KINDS, bt.SUCCESS), []))
 
 
-def test_serialize_inverts_parse():
-    tokens = ("s(", "pick", "place", ")")
-    assert bt.serialize(bt.parse(tokens, KINDS)) == tokens
-    assert bt.serialize(bt.Leaf("a", False)) == ("a",)
+@pytest.mark.parametrize(
+    "tokens, code",
+    [
+        (("s(", "s(", "a", "b", ")", "c", ")"), "V1"),
+        (("s(", "a", "have_block", ")"), "V2"),
+        (("s(", "f(", ")", "a", ")"), "V3"),
+        (("f(", "have_block", "have_block", "a", ")"), "V4"),
+    ],
+)
+def test_parse_rejects_the_first_violation(tokens, code):
+    parse_tree(tokens)  # a balanced tree over known leaves
+    with pytest.raises(bt.MalformedGenotype, match=f"^breaks {code} \\("):
+        bt.parse(tokens, KINDS)
 
 
 def test_fallback_with_nested_sequence_serializes_to_seven_tokens():
-    tree = bt.fallback(
-        bt.Leaf("have_block", True),
-        bt.sequence(bt.Leaf("a", False), bt.Leaf("b", False)),
-    )
-    tokens = bt.serialize(tree)
-    assert len(tokens) == 7  # 5 nodes + 2 closes
-    assert bt.parse(tokens, KINDS) == tree
+    tokens = ("f(", "have_block", "s(", "a", "b", ")", ")")
+    assert parse_tree(tokens) == ("f", ("have_block", ("s", ("a", "b"))))
+    assert len(tokens) == 7 and bt.node_count(tokens) == 5  # 5 nodes + 2 closes
+    assert bt.parse(tokens, KINDS) == tokens
 
 
 def test_roundtrip_random_genotypes():
     rng = random.Random(7)
     for _ in range(300):
         g = bt.random_genotype(KINDS, rng.randint(1, 20), rng)
-        assert bt.serialize(bt.parse(g, KINDS)) == g
-        assert bt.node_count(g) == tree_size(bt.parse(g, KINDS))
+        assert bt.parse(g, KINDS) == g
+        assert bt.node_count(g) == tree_size(parse_tree(g))
 
 
 def test_validate_same_control_kind_nesting():
@@ -202,7 +243,7 @@ def test_compile_tree_matches_short_circuit_oracle(seed, length, statuses):
     g = bt.random_genotype(KINDS, length, random.Random(seed))
     results = dict(zip(sorted(KINDS), statuses))
     expected_calls: list[str] = []
-    expected = oracle(bt.parse(g, KINDS), results, expected_calls)
+    expected = oracle(parse_tree(g), results, expected_calls)
     assert tick(g, results) == (expected, expected_calls)
 
 
@@ -240,14 +281,24 @@ def token_strings():
 @settings(max_examples=500, deadline=None)
 @given(token_strings())
 def test_compile_tree_raises_exactly_when_parse_does(tokens):
+    """compile_tree raises exactly when the reference parser does; bt.parse
+    raises then too, and on a parseable tree exactly when validate finds a
+    violation."""
     table = scripted_table(dict.fromkeys(KINDS, bt.SUCCESS), [])
     try:
-        bt.parse(tokens, KINDS)
+        parse_tree(tokens)
     except bt.MalformedGenotype:
         with pytest.raises(bt.MalformedGenotype):
             bt.compile_tree(tokens, table)
+        with pytest.raises(bt.MalformedGenotype):
+            bt.parse(tokens, KINDS)
     else:
         assert callable(bt.compile_tree(tokens, table))
+        if bt.validate(tokens, KINDS):
+            with pytest.raises(bt.MalformedGenotype, match="^breaks V"):
+                bt.parse(tokens, KINDS)
+        else:
+            assert bt.parse(tokens, KINDS) == tokens
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,7 +313,7 @@ def test_compile_tree_raises_exactly_when_parse_does(tokens):
 def test_compile_tree_matches_oracle_on_any_parseable_tree(tokens, statuses):
     results = dict(zip(sorted(KINDS), statuses))
     expected_calls: list[str] = []
-    expected = oracle(bt.parse(tokens, KINDS), results, expected_calls)
+    expected = oracle(parse_tree(tokens), results, expected_calls)
     assert tick(tokens, results) == (expected, expected_calls)
 
 
@@ -309,7 +360,7 @@ def test_subtree_span_inner_control_reparses():
     tokens = ("s(", "a", "f(", "b", "c", ")", "have_block", "pick", ")")
     start, stop = bt.subtree_span(tokens, 2)
     inner = tokens[start:stop]
-    assert bt.parse(inner, KINDS) == bt.fallback(bt.Leaf("b", False), bt.Leaf("c", False))
+    assert parse_tree(inner) == ("f", ("b", "c"))
 
 
 def test_subtree_span_rejects_close_and_out_of_range():
@@ -413,21 +464,24 @@ def test_canonical_preserves_behavior(tokens, statuses):
     assert tick(bt.canonical(tokens), results) == tick(tokens, results)
 
 
-@settings(max_examples=200, deadline=None)
-@given(wrapped_genotypes())
-def test_node_spans_match_subtree_span(tokens):
-    spans = bt.node_spans(tokens)
-    assert [(s, e) for s, e, _ in spans] == [
-        bt.subtree_span(tokens, i) for i in node_indices(tokens)
-    ]
-    assert [n for _, _, n in spans] == [bt.node_count(tokens[s:e]) for s, e, _ in spans]
+def tree_rows(node, start=0, parent=-1):
+    """``bt.node_facts`` rows of a ``parse_tree`` tree whose first token is
+    at ``start``: the node's row, then its subtrees' rows in order."""
+    if isinstance(node, str):
+        return [(start, start + 1, 1, parent, 0)]
+    rows, pos = [], start + 1
+    for child in node[1]:
+        sub = tree_rows(child, pos, start)
+        rows += sub
+        pos = sub[0][1]
+    return [(start, pos + 1, 1 + len(rows), parent, len(node[1]))] + rows
 
 
 @settings(max_examples=300, deadline=None)
 @given(wrapped_genotypes())
 def test_node_facts_agree_with_the_tree(tokens):
     facts = bt.node_facts(tokens)
-    assert [row[:3] for row in facts] == bt.node_spans(tokens)
+    assert facts == tree_rows(parse_tree(tokens))
     spans = [bt.subtree_span(tokens, i) for i in node_indices(tokens)]
     assert [row[:2] for row in facts] == spans
     for k, (start, stop, count, parent, children) in enumerate(facts):

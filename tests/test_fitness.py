@@ -103,7 +103,7 @@ def test_length_monotonicity():
 
 
 def test_delta_sensitivity():
-    w = fitness.TABLE2.with_delta(150.0)
+    w = dataclasses.replace(fitness.TABLE2, delta=150.0)
     a = fitness.cost(make_result(risk=1.0), w)
     b = fitness.cost(make_result(risk=1.5), w)
     assert a.j - b.j == pytest.approx(150.0 * 0.5)
@@ -128,7 +128,8 @@ def test_breakdown_sums_exactly():
             elapsed=rng.uniform(0, 300),
             risk=rng.uniform(0, 5),
         )
-        fv = fitness.cost(result, fitness.TABLE2.with_delta(rng.uniform(0, 200)))
+        weights = dataclasses.replace(fitness.TABLE2, delta=rng.uniform(0, 200))
+        fv = fitness.cost(result, weights)
         total = (
             fv.distance_term + fv.length_term + fv.time_term + fv.risk_term - fv.rewards
         )
@@ -154,21 +155,16 @@ def test_reward_dominance_bound():
 
 
 def test_evaluate_deterministic_profile_independent_of_episode_count():
-    kinds = world.leaf_kinds(DET)
-    tree = bt.parse(bt.from_text("s( localise tuck move_to_pick )"), kinds)
+    tree = bt.from_text("s( localise tuck move_to_pick )")
     one = fitness.evaluate(tree, DET, fitness.TABLE2, 1, random.Random(0))
     many = fitness.evaluate(tree, DET, fitness.TABLE2, 7, random.Random(1))
     assert one.j == pytest.approx(many.j)
 
 
 def test_evaluate_seeded_reproducible_mean():
-    kinds = world.leaf_kinds(STOCH3)
-    tree = bt.parse(
-        bt.from_text(
-            "s( f( have_block s( localise tuck move_to_pick head_down pick ) ) "
-            "head_up move_to_goal head_down place )"
-        ),
-        kinds,
+    tree = bt.from_text(
+        "s( f( have_block s( localise tuck move_to_pick head_down pick ) ) "
+        "head_up move_to_goal head_down place )"
     )
     a = fitness.evaluate(tree, STOCH3, fitness.TABLE2, 3, random.Random(11))
     b = fitness.evaluate(tree, STOCH3, fitness.TABLE2, 3, random.Random(11))
@@ -176,13 +172,9 @@ def test_evaluate_seeded_reproducible_mean():
 
 
 def test_evaluate_stochastic_mean_below_deterministic():
-    kinds = world.leaf_kinds(STOCH3)
-    tree = bt.parse(
-        bt.from_text(
-            "s( f( have_block s( localise tuck move_to_pick head_down pick ) ) "
-            "head_up move_to_goal head_down place )"
-        ),
-        kinds,
+    tree = bt.from_text(
+        "s( f( have_block s( localise tuck move_to_pick head_down pick ) ) "
+        "head_up move_to_goal head_down place )"
     )
     det_j = fitness.evaluate(tree, DET, fitness.TABLE2, 1, random.Random(0)).j
     stoch_j = fitness.evaluate(tree, STOCH3, fitness.TABLE2, 1000, random.Random(0)).j
@@ -198,7 +190,7 @@ def test_evaluate_compiled_equals_mean_of_per_episode_costs():
     )
     table = world.build_transition_table(STOCH3)
     compiled, n_nodes = bt.compile_tree(tokens, table), bt.node_count(tokens)
-    weights = fitness.TABLE2.with_delta(150.0)
+    weights = dataclasses.replace(fitness.TABLE2, delta=150.0)
     for seed in range(5):
         got = fitness.evaluate_compiled(
             compiled, n_nodes, STOCH3, weights, 7, random.Random(seed)
@@ -255,7 +247,7 @@ def test_det_evaluation_matches_every_episode_oracle(
     tokens = bt.random_genotype(world.leaf_kinds(profile), length, rng)
     compiled = bt.compile_tree(tokens, world.build_transition_table(profile))
     n_nodes = bt.node_count(tokens)
-    weights = fitness.TABLE2.with_delta(rng.choice([0.0, 150.0]))
+    weights = dataclasses.replace(fitness.TABLE2, delta=rng.choice([0.0, 150.0]))
     budgets = {"max_root_failures": max_root_failures, "max_ticks": max_ticks}
     got = fitness.evaluate_compiled(
         compiled, n_nodes, profile, weights, episodes, random.Random(seed), **budgets
@@ -313,18 +305,11 @@ def evaluate_compiled_entry(**budgets):
 
 
 def evaluate_entry(**budgets):
-    tree = bt.parse(("localise",), world.leaf_kinds(DET))
-    fitness.evaluate(tree, DET, fitness.TABLE2, 1, random.Random(0), **budgets)
-
-
-def run_episode_entry(**budgets):
-    tree = bt.parse(("localise",), world.leaf_kinds(DET))
-    world.run_episode(tree, DET, random.Random(0), **budgets)
+    fitness.evaluate(("localise",), DET, fitness.TABLE2, 1, random.Random(0), **budgets)
 
 
 @pytest.mark.parametrize(
-    "entry", [evaluate_compiled_entry, evaluate_entry, run_episode_entry],
-    ids=["evaluate_compiled", "evaluate", "run_episode"],
+    "entry", [evaluate_compiled_entry, evaluate_entry], ids=["evaluate_compiled", "evaluate"]
 )
 @pytest.mark.parametrize(
     "budget, value, least",
@@ -335,16 +320,14 @@ def test_episode_entry_points_reject_out_of_range_budgets(entry, budget, value, 
         entry(**{budget: value})
 
 
-@pytest.mark.parametrize("entry", [evaluate_compiled_entry, evaluate_entry, run_episode_entry])
+@pytest.mark.parametrize("entry", [evaluate_compiled_entry, evaluate_entry])
 def test_episode_entry_points_accept_the_least_budgets(entry):
     entry(max_ticks=1, max_root_failures=0)
 
 
 def test_evaluate_rejects_zero_episodes():
-    kinds = world.leaf_kinds(DET)
-    tree = bt.parse(("have_block",), kinds)
     with pytest.raises(ValueError):
-        fitness.evaluate(tree, DET, fitness.TABLE2, 0, random.Random(0))
+        fitness.evaluate(("have_block",), DET, fitness.TABLE2, 0, random.Random(0))
 
 
 def test_weight_sets_table2_defaults():
@@ -352,7 +335,6 @@ def test_weight_sets_table2_defaults():
     assert (w.alpha1, w.alpha2, w.alpha3) == (10.0, 2.0, 1.0)
     assert (w.beta, w.gamma, w.delta) == (0.5, 0.1, 0.0)
     assert (w.pick_reward, w.place_reward) == (50.0, 100.0)
-    assert w.with_delta(150.0).delta == 150.0
 
 
 def test_fitness_value_is_slotted_and_pickles():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -206,12 +207,12 @@ def crossover_retrying_every_pair(p1, p2, kinds, rng, *, node_cap, max_attempts,
     g1, g2 = p1.genotype, p2.genotype
     if g1 == g2 and len(g1) == 1:
         return (gp.Individual(g1), gp.Individual(g2))
-    spans1 = bt.node_spans(g1)
-    spans2 = bt.node_spans(g2)
-    n1, n2 = len(spans1), len(spans2)
+    facts1 = bt.node_facts(g1)
+    facts2 = bt.node_facts(g2)
+    n1, n2 = len(facts1), len(facts2)
     for _ in range(max_attempts):
-        s1, e1, k1 = spans1[rng.randrange(n1)]
-        s2, e2, k2 = spans2[rng.randrange(n2)]
+        s1, e1, k1, _, _ = facts1[rng.randrange(n1)]
+        s2, e2, k2, _, _ = facts2[rng.randrange(n2)]
         c1 = g1[:s1] + g2[s2:e2] + g1[e1:]
         c2 = g2[:s2] + g1[s1:e1] + g2[e2:]
         if c1 == c2 or n1 - k1 + k2 > node_cap or n2 - k2 + k1 > node_cap:
@@ -243,8 +244,8 @@ def test_crossover_matches_retrying_oracle(seed, node_cap, max_attempts, p_exclu
     g1, g2 = p1.genotype, p2.genotype
     swaps = [
         (g1[:s1] + g2[s2:e2] + g1[e1:], g2[:s2] + g1[s1:e1] + g2[e2:])
-        for s1, e1, _ in bt.node_spans(g1)
-        for s2, e2, _ in bt.node_spans(g2)
+        for s1, e1, *_ in bt.node_facts(g1)
+        for s2, e2, *_ in bt.node_facts(g2)
     ]
     exclude = {
         bt.canonical(c) for pair in swaps for c in pair if setup.random() < p_exclude
@@ -508,7 +509,7 @@ def test_local_verdicts_match_validate(seed, kinds, p_control):
                 assert ok == (not bt.validate(cand, kinds)), (g, cand)
     # every subtree swap crossover can make from g and other
     for row in facts:
-        for s, e, _ in bt.node_spans(other):
+        for s, e, *_ in bt.node_facts(other):
             child = g[: row[0]] + other[s:e] + g[row[1] :]
             assert bt.fits(g, row, other[s], kinds) == (not bt.validate(child, kinds))
 
@@ -538,7 +539,7 @@ def test_plain_edits_of_canonical_genotypes_are_canonical(seed, kinds, p_control
             if plain:
                 assert bt.canonical(cand) == cand, (g, cand)
     for row in facts:
-        for s, e, _ in bt.node_spans(other):
+        for s, e, *_ in bt.node_facts(other):
             child = g[: row[0]] + other[s:e] + g[row[1] :]
             assert bt.canonical(child) == child
 
@@ -565,7 +566,7 @@ def test_canonical_parents_breed_without_canonical_calls(monkeypatch):
 
 def make_population(n=30, seed=0):
     rng = random.Random(seed)
-    return [gp.Individual(bt.random_genotype(KINDS, 4, rng), 0) for _ in range(n)]
+    return [gp.Individual(bt.random_genotype(KINDS, 4, rng)) for _ in range(n)]
 
 
 def test_evolve_generation_offspring_accounting():
@@ -690,7 +691,7 @@ def test_checkpoint_rejects_wrong_seed(tmp_path):
     "profile, weights, differs",
     [
         (world.make_profile("stoch1"), fitness.TABLE2, "profile"),
-        (DET, fitness.TABLE2.with_delta(150.0), "weights"),
+        (DET, dataclasses.replace(fitness.TABLE2, delta=150.0), "weights"),
     ],
 )
 def test_checkpoint_rejects_other_profile_or_weights(tmp_path, profile, weights, differs):
@@ -796,7 +797,7 @@ def test_stoch3_history_digest_is_pinned():
 
 def test_exp3_risk_weighted_history_digest_is_pinned():
     params = gp.GpParams(generations=40, seed=0, episodes_per_eval=5, reevaluate_elites=True)
-    weights = fitness.TABLE2.with_delta(150.0)
+    weights = dataclasses.replace(fitness.TABLE2, delta=150.0)
     history, _ = gp.run(params, experiments.exp3_profile(), weights)
     assert history_digest(history) == EXP3_DELTA150_SEED0_40_DIGEST
 
@@ -918,7 +919,7 @@ def test_resume_names_a_missing_key(tmp_path, drop):
         gp.run(params, DET, fitness.TABLE2, resume_from=path)
 
 
-@pytest.mark.parametrize("drop", ["genotype", "birth_generation", "fitness"])
+@pytest.mark.parametrize("drop", ["genotype", "fitness"])
 def test_resume_names_a_missing_population_key(tmp_path, drop):
     path = tmp_path / "ckpt.json"
     params = gp.GpParams(generations=2, seed=1, population=6)
@@ -929,3 +930,20 @@ def test_resume_names_a_missing_population_key(tmp_path, drop):
     with pytest.raises(ValueError, match=pattern):
         gp.run(params, DET, fitness.TABLE2, resume_from=path)
 
+
+
+def test_resume_accepts_entries_that_carry_a_birth_generation(tmp_path):
+    # earlier writers of the same format stored each individual's generation
+    # of birth in its population entry; such a checkpoint still resumes to
+    # the uninterrupted run
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=12, seed=9)
+    full_history, _ = gp.run(params, DET, fitness.TABLE2)
+    data = write_checkpoint(path, gp.GpParams(generations=6, seed=9))
+    data["population"] = [
+        {"genotype": e["genotype"], "birth_generation": i % 7, "fitness": e["fitness"]}
+        for i, e in enumerate(data["population"])
+    ]
+    path.write_text(json.dumps(data))
+    resumed_history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
+    assert history_digest(resumed_history) == history_digest(full_history)

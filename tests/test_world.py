@@ -18,6 +18,12 @@ REFERENCE_SOLUTION = bt.from_text(
 )
 
 
+def play_episode(genotype, profile, rng):
+    """One episode of a genotype, compiled onto the profile's transition table."""
+    compiled = bt.compile_tree(genotype, world.build_transition_table(profile))
+    return world.run_compiled(compiled, bt.node_count(genotype), profile, rng)
+
+
 def execute(bid, st, profile, rng):
     return world.build_transition_table(profile)[bid](st, rng)
 
@@ -203,8 +209,7 @@ def test_stoch3_pick_failure_rate_calibrated():
 
 
 def test_single_condition_episode_exhausts_failure_budget():
-    tree = bt.parse(("have_block",), world.leaf_kinds(DET))
-    result = world.run_episode(tree, DET, random.Random(0))
+    result = play_episode(("have_block",), DET, random.Random(0))
     assert result.terminated_by == world.FAILURE_BUDGET
     assert result.final_state.root_failures == 6
     assert result.final_state.elapsed_time == 0.0
@@ -213,8 +218,7 @@ def test_single_condition_episode_exhausts_failure_budget():
 
 
 def test_reference_solution_solves_deterministic_profile():
-    tree = bt.parse(REFERENCE_SOLUTION, world.leaf_kinds(DET))
-    result = world.run_episode(tree, DET, random.Random(0))
+    result = play_episode(REFERENCE_SOLUTION, DET, random.Random(0))
     assert result.terminated_by == world.ROOT_SUCCESS
     assert result.placed and result.picked
     assert (result.final_state.cube_x, result.final_state.cube_y) == DET.goal_pose
@@ -222,18 +226,16 @@ def test_reference_solution_solves_deterministic_profile():
 
 def test_reference_solution_recovers_from_cube_loss():
     prof = world.make_profile("det", "core9", risky_losing_cube=0.5)
-    tree = bt.parse(REFERENCE_SOLUTION, world.leaf_kinds(prof))
     placed = 0
     rng = random.Random(9)
     for _ in range(200):
-        placed += world.run_episode(tree, prof, rng).placed
+        placed += play_episode(REFERENCE_SOLUTION, prof, rng).placed
     assert placed > 150  # reactive structure re-picks after drops
 
 
 def test_episode_deterministic_given_seed():
-    tree = bt.parse(REFERENCE_SOLUTION, world.leaf_kinds(STOCH3))
-    r1 = world.run_episode(tree, STOCH3, random.Random(5))
-    r2 = world.run_episode(tree, STOCH3, random.Random(5))
+    r1 = play_episode(REFERENCE_SOLUTION, STOCH3, random.Random(5))
+    r2 = play_episode(REFERENCE_SOLUTION, STOCH3, random.Random(5))
     assert state_tuple(r1.final_state) == state_tuple(r2.final_state)
     assert (r1.ticks_used, r1.terminated_by) == (r2.ticks_used, r2.terminated_by)
 
@@ -337,12 +339,11 @@ def test_aux_pool_targets_are_outside_reach():
 
 
 def test_deterministic_profile_episode_is_pure():
-    tree = bt.parse(REFERENCE_SOLUTION, world.leaf_kinds(DET))
     rng = random.Random(0)
-    r1 = world.run_episode(tree, DET, rng)
+    r1 = play_episode(REFERENCE_SOLUTION, DET, rng)
     # rng must not have been consumed at all on the deterministic profile
     assert rng.random() == random.Random(0).random()
-    r2 = world.run_episode(tree, DET, random.Random(99))
+    r2 = play_episode(REFERENCE_SOLUTION, DET, random.Random(99))
     assert state_tuple(r1.final_state) == state_tuple(r2.final_state)
 
 
