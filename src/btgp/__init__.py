@@ -16,7 +16,6 @@ from .world import (
     Profile,
     build_transition_table,
     make_profile,
-    reset,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "Profile",
     "build_transition_table",
     "make_profile",
-    "reset",
 ]

@@ -121,7 +121,6 @@ def replay(
 
         table[bid] = counted
     compiled = bt.compile_tree(genotype, table)
-    n_nodes = bt.node_count(genotype)
     rng = random.Random(f"replay:{seed}")
     successes = 0
     time_sum = 0.0
@@ -129,14 +128,9 @@ def replay(
     terminations: Counter[str] = Counter()
     for _ in range(episodes):
         result = run_compiled(
-            compiled,
-            n_nodes,
-            profile,
-            rng,
-            max_root_failures=max_root_failures,
-            max_ticks=max_ticks,
+            compiled, rng, max_root_failures=max_root_failures, max_ticks=max_ticks
         )
-        if result.placed:
+        if result.final_state.placed:
             successes += 1
         time_sum += result.final_state.elapsed_time
         risk_sum += result.final_state.risk_sum
@@ -203,6 +197,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
 
     def gp_params(self, seed: int) -> GpParams:
         return GpParams(

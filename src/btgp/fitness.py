@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .bt import Genotype, compile_tree, node_count
 from .world import (
+    GOAL_POSE,
     EpisodeResult,
     Profile,
     build_transition_table,
@@ -64,11 +65,11 @@ def _from_terms(distance, length, time, risk, rewards) -> FitnessValue:
     return FitnessValue(-total, distance, length, time, risk, rewards)
 
 
-def _terms(result: EpisodeResult, weights: FitnessWeights) -> tuple[float, ...]:
-    """(distance, length, time, risk, rewards) cost terms of one episode;
-    robot-cube distance counts as 0 while holding."""
+def _terms(result: EpisodeResult, n_nodes: int, weights: FitnessWeights) -> tuple[float, ...]:
+    """(distance, length, time, risk, rewards) cost terms of one episode of
+    an ``n_nodes``-node tree; robot-cube distance counts as 0 while holding."""
     st = result.final_state
-    gx, gy = result.goal_pose
+    gx, gy = GOAL_POSE
     d_cube_goal = math.hypot(st.cube_x - gx, st.cube_y - gy)
     d_robot_cube = (
         0.0 if st.holding else math.hypot(st.true_x - st.cube_x, st.true_y - st.cube_y)
@@ -80,22 +81,22 @@ def _terms(result: EpisodeResult, weights: FitnessWeights) -> tuple[float, ...]:
         + weights.alpha3 * err * err
     )
     rewards = 0.0
-    if result.picked:
+    if st.picked_once:
         rewards += weights.pick_reward
-    if result.placed:
+    if st.placed:
         rewards += weights.place_reward
     return (
         distance_term,
-        weights.beta * result.node_count,
+        weights.beta * n_nodes,
         weights.gamma * st.elapsed_time,
         weights.delta * st.risk_sum,
         rewards,
     )
 
 
-def cost(result: EpisodeResult, weights: FitnessWeights) -> FitnessValue:
-    """Score one episode result."""
-    return _from_terms(*_terms(result, weights))
+def cost(result: EpisodeResult, n_nodes: int, weights: FitnessWeights) -> FitnessValue:
+    """Score one episode of an ``n_nodes``-node tree."""
+    return _from_terms(*_terms(result, n_nodes, weights))
 
 
 def evaluate_compiled(
@@ -126,14 +127,9 @@ def evaluate_compiled(
     for i in range(episodes):
         if i < simulated:
             result = run_compiled(
-                compiled,
-                n_nodes,
-                profile,
-                rng,
-                max_root_failures=max_root_failures,
-                max_ticks=max_ticks,
+                compiled, rng, max_root_failures=max_root_failures, max_ticks=max_ticks
             )
-            d, n, t, r, w = _terms(result, weights)
+            d, n, t, r, w = _terms(result, n_nodes, weights)
         distance += d
         length += n
         time += t

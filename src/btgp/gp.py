@@ -9,7 +9,7 @@ import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import bt
+from . import bt, world
 from .bt import Genotype
 from .fitness import FitnessValue, FitnessWeights, TABLE2, evaluate_compiled
 from .world import Profile, build_transition_table, check_budgets, draws_nothing, leaf_kinds
@@ -611,7 +611,16 @@ _RESUMABLE_PARAMS = ("generations", "early_stop_window")
 def _run_fingerprint(params: GpParams, profile: Profile, weights: FitnessWeights) -> dict:
     """The run configuration a checkpoint is bound to, as JSON will load it."""
     fixed = {k: v for k, v in asdict(params).items() if k not in _RESUMABLE_PARAMS}
-    run = {"profile": asdict(profile), "weights": asdict(weights), "params": fixed}
+    # The task geometry is the world's, stored with the profile under the keys
+    # checkpoints have always used for it: a run is bound to it all the same.
+    geometry = {
+        "start": world.START,
+        "pick_pose": world.PICK_POSE,
+        "goal_pose": world.GOAL_POSE,
+        "reach_radius": world.REACH_RADIUS,
+        "speed": world.SPEED,
+    }
+    run = {"profile": asdict(profile) | geometry, "weights": asdict(weights), "params": fixed}
     return json.loads(json.dumps(run))
 
 
@@ -656,24 +665,45 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
         raise
 
 
-_CHECKPOINT_KEYS = ("fingerprint", "generation", "rng_state", "population", "history")
+_CHECKPOINT_KEYS = {
+    "fingerprint": dict, "generation": int, "rng_state": list, "population": list, "history": list
+}
 # Entries of older v2 checkpoints also record each individual's generation
 # of birth, which no run reads back; it is ignored, so they still resume.
 _ENTRY_KEYS = ("genotype", "fitness")
 
 
+def _item_types(value) -> list | None:
+    """The item types of a JSON list; None for any other value."""
+    return [type(v) for v in value] if isinstance(value, list) else None
+
+
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint; a missing key is a one-line ValueError naming it."""
+    """Read a checkpoint; a missing or mistyped entry is a one-line
+    ValueError naming the checkpoint and the entry."""
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    for key in _CHECKPOINT_KEYS:
+    for key, kind in _CHECKPOINT_KEYS.items():
         if key not in data:
             raise ValueError(f"checkpoint {path} has no {key!r} entry")
+        if not isinstance(data[key], kind):
+            raise ValueError(f"checkpoint {path}: {key!r} entry is not of type {kind.__name__}")
     for i, entry in enumerate(data["population"]):
         for key in _ENTRY_KEYS:
-            if key not in entry:
+            if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"checkpoint {path}: population entry {i} has no {key!r}")
+        if type(entry["genotype"]) is not str or _item_types(entry["fitness"]) != [float] * 6:
+            raise ValueError(
+                f"checkpoint {path}: population entry {i} needs a genotype string "
+                "and 6 fitness floats"
+            )
+    for i, row in enumerate(data["history"]):
+        if _item_types(row) != [int, float, float, str, int]:
+            raise ValueError(
+                f"checkpoint {path}: history row {i} is not "
+                "[generation, best_j, mean_j, genotype, episodes]"
+            )
     return data
 
 

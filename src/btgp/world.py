@@ -11,13 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .bt import ACTION, CONDITION, FAILURE, SUCCESS
 
 ROOT_SUCCESS = "root_success"
 FAILURE_BUDGET = "failure_budget"
 TICK_BUDGET = "tick_budget"
+
+# Task geometry, the same in every scenario: the robot starts unlocalized at
+# START with the cube on the pick table at PICK_POSE, and delivers it to the
+# table at GOAL_POSE; pick and place need the robot within REACH_RADIUS of
+# the table, and moves travel at SPEED.
+START = (0.0, 0.0)
+PICK_POSE = (2.0, 0.0)
+GOAL_POSE = (-2.0, 0.0)
+REACH_RADIUS = 0.6
+SPEED = 0.5
 
 # Estimated-pose offsets along +x: fresh localization vs lost/unlocalized.
 LOC_ERROR_LOCALIZED = 0.05
@@ -97,7 +107,7 @@ class UnknownScenario(ValueError):
 
 @dataclass(frozen=True)
 class Profile:
-    """Immutable scenario bundle: probabilities, behavior pool, geometry.
+    """Immutable scenario bundle: probabilities, behavior pool, path risks.
 
     ``risky_losing_cube`` / ``risky_losing_localization`` override the column
     values on the non-safe move behaviors (risk-averse path experiment);
@@ -112,11 +122,6 @@ class Profile:
     losing_cube: float
     losing_localization: float
     pool: tuple[str, ...]
-    start: tuple[float, float] = (0.0, 0.0)
-    pick_pose: tuple[float, float] = (2.0, 0.0)
-    goal_pose: tuple[float, float] = (-2.0, 0.0)
-    reach_radius: float = 0.6
-    speed: float = 0.5
     safe_time_multiplier: float = 2.0
     risky_losing_cube: float | None = None
     risky_losing_localization: float | None = None
@@ -127,12 +132,11 @@ def _aux_poses() -> list[tuple[float, float]]:
     # distance to the nearest table so the first few are the most tempting.
     xs = [-3.0, -1.8, -0.6, 0.6, 1.8, 3.0]
     ys = [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]
-    pick, goal, reach = (2.0, 0.0), (-2.0, 0.0), 0.6
     poses = []
     for x in xs:
         for y in ys:
-            d = min(math.dist((x, y), pick), math.dist((x, y), goal))
-            if d > reach:
+            d = min(math.dist((x, y), PICK_POSE), math.dist((x, y), GOAL_POSE))
+            if d > REACH_RADIUS:
                 poses.append((d, x, y))
     poses.sort()
     return [(x, y) for _, x, y in poses[:30]]
@@ -156,31 +160,25 @@ def scenario_pool_ids(scenario: str) -> tuple[str, ...]:
 
 def make_profile(
     column: str,
-    pool: str | Iterable[str] = "core9",
+    pool: str = "core9",
     *,
     name: str | None = None,
     risky_losing_cube: float | None = None,
     risky_losing_localization: float | None = None,
     safe_time_multiplier: float = 2.0,
 ) -> Profile:
-    """Assemble a profile from a probability column and a behavior pool."""
+    """Assemble a profile from a probability column and a scenario's pool."""
     if column not in PROBABILITY_COLUMNS:
         raise UnknownScenario(f"unknown probability column {column!r}")
     probs = PROBABILITY_COLUMNS[column]
-    if isinstance(pool, str):
-        pool_ids = scenario_pool_ids(pool)
-        pool_label = pool
-    else:
-        pool_ids = tuple(pool)
-        pool_label = "custom"
     return Profile(
-        name=name or (column if pool_label == "core9" else f"{column}_{pool_label}"),
+        name=name or (column if pool == "core9" else f"{column}_{pool}"),
         loc_failure=probs["loc_failure"],
         pick_failure=probs["pick_failure"],
         place_failure=probs["place_failure"],
         losing_cube=probs["losing_cube"],
         losing_localization=probs["losing_localization"],
-        pool=pool_ids,
+        pool=scenario_pool_ids(pool),
         risky_losing_cube=risky_losing_cube,
         risky_losing_localization=risky_losing_localization,
         safe_time_multiplier=safe_time_multiplier,
@@ -193,7 +191,7 @@ def leaf_kinds(profile: Profile) -> dict[str, str]:
 
 
 class WorldState:
-    """Mutable episode state; one instance per episode."""
+    """Mutable episode state; a new one is the episode's start state."""
 
     __slots__ = (
         "true_x",
@@ -214,16 +212,14 @@ class WorldState:
     )
 
     def __init__(self):
-        self.true_x = 0.0
-        self.true_y = 0.0
-        self.est_x = 0.0
-        self.est_y = 0.0
+        self.true_x, self.true_y = START
+        self.est_x = self.true_x + LOC_ERROR_LOST
+        self.est_y = self.true_y
         self.localized = False
         self.arm_tucked = False
         self.head_up = True
         self.holding = False
-        self.cube_x = 0.0
-        self.cube_y = 0.0
+        self.cube_x, self.cube_y = PICK_POSE
         self.elapsed_time = 0.0
         self.risk_sum = 0.0
         self.picked_once = False
@@ -235,24 +231,11 @@ class WorldState:
         return math.hypot(self.true_x - self.est_x, self.true_y - self.est_y)
 
 
-def reset(profile: Profile) -> WorldState:
-    """Initial episode state: unlocalized at start, cube on the pick table."""
-    st = WorldState()
-    st.true_x, st.true_y = profile.start
-    st.est_x, st.est_y = st.true_x + LOC_ERROR_LOST, st.true_y
-    st.cube_x, st.cube_y = profile.pick_pose
-    return st
-
-
 @dataclass(slots=True)
 class EpisodeResult:
     final_state: WorldState
-    picked: bool
-    placed: bool
-    node_count: int
     ticks_used: int
     terminated_by: str
-    goal_pose: tuple[float, float] = (-2.0, 0.0)
 
 
 TransitionFn = Callable[[WorldState, object], int]
@@ -298,11 +281,10 @@ def _make_move(
     target: tuple[float, float],
     losing_cube: float,
     losing_localization: float,
-    respawn: tuple[float, float],
     inv_speed_scaled: float,
 ) -> TransitionFn:
     tx, ty = target
-    rx, ry = respawn
+    rx, ry = PICK_POSE  # where a cube lost on the way reappears
 
     def move(st, rng):
         st.risk_sum += losing_localization
@@ -359,10 +341,8 @@ def _make_pick(fail_prob: float, time_cost: float, reach: float) -> TransitionFn
     return pick
 
 
-def _make_place(
-    fail_prob: float, time_cost: float, goal: tuple[float, float], reach: float
-) -> TransitionFn:
-    gx, gy = goal
+def _make_place(fail_prob: float, time_cost: float, reach: float) -> TransitionFn:
+    gx, gy = GOAL_POSE
 
     def place(st, rng):
         st.elapsed_time += time_cost
@@ -394,10 +374,10 @@ def build_transition_table(profile: Profile) -> dict[str, TransitionFn]:
     Raises UnknownBehavior for any pool id this world cannot execute.
     """
     targets = {
-        "move_to_pick": profile.pick_pose,
-        "move_to_pick_safe": profile.pick_pose,
-        "move_to_goal": profile.goal_pose,
-        "move_to_goal_safe": profile.goal_pose,
+        "move_to_pick": PICK_POSE,
+        "move_to_pick_safe": PICK_POSE,
+        "move_to_goal": GOAL_POSE,
+        "move_to_goal_safe": GOAL_POSE,
         **dict(zip(AUX_IDS, AUX_POSES)),
     }
     risky_cube = profile.losing_cube
@@ -411,24 +391,16 @@ def build_transition_table(profile: Profile) -> dict[str, TransitionFn]:
         if bid == "have_block":
             table[bid] = _have_block
         elif bid == "pick":
-            table[bid] = _make_pick(
-                profile.pick_failure, FIXED_TIME_COSTS["pick"], profile.reach_radius
-            )
+            table[bid] = _make_pick(profile.pick_failure, FIXED_TIME_COSTS[bid], REACH_RADIUS)
         elif bid == "place":
-            table[bid] = _make_place(
-                profile.place_failure,
-                FIXED_TIME_COSTS["place"],
-                profile.goal_pose,
-                profile.reach_radius,
-            )
+            table[bid] = _make_place(profile.place_failure, FIXED_TIME_COSTS[bid], REACH_RADIUS)
         elif bid in targets:
             safe = bid.endswith("_safe")
             table[bid] = _make_move(
                 targets[bid],
                 0.0 if safe else risky_cube,
                 0.0 if safe else risky_loc,
-                profile.pick_pose,
-                (profile.safe_time_multiplier if safe else 1.0) / profile.speed,
+                (profile.safe_time_multiplier if safe else 1.0) / SPEED,
             )
         else:
             table[bid] = _make_fixed(bid, profile)
@@ -463,20 +435,16 @@ def check_budgets(max_root_failures: int, max_ticks: int) -> None:
 
 
 def run_compiled(
-    compiled,
-    n_nodes: int,
-    profile: Profile,
-    rng,
-    *,
-    max_root_failures: int = 5,
-    max_ticks: int = 100,
+    compiled, rng, *, max_root_failures: int = 5, max_ticks: int = 100
 ) -> EpisodeResult:
-    """Episode loop over a compiled tree; the hot path for evaluation.
+    """Episode loop over a compiled tree from the start state; the hot path
+    for evaluation.
 
-    The budgets are not checked here, once per episode: its callers check
-    them once per call (``check_budgets``).
+    The profile reaches the episode only through the transition table
+    ``compiled`` was built on. The budgets are not checked here, once per
+    episode: its callers check them once per call (``check_budgets``).
     """
-    state = reset(profile)
+    state = WorldState()
     ticks = 0
     while True:
         status = compiled(state, rng)
@@ -494,7 +462,5 @@ def run_compiled(
             break
     # positional: cheaper than keywords, and every evaluation and replay
     # episode builds one
-    return EpisodeResult(
-        state, state.picked_once, state.placed, n_nodes, ticks, terminated, profile.goal_pose
-    )
+    return EpisodeResult(state, ticks, terminated)
 

@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "evaluate",
     "make_profile",
     "parse",
-    "reset",
     "run",
     "validate",
 ]

@@ -92,21 +92,15 @@ def replay_counting_with_a_counter(
 
     table = {bid: counting(bid, fn) for bid, fn in world.build_transition_table(profile).items()}
     compiled = bt.compile_tree(genotype, table)
-    n_nodes = bt.node_count(genotype)
     rng = random.Random(f"replay:{seed}")
     successes = 0
     time_sum = risk_sum = 0.0
     terminations: Counter[str] = Counter()
     for _ in range(episodes):
         result = world.run_compiled(
-            compiled,
-            n_nodes,
-            profile,
-            rng,
-            max_root_failures=max_root_failures,
-            max_ticks=max_ticks,
+            compiled, rng, max_root_failures=max_root_failures, max_ticks=max_ticks
         )
-        successes += result.placed
+        successes += result.final_state.placed
         time_sum += result.final_state.elapsed_time
         risk_sum += result.final_state.risk_sum
         terminations[result.terminated_by] += 1
@@ -527,3 +521,70 @@ def test_cli_resume_rejects_a_checkpoint_missing_keys(tmp_path, capsys):
     rc = cli.main(["run", "--generations", "2", "--resume", str(ckpt), "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: checkpoint {ckpt} has no 'fingerprint' entry\n"
+
+
+def set_entry(data, path, value):
+    *parents, last = path
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("fingerprint",), None, "'fingerprint' entry is not of type dict"),
+        (("generation",), "4", "'generation' entry is not of type int"),
+        (("rng_state",), 3, "'rng_state' entry is not of type list"),
+        (("population",), 5, "'population' entry is not of type list"),
+        (("population", 2), 5, "population entry 2 has no 'genotype'"),
+        (
+            ("population", 0, "fitness"),
+            [1.0, 2.0],
+            "population entry 0 needs a genotype string and 6 fitness floats",
+        ),
+        (
+            ("population", 1, "genotype"),
+            7,
+            "population entry 1 needs a genotype string and 6 fitness floats",
+        ),
+        (
+            ("history", 1, 3),
+            7,
+            "history row 1 is not [generation, best_j, mean_j, genotype, episodes]",
+        ),
+    ],
+    ids=[
+        "fingerprint",
+        "generation",
+        "rng_state",
+        "population",
+        "entry",
+        "fitness",
+        "genotype",
+        "history",
+    ],
+)
+def test_cli_resume_rejects_a_malformed_checkpoint(tmp_path, capsys, path, value, message):
+    ckpt = tmp_path / "c.json"
+    args = ["run", "--generations", "4", "--population", "6", "--out", str(tmp_path)]
+    assert cli.main(args + ["--checkpoint", str(ckpt), "--checkpoint-every", "2"]) == 0
+    capsys.readouterr()
+    data = json.loads(ckpt.read_text())
+    set_entry(data, path, value)
+    ckpt.write_text(json.dumps(data))
+    assert cli.main(args + ["--resume", str(ckpt)]) == 1
+    assert capsys.readouterr().err == f"error: checkpoint {ckpt}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ((0, 0, 1), r"^seeds must be distinct, got \(0, 0, 1\)$"),
+        ((), "^seeds must not be empty$"),
+    ],
+    ids=["repeated", "empty"],
+)
+def test_experiment_config_rejects_repeated_or_empty_seeds(tmp_path, seeds, message):
+    with pytest.raises(ValueError, match=message):
+        experiments.ExperimentConfig("exp3", str(tmp_path), seeds=seeds)

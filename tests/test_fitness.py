@@ -24,10 +24,8 @@ def make_result(
     holding=False,
     picked=False,
     placed=False,
-    node_count=0,
     elapsed=0.0,
     risk=0.0,
-    goal=(-2.0, 0.0),
 ):
     st = world.WorldState()
     st.cube_x, st.cube_y = cube
@@ -38,15 +36,7 @@ def make_result(
     st.placed = placed
     st.elapsed_time = elapsed
     st.risk_sum = risk
-    return world.EpisodeResult(
-        final_state=st,
-        picked=picked,
-        placed=placed,
-        node_count=node_count,
-        ticks_used=1,
-        terminated_by=world.ROOT_SUCCESS,
-        goal_pose=goal,
-    )
+    return world.EpisodeResult(final_state=st, ticks_used=1, terminated_by=world.ROOT_SUCCESS)
 
 
 def test_cost_terminal_success_state():
@@ -57,10 +47,9 @@ def test_cost_terminal_success_state():
         est_offset=(0.05, 0.0),
         picked=True,
         placed=True,
-        node_count=11,
         elapsed=60.0,
     )
-    fv = fitness.cost(result, fitness.TABLE2)
+    fv = fitness.cost(result, 11, fitness.TABLE2)
     # 10*0 + 2*0.25 + 1*0.0025 + 0.5*11 + 0.1*60 + 0 - 150
     assert fv.cost == pytest.approx(-137.9975, abs=1e-12)
     assert fv.j == pytest.approx(137.9975, abs=1e-12)
@@ -71,9 +60,8 @@ def test_cost_empty_effect_episode_at_reset():
         cube=(2.0, 0.0),
         robot=(0.0, 0.0),
         est_offset=(1.0, 0.0),
-        node_count=1,
     )
-    fv = fitness.cost(result, fitness.TABLE2)
+    fv = fitness.cost(result, 1, fitness.TABLE2)
     # 10*16 + 2*4 + 1*1 + 0.5*1 = 169.5
     assert fv.cost == pytest.approx(169.5, abs=1e-12)
     assert fv.j == pytest.approx(-169.5, abs=1e-12)
@@ -81,7 +69,7 @@ def test_cost_empty_effect_episode_at_reset():
 
 def test_cost_all_zero_state():
     result = make_result(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
-    fv = fitness.cost(result, fitness.TABLE2)
+    fv = fitness.cost(result, 0, fitness.TABLE2)
     assert fv.cost == 0.0 and fv.j == 0.0
 
 
@@ -90,46 +78,50 @@ def test_robot_cube_distance_is_zero_while_holding():
     # same poses but holding: identical cost regardless of recorded distance
     held = make_result(cube=(3.0, 3.0), robot=(3.0, 3.0), holding=True)
     held.final_state.cube_x, held.final_state.cube_y = -2.0, 0.0  # cube pose ignored for alpha2
-    assert fitness.cost(held, fitness.TABLE2).distance_term == pytest.approx(
-        fitness.cost(far, fitness.TABLE2).distance_term
+    assert fitness.cost(held, 0, fitness.TABLE2).distance_term == pytest.approx(
+        fitness.cost(far, 0, fitness.TABLE2).distance_term
     )
 
 
 def test_length_monotonicity():
     w = fitness.TABLE2
-    base = make_result(cube=(-2.0, 0.0), robot=(-2.0, 0.0), node_count=5)
-    bigger = make_result(cube=(-2.0, 0.0), robot=(-2.0, 0.0), node_count=6)
-    assert fitness.cost(bigger, w).j == pytest.approx(fitness.cost(base, w).j - w.beta)
+    result = make_result(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
+    assert fitness.cost(result, 6, w).j == pytest.approx(fitness.cost(result, 5, w).j - w.beta)
 
 
 def test_delta_sensitivity():
     w = dataclasses.replace(fitness.TABLE2, delta=150.0)
-    a = fitness.cost(make_result(risk=1.0), w)
-    b = fitness.cost(make_result(risk=1.5), w)
+    a = fitness.cost(make_result(risk=1.0), 0, w)
+    b = fitness.cost(make_result(risk=1.5), 0, w)
     assert a.j - b.j == pytest.approx(150.0 * 0.5)
 
 
 def test_delta_zero_ignores_risk():
-    a = fitness.cost(make_result(risk=0.0), fitness.TABLE2)
-    b = fitness.cost(make_result(risk=9.0), fitness.TABLE2)
+    a = fitness.cost(make_result(risk=0.0), 0, fitness.TABLE2)
+    b = fitness.cost(make_result(risk=9.0), 0, fitness.TABLE2)
     assert a.j == b.j
 
 
 def test_breakdown_sums_exactly():
     rng = random.Random(2)
     for _ in range(200):
+        cube = (rng.uniform(-4, 4), rng.uniform(-4, 4))
+        robot = (rng.uniform(-4, 4), rng.uniform(-4, 4))
+        est_offset = (rng.uniform(0, 2), 0.0)
+        holding = rng.random() < 0.3
+        picked = rng.random() < 0.5
+        n_nodes = rng.randrange(0, 64)
         result = make_result(
-            cube=(rng.uniform(-4, 4), rng.uniform(-4, 4)),
-            robot=(rng.uniform(-4, 4), rng.uniform(-4, 4)),
-            est_offset=(rng.uniform(0, 2), 0.0),
-            holding=rng.random() < 0.3,
-            picked=rng.random() < 0.5,
-            node_count=rng.randrange(0, 64),
+            cube=cube,
+            robot=robot,
+            est_offset=est_offset,
+            holding=holding,
+            picked=picked,
             elapsed=rng.uniform(0, 300),
             risk=rng.uniform(0, 5),
         )
         weights = dataclasses.replace(fitness.TABLE2, delta=rng.uniform(0, 200))
-        fv = fitness.cost(result, weights)
+        fv = fitness.cost(result, n_nodes, weights)
         total = (
             fv.distance_term + fv.length_term + fv.time_term + fv.risk_term - fv.rewards
         )
@@ -145,13 +137,12 @@ def test_reward_dominance_bound():
         est_offset=(1.0, 0.0),
         picked=True,
         placed=True,
-        node_count=64,
         elapsed=200.0,
         risk=3.0,
     )
     # best possible episode that never moved the cube off the pick table
-    best_untouched = make_result(cube=(2.0, 0.0), robot=(2.0, 0.0), node_count=0)
-    assert fitness.cost(worst_placed, w).j > fitness.cost(best_untouched, w).j
+    best_untouched = make_result(cube=(2.0, 0.0), robot=(2.0, 0.0))
+    assert fitness.cost(worst_placed, 64, w).j > fitness.cost(best_untouched, 0, w).j
 
 
 def test_evaluate_deterministic_profile_independent_of_episode_count():
@@ -197,7 +188,7 @@ def test_evaluate_compiled_equals_mean_of_per_episode_costs():
         )
         rng = random.Random(seed)
         costs = [
-            fitness.cost(world.run_compiled(compiled, n_nodes, STOCH3, rng), weights)
+            fitness.cost(world.run_compiled(compiled, rng), n_nodes, weights)
             for _ in range(7)
         ]
         sums = [0.0] * 5
@@ -210,13 +201,13 @@ def test_evaluate_compiled_equals_mean_of_per_episode_costs():
         assert got.risk_term > 0.0
 
 
-def evaluate_every_episode(compiled, n_nodes, profile, weights, episodes, rng, **budgets):
+def evaluate_every_episode(compiled, n_nodes, weights, episodes, rng, **budgets):
     """``fitness.evaluate_compiled`` as it was before a profile that draws
     nothing had its first episode repeated: every episode simulated."""
     distance = length = time = risk = rewards = 0.0
     for _ in range(episodes):
-        result = world.run_compiled(compiled, n_nodes, profile, rng, **budgets)
-        d, n, t, r, w = fitness._terms(result, weights)
+        result = world.run_compiled(compiled, rng, **budgets)
+        d, n, t, r, w = fitness._terms(result, n_nodes, weights)
         distance += d
         length += n
         time += t
@@ -253,7 +244,7 @@ def test_det_evaluation_matches_every_episode_oracle(
         compiled, n_nodes, profile, weights, episodes, random.Random(seed), **budgets
     )
     want = evaluate_every_episode(
-        compiled, n_nodes, profile, weights, episodes, random.Random(seed), **budgets
+        compiled, n_nodes, weights, episodes, random.Random(seed), **budgets
     )
     assert float_bits(got) == float_bits(want)
 
@@ -263,7 +254,7 @@ def count_episodes(monkeypatch) -> list:
     run_compiled = world.run_compiled
 
     def counting_run_compiled(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[0])
         return run_compiled(*args, **kwargs)
 
     monkeypatch.setattr(fitness, "run_compiled", counting_run_compiled)
@@ -278,7 +269,7 @@ def test_evaluation_simulates_one_episode_only_when_nothing_draws(
     tokens = bt.from_text("s( localise tuck move_to_pick head_down pick )")
     compiled = bt.compile_tree(tokens, world.build_transition_table(profile))
     fitness.evaluate_compiled(compiled, 6, profile, fitness.TABLE2, 5, random.Random(0))
-    assert calls == [profile] * simulated
+    assert calls == [compiled] * simulated
 
 
 def test_det_run_simulates_one_episode_per_evaluation(monkeypatch):

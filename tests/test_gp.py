@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -947,3 +948,67 @@ def test_resume_accepts_entries_that_carry_a_birth_generation(tmp_path):
     path.write_text(json.dumps(data))
     resumed_history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
     assert history_digest(resumed_history) == history_digest(full_history)
+
+
+# Profile fields the fingerprint of every checkpoint written so far holds:
+# the task geometry, at the values of the one geometry the world has had.
+CHECKPOINT_GEOMETRY = {
+    "start": [0.0, 0.0],
+    "pick_pose": [2.0, 0.0],
+    "goal_pose": [-2.0, 0.0],
+    "reach_radius": 0.6,
+    "speed": 0.5,
+}
+
+
+def test_resume_binds_the_task_geometry(tmp_path):
+    # the geometry left Profile for world constants; checkpoints that store
+    # it at the world's values still resume, any other geometry is another run
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=12, seed=9)
+    full_history, _ = gp.run(params, DET, fitness.TABLE2)
+    data = write_checkpoint(path, gp.GpParams(generations=6, seed=9))
+    stored = data["fingerprint"]["profile"]
+    assert {k: stored[k] for k in CHECKPOINT_GEOMETRY} == CHECKPOINT_GEOMETRY
+    stored.update(CHECKPOINT_GEOMETRY)
+    path.write_text(json.dumps(data))
+    resumed_history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
+    assert history_digest(resumed_history) == history_digest(full_history)
+    stored["pick_pose"] = [3.0, 0.0]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"is from another run \(different profile\)$"):
+        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+
+
+EPISODE5 = {"episodes_per_eval": 5, "reevaluate_elites": True}
+RESUMED_RUNS = {
+    "det": (DET, fitness.TABLE2, gp.GpParams(generations=25, seed=0)),
+    "stoch3": (
+        world.make_profile("stoch3"),
+        fitness.TABLE2,
+        gp.GpParams(generations=25, seed=0, **EPISODE5),
+    ),
+    "exp3_delta150": (
+        experiments.exp3_profile(),
+        dataclasses.replace(fitness.TABLE2, delta=150.0),
+        gp.GpParams(generations=25, seed=0, **EPISODE5),
+    ),
+}
+
+
+@functools.cache
+def uninterrupted(name: str):
+    profile, weights, params = RESUMED_RUNS[name]
+    history, best = gp.run(params, profile, weights)
+    return history_digest(history), best.genotype, best.fitness
+
+
+@pytest.mark.parametrize("at", [1, 7, 13, 24])
+@pytest.mark.parametrize("name", list(RESUMED_RUNS))
+def test_resuming_at_any_generation_reproduces_the_run(tmp_path, name, at):
+    profile, weights, params = RESUMED_RUNS[name]
+    path = tmp_path / "ckpt.json"
+    stopped = dataclasses.replace(params, generations=at)
+    gp.run(stopped, profile, weights, checkpoint_path=path, checkpoint_every=at)
+    history, best = gp.run(params, profile, weights, resume_from=path)
+    assert (history_digest(history), best.genotype, best.fitness) == uninterrupted(name)

@@ -1,7 +1,8 @@
-"""State-machine world: reset, behavior semantics, episodes, pools."""
+"""State-machine world: start state, behavior semantics, episodes, pools."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -21,7 +22,7 @@ REFERENCE_SOLUTION = bt.from_text(
 def play_episode(genotype, profile, rng):
     """One episode of a genotype, compiled onto the profile's transition table."""
     compiled = bt.compile_tree(genotype, world.build_transition_table(profile))
-    return world.run_compiled(compiled, bt.node_count(genotype), profile, rng)
+    return world.run_compiled(compiled, rng)
 
 
 def execute(bid, st, profile, rng):
@@ -32,11 +33,11 @@ def state_tuple(st: world.WorldState):
     return tuple(getattr(st, f) for f in world.WorldState.__slots__)
 
 
-def ready_state(profile, *, at=None, holding=False, head_up=False, tucked=True):
+def ready_state(*, at=world.PICK_POSE, holding=False, head_up=False, tucked=True):
     """A localized state positioned at `at` (defaults to the pick table)."""
-    st = world.reset(profile)
+    st = world.WorldState()
     st.localized = True
-    st.true_x, st.true_y = at if at is not None else profile.pick_pose
+    st.true_x, st.true_y = at
     st.est_x, st.est_y = st.true_x + world.LOC_ERROR_LOCALIZED, st.true_y
     st.arm_tucked = tucked
     st.head_up = head_up
@@ -48,8 +49,9 @@ def ready_state(profile, *, at=None, holding=False, head_up=False, tucked=True):
 
 
 def test_reset_initial_state():
-    st = world.reset(DET)
-    assert (st.cube_x, st.cube_y) == DET.pick_pose
+    st = world.WorldState()
+    assert (st.true_x, st.true_y) == world.START
+    assert (st.cube_x, st.cube_y) == world.PICK_POSE
     assert not st.holding and not st.localized and not st.arm_tucked
     assert st.head_up
     assert st.elapsed_time == 0.0 and st.risk_sum == 0.0
@@ -57,12 +59,12 @@ def test_reset_initial_state():
 
 
 def test_reset_cube_to_goal_distance_is_four_meters():
-    st = world.reset(DET)
-    assert math.dist((st.cube_x, st.cube_y), DET.goal_pose) == pytest.approx(4.0)
+    st = world.WorldState()
+    assert math.dist((st.cube_x, st.cube_y), world.GOAL_POSE) == pytest.approx(4.0)
 
 
 def test_reset_is_deterministic():
-    assert state_tuple(world.reset(DET)) == state_tuple(world.reset(DET))
+    assert state_tuple(world.WorldState()) == state_tuple(world.WorldState())
 
 
 def test_behavior_pool_sizes():
@@ -78,12 +80,12 @@ def test_behavior_pool_sizes():
 def test_safe_move_costs_double_time():
     prof = world.make_profile("stoch3", "safe_paths")
     table = world.build_transition_table(prof)
-    for target, pose in (("pick", prof.pick_pose), ("goal", prof.goal_pose)):
-        risky = ready_state(prof, at=prof.start, head_up=True)
-        safe = ready_state(prof, at=prof.start, head_up=True)
+    for target, pose in (("pick", world.PICK_POSE), ("goal", world.GOAL_POSE)):
+        risky = ready_state(at=world.START, head_up=True)
+        safe = ready_state(at=world.START, head_up=True)
         assert table[f"move_to_{target}_safe"](safe, random.Random(0)) == bt.SUCCESS
         assert table[f"move_to_{target}"](risky, random.Random(0)) == bt.SUCCESS
-        assert risky.elapsed_time == pytest.approx(math.dist(prof.start, pose) / prof.speed)
+        assert risky.elapsed_time == pytest.approx(math.dist(world.START, pose) / world.SPEED)
         assert safe.elapsed_time == pytest.approx(2 * risky.elapsed_time)
         assert safe.risk_sum == 0.0
         assert risky.risk_sum == prof.losing_localization
@@ -92,7 +94,7 @@ def test_safe_move_costs_double_time():
 def test_have_block_adds_no_time_or_risk():
     assert world.leaf_kinds(STOCH3)["have_block"] == bt.CONDITION
     for holding in (False, True):
-        st = ready_state(STOCH3, holding=holding)
+        st = ready_state(holding=holding)
         before = state_tuple(st)
         status = execute("have_block", st, STOCH3, random.Random(0))
         assert status == (bt.SUCCESS if holding else bt.FAILURE)
@@ -100,7 +102,7 @@ def test_have_block_adds_no_time_or_risk():
 
 
 def test_pick_succeeds_when_ready():
-    st = ready_state(DET)
+    st = ready_state()
     rng = random.Random(0)
     assert execute("pick", st, DET, rng) == bt.SUCCESS
     assert st.holding and st.picked_once
@@ -108,7 +110,7 @@ def test_pick_succeeds_when_ready():
 
 
 def test_pick_while_holding_only_charges_time_and_risk():
-    st = ready_state(DET, holding=True)
+    st = ready_state(holding=True)
     before = state_tuple(st)
     assert execute("pick", st, DET, random.Random(0)) == bt.FAILURE
     after = state_tuple(st)
@@ -122,26 +124,26 @@ def test_pick_while_holding_only_charges_time_and_risk():
 
 
 def test_pick_requires_head_down_and_reach():
-    st = ready_state(DET, head_up=True)
+    st = ready_state(head_up=True)
     assert execute("pick", st, DET, random.Random(0)) == bt.FAILURE
-    st = ready_state(DET, at=(0.0, 0.0))  # cube is 2 m away
+    st = ready_state(at=(0.0, 0.0))  # cube is 2 m away
     assert execute("pick", st, DET, random.Random(0)) == bt.FAILURE
     assert not st.holding
 
 
 def test_place_full_semantics():
-    st = ready_state(DET, at=DET.goal_pose, holding=True)
+    st = ready_state(at=world.GOAL_POSE, holding=True)
     assert execute("place", st, DET, random.Random(0)) == bt.SUCCESS
     assert st.placed and not st.holding
-    assert (st.cube_x, st.cube_y) == DET.goal_pose
+    assert (st.cube_x, st.cube_y) == world.GOAL_POSE
     # place without holding fails
-    st = ready_state(DET, at=DET.goal_pose)
+    st = ready_state(at=world.GOAL_POSE)
     assert execute("place", st, DET, random.Random(0)) == bt.FAILURE
     assert not st.placed
 
 
 def test_localise_sets_small_error():
-    st = world.reset(DET)
+    st = world.WorldState()
     assert execute("localise", st, DET, random.Random(0)) == bt.SUCCESS
     assert st.localized
     assert st.loc_error == pytest.approx(world.LOC_ERROR_LOCALIZED)
@@ -149,43 +151,43 @@ def test_localise_sets_small_error():
 
 
 def test_move_guard_failure_leaves_pose_unchanged():
-    st = world.reset(DET)  # not localized, not tucked
+    st = world.WorldState()  # not localized, not tucked
     t_before = st.elapsed_time
     assert execute("move_to_pick", st, DET, random.Random(0)) == bt.FAILURE
-    assert (st.true_x, st.true_y) == DET.start
+    assert (st.true_x, st.true_y) == world.START
     assert st.elapsed_time > t_before  # execution still costs time
 
 
 def test_move_success_reaches_target_and_keeps_loc_error():
-    st = ready_state(DET, at=(0.0, 0.0), head_up=True)
+    st = ready_state(at=(0.0, 0.0), head_up=True)
     err = st.loc_error
     assert execute("move_to_pick", st, DET, random.Random(0)) == bt.SUCCESS
-    assert (st.true_x, st.true_y) == DET.pick_pose
+    assert (st.true_x, st.true_y) == world.PICK_POSE
     assert st.loc_error == pytest.approx(err)
-    assert st.elapsed_time == pytest.approx(2.0 / DET.speed)
+    assert st.elapsed_time == pytest.approx(2.0 / world.SPEED)
 
 
 def test_losing_localization_strands_at_midpoint():
     prof = world.make_profile("det", "core9", risky_losing_localization=1.0)
-    st = ready_state(prof, at=(0.0, 0.0), head_up=True)
+    st = ready_state(at=(0.0, 0.0), head_up=True)
     assert execute("move_to_pick", st, prof, random.Random(0)) == bt.FAILURE
     assert (st.true_x, st.true_y) == (1.0, 0.0)
     assert not st.localized
     assert st.loc_error == pytest.approx(world.LOC_ERROR_LOST)
-    assert st.elapsed_time == pytest.approx(0.5 * 2.0 / prof.speed)
+    assert st.elapsed_time == pytest.approx(0.5 * 2.0 / world.SPEED)
 
 
 def test_losing_cube_respawns_but_move_succeeds():
     prof = world.make_profile("det", "core9", risky_losing_cube=1.0)
-    st = ready_state(prof, holding=True, head_up=True)
+    st = ready_state(holding=True, head_up=True)
     assert execute("move_to_goal", st, prof, random.Random(0)) == bt.SUCCESS
-    assert (st.true_x, st.true_y) == prof.goal_pose
+    assert (st.true_x, st.true_y) == world.GOAL_POSE
     assert not st.holding
-    assert (st.cube_x, st.cube_y) == prof.pick_pose
+    assert (st.cube_x, st.cube_y) == world.PICK_POSE
 
 
 def test_cube_tracks_robot_while_holding():
-    st = ready_state(DET, holding=True, head_up=True)
+    st = ready_state(holding=True, head_up=True)
     execute("move_to_goal", st, DET, random.Random(0))
     assert (st.cube_x, st.cube_y) == (st.true_x, st.true_y)
 
@@ -193,7 +195,7 @@ def test_cube_tracks_robot_while_holding():
 def test_unknown_behavior_raises():
     for bid in ("fly", "move_to_nowhere", "move_to_aux_99", "tuck_safe"):
         with pytest.raises(world.UnknownBehavior):
-            world.build_transition_table(world.make_profile("det", ["localise", bid]))
+            world.build_transition_table(dataclasses.replace(DET, pool=("localise", bid)))
 
 
 def test_stoch3_pick_failure_rate_calibrated():
@@ -202,7 +204,7 @@ def test_stoch3_pick_failure_rate_calibrated():
     failures = 0
     n = 10_000
     for _ in range(n):
-        st = ready_state(STOCH3)
+        st = ready_state()
         if pick(st, rng) == bt.FAILURE:
             failures += 1
     assert abs(failures / n - STOCH3.pick_failure) <= 0.012  # 3 sigma
@@ -214,14 +216,14 @@ def test_single_condition_episode_exhausts_failure_budget():
     assert result.final_state.root_failures == 6
     assert result.final_state.elapsed_time == 0.0
     assert result.ticks_used == 6
-    assert not result.picked and not result.placed
+    assert not result.final_state.picked_once and not result.final_state.placed
 
 
 def test_reference_solution_solves_deterministic_profile():
     result = play_episode(REFERENCE_SOLUTION, DET, random.Random(0))
     assert result.terminated_by == world.ROOT_SUCCESS
-    assert result.placed and result.picked
-    assert (result.final_state.cube_x, result.final_state.cube_y) == DET.goal_pose
+    assert result.final_state.placed and result.final_state.picked_once
+    assert (result.final_state.cube_x, result.final_state.cube_y) == world.GOAL_POSE
 
 
 def test_reference_solution_recovers_from_cube_loss():
@@ -229,7 +231,7 @@ def test_reference_solution_recovers_from_cube_loss():
     placed = 0
     rng = random.Random(9)
     for _ in range(200):
-        placed += play_episode(REFERENCE_SOLUTION, prof, rng).placed
+        placed += play_episode(REFERENCE_SOLUTION, prof, rng).final_state.placed
     assert placed > 150  # reactive structure re-picks after drops
 
 
@@ -254,11 +256,10 @@ def test_risk_sum_matches_executed_fail_probs():
 
     table = {bid: recording(bid, fn) for bid, fn in world.build_transition_table(STOCH3).items()}
     compiled = bt.compile_tree(REFERENCE_SOLUTION, table)
-    n_nodes = bt.node_count(REFERENCE_SOLUTION)
     seen = set()
     for seed in range(20):
         executed.clear()
-        result = world.run_compiled(compiled, n_nodes, STOCH3, random.Random(seed))
+        result = world.run_compiled(compiled, random.Random(seed))
         expected = sum(risk.get(bid, 0.0) for bid in executed)
         assert result.final_state.risk_sum == pytest.approx(expected, abs=1e-12)
         seen.update(executed)
@@ -272,21 +273,21 @@ def test_cube_conservation_under_random_actions():
     table = world.build_transition_table(prof)
     pool = list(prof.pool)
     for _ in range(50):
-        st = world.reset(prof)
+        st = world.WorldState()
         for _ in range(60):
             table[pool[rng.randrange(len(pool))]](st, rng)
             cube = (st.cube_x, st.cube_y)
             if st.holding:
                 assert cube == (st.true_x, st.true_y)
             else:
-                assert cube in (prof.pick_pose, prof.goal_pose)
+                assert cube in (world.PICK_POSE, world.GOAL_POSE)
 
 
 def test_guard_soundness_under_random_states():
     rng = random.Random(31)
     pool = [bid for bid in DET.pool if bid != "have_block"]
     for _ in range(400):
-        st = world.reset(DET)
+        st = world.WorldState()
         st.true_x, st.true_y = rng.uniform(-3, 3), rng.uniform(-3, 3)
         st.est_x, st.est_y = st.true_x + rng.uniform(0, 2), st.true_y
         st.localized = rng.random() < 0.5
@@ -308,33 +309,27 @@ def test_guard_soundness_under_random_states():
 def test_tick_budget_termination():
     # drive run_compiled directly with a tree that always reports Running
     compiled = lambda st, rng: bt.RUNNING  # noqa: E731
-    result = world.run_compiled(compiled, 1, DET, random.Random(0), max_ticks=17)
+    result = world.run_compiled(compiled, random.Random(0), max_ticks=17)
     assert result.terminated_by == world.TICK_BUDGET
     assert result.ticks_used == 17
 
 
 def test_episode_result_takes_keywords_and_positions():
     # tests build results by keyword; run_compiled builds them positionally
-    st = world.reset(DET)
-    by_keyword = world.EpisodeResult(
-        final_state=st,
-        picked=True,
-        placed=False,
-        node_count=7,
-        ticks_used=3,
-        terminated_by=world.FAILURE_BUDGET,
-        goal_pose=(1.0, 2.0),
-    )
-    by_position = world.EpisodeResult(st, True, False, 7, 3, world.FAILURE_BUDGET, (1.0, 2.0))
+    st = world.WorldState()
+    by_keyword = world.EpisodeResult(final_state=st, ticks_used=3, terminated_by=world.TICK_BUDGET)
+    by_position = world.EpisodeResult(st, 3, world.TICK_BUDGET)
     assert by_keyword == by_position
-    assert by_keyword.ticks_used == 3 and by_keyword.goal_pose == (1.0, 2.0)
-    assert world.EpisodeResult(st, False, False, 1, 1, world.ROOT_SUCCESS).goal_pose == (-2.0, 0.0)
+    # an episode's outcome is its final state; the benchmark's tracer reads
+    # ticks_used and terminated_by
+    fields = [f.name for f in dataclasses.fields(world.EpisodeResult)]
+    assert fields == ["final_state", "ticks_used", "terminated_by"]
 
 
 def test_aux_pool_targets_are_outside_reach():
     for x, y in world.AUX_POSES:
-        assert math.dist((x, y), DET.pick_pose) > DET.reach_radius
-        assert math.dist((x, y), DET.goal_pose) > DET.reach_radius
+        assert math.dist((x, y), world.PICK_POSE) > world.REACH_RADIUS
+        assert math.dist((x, y), world.GOAL_POSE) > world.REACH_RADIUS
     assert len(world.AUX_POSES) == 30
 
 
