@@ -3,7 +3,6 @@ state-machine world model."""
 
 from .bt import (
     FAILURE,
-    RUNNING,
     SUCCESS,
     MalformedGenotype,
     compile_tree,
@@ -21,7 +20,6 @@ from .world import (
 __all__ = [
     "SUCCESS",
     "FAILURE",
-    "RUNNING",
     "MalformedGenotype",
     "compile_tree",
     "parse",

@@ -15,7 +15,6 @@ from .experiments import (
     DESK_GENERATIONS,
     FULL_GENERATIONS,
     ExperimentConfig,
-    exp3_profile,
     read_genotype,
     replay,
     run_experiment,
@@ -106,16 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay_p = sub.add_parser("replay", help="Monte Carlo replay of a genotype file")
     replay_p.add_argument("--tree", required=True, help="genotype text file")
-    # None marks "not given", so --exp3-paths can reject them
-    replay_p.add_argument(
-        "--profile", default=None, choices=sorted(PROBABILITY_COLUMNS), help="default det"
-    )
-    replay_p.add_argument("--pool", default=None, choices=SCENARIOS, help="default core9")
-    replay_p.add_argument(
-        "--exp3-paths",
-        action="store_true",
-        help="use the exp3 risky/safe path profile (excludes --profile and --pool)",
-    )
+    replay_p.add_argument("--profile", default="det", choices=sorted(PROBABILITY_COLUMNS))
+    replay_p.add_argument("--pool", default="core9", choices=SCENARIOS)
     replay_p.add_argument("--episodes", type=int, default=1000)
     replay_p.add_argument("--seed", type=int, default=0)
     return parser
@@ -176,12 +167,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    if args.exp3_paths:
-        if args.profile is not None or args.pool is not None:
-            raise ValueError("--exp3-paths sets its own profile and pool; drop --profile/--pool")
-        profile = exp3_profile()
-    else:
-        profile = make_profile(args.profile or "det", args.pool or "core9")
+    profile = make_profile(args.profile, args.pool)
     genotype = read_genotype(args.tree)
     report = replay(genotype, profile, args.episodes, args.seed)
     print(json.dumps(report.as_dict(), indent=1))

@@ -26,13 +26,6 @@ DEFAULT_SEEDS = tuple(range(10))
 DESK_GENERATIONS = 2000
 FULL_GENERATIONS = 8000
 
-# Risk-averse path experiment: the short paths carry these risks, the safe
-# variants none, and the safe detour costs EXP3_SAFE_TIME_MULTIPLIER times the
-# travel time. At 2.0 the delta effect is not yet shown: 3 seeds x 1500
-# generations pick the safe moves for both deltas.
-EXP3_RISKY_LOSING_CUBE = 0.2
-EXP3_RISKY_LOSING_LOCALIZATION = 0.4
-EXP3_SAFE_TIME_MULTIPLIER = 2.0
 EXP3_DELTAS = (0.0, 150.0)
 
 RUN_CSV_HEADER = ["generation", "best_j", "mean_j", "episodes", "best_genotype"]
@@ -212,19 +205,6 @@ class ExperimentConfig:
         )
 
 
-def exp3_profile(
-    safe_time_multiplier: float = EXP3_SAFE_TIME_MULTIPLIER,
-) -> Profile:
-    return make_profile(
-        "det",
-        "safe_paths",
-        name="exp3_safe_paths",
-        risky_losing_cube=EXP3_RISKY_LOSING_CUBE,
-        risky_losing_localization=EXP3_RISKY_LOSING_LOCALIZATION,
-        safe_time_multiplier=safe_time_multiplier,
-    )
-
-
 def experiment_variants(config: ExperimentConfig) -> list[tuple[str, Profile, FitnessWeights]]:
     """(variant name, profile, weights) triples for one experiment."""
     if config.experiment == "exp1":
@@ -238,7 +218,7 @@ def experiment_variants(config: ExperimentConfig) -> list[tuple[str, Profile, Fi
             for pool in ("core9", "low_noise", "high_noise")
         ]
     if config.experiment == "exp3":
-        profile = exp3_profile()
+        profile = make_profile("exp3", "safe_paths")
         return [
             (f"delta{delta:g}", profile, replace(TABLE2, delta=delta)) for delta in EXP3_DELTAS
         ]

@@ -407,21 +407,18 @@ def mutate(
     """Apply one of node mutation / addition / deletion (drawn per params).
 
     Inapplicable or invalid outcomes (and genotypes in ``exclude``) re-draw
-    the operator; after ``max_attempts`` the best candidate so far is kept
-    (repaired by node deletion if invalid), and as a final fallback the
-    parent is copied unchanged.
+    the operator; after ``max_attempts`` the last valid candidate found in
+    ``exclude`` is kept, and failing that the parent is copied unchanged.
 
     The parent must be valid: each operator then decides its candidate's
-    validity from the parent's ``node_facts`` at the edit, and only the
-    repair fallback calls ``bt.validate``. A canonical parent's candidate
-    skips ``bt.canonical`` when its operator says the edit left no
-    single-child control.
+    validity from the parent's ``node_facts`` at the edit, without
+    ``bt.validate``. A canonical parent's candidate skips ``bt.canonical``
+    when its operator says the edit left no single-child control.
     """
     ids = sorted(kinds)
     g = parent.genotype
     facts = parent.facts
     canonical_parent = parent.key is g
-    last = None
     valid_dup = None
     dup_key = None
     for _ in range(max_attempts):
@@ -432,10 +429,7 @@ def mutate(
             cand, ok, plain = _op_node_addition(g, facts, ids, kinds, rng, params.p_control_node)
         else:
             cand, ok, plain = _op_node_deletion(g, facts, kinds, rng)
-        if cand is None:
-            continue
-        last = cand
-        if not ok or bt.node_count(cand) > params.node_cap:
+        if cand is None or not ok or bt.node_count(cand) > params.node_cap:
             continue
         key = cand if plain and canonical_parent else bt.canonical(cand)
         if key in exclude:
@@ -444,10 +438,6 @@ def mutate(
         return Individual(cand, key=key)
     if valid_dup is not None:
         return Individual(valid_dup, key=dup_key)
-    if last is not None:
-        repaired = bt.repair(last, kinds, rng)
-        if bt.node_count(repaired) <= params.node_cap and not bt.validate(repaired, kinds):
-            return Individual(repaired)
     return Individual(g, key=parent._key)
 
 
@@ -611,16 +601,20 @@ _RESUMABLE_PARAMS = ("generations", "early_stop_window")
 def _run_fingerprint(params: GpParams, profile: Profile, weights: FitnessWeights) -> dict:
     """The run configuration a checkpoint is bound to, as JSON will load it."""
     fixed = {k: v for k, v in asdict(params).items() if k not in _RESUMABLE_PARAMS}
-    # The task geometry is the world's, stored with the profile under the keys
-    # checkpoints have always used for it: a run is bound to it all the same.
-    geometry = {
+    # World constants, stored with the profile under the keys checkpoints have
+    # always used for them, so a run stays bound to them; every checkpointed
+    # run stored the risky-path overrides (now the exp3 column) unset.
+    constants = {
         "start": world.START,
         "pick_pose": world.PICK_POSE,
         "goal_pose": world.GOAL_POSE,
         "reach_radius": world.REACH_RADIUS,
         "speed": world.SPEED,
+        "safe_time_multiplier": world.SAFE_TIME_MULTIPLIER,
+        "risky_losing_cube": None,
+        "risky_losing_localization": None,
     }
-    run = {"profile": asdict(profile) | geometry, "weights": asdict(weights), "params": fixed}
+    run = {"profile": asdict(profile) | constants, "weights": asdict(weights), "params": fixed}
     return json.loads(json.dumps(run))
 
 
@@ -678,6 +672,20 @@ def _item_types(value) -> list | None:
     return [type(v) for v in value] if isinstance(value, list) else None
 
 
+def _is_rng_state(rs: list) -> bool:
+    """Whether ``rs`` is a ``random.Random`` state as ``save_checkpoint``
+    stores it: [version, 624 32-bit words and a position, gauss slot]."""
+    return (
+        len(rs) == 3
+        and type(rs[0]) is int
+        and rs[0] == random.Random.VERSION
+        and _item_types(rs[1]) == [int] * 625
+        and all(0 <= w < 2**32 for w in rs[1])
+        and rs[1][-1] <= 624
+        and (rs[2] is None or type(rs[2]) is float)
+    )
+
+
 def load_checkpoint(path) -> dict:
     """Read a checkpoint; a missing or mistyped entry is a one-line
     ValueError naming the checkpoint and the entry."""
@@ -689,6 +697,8 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"checkpoint {path} has no {key!r} entry")
         if not isinstance(data[key], kind):
             raise ValueError(f"checkpoint {path}: {key!r} entry is not of type {kind.__name__}")
+    if not _is_rng_state(data["rng_state"]):
+        raise ValueError(f"checkpoint {path}: 'rng_state' entry is not a random.Random state")
     for i, entry in enumerate(data["population"]):
         for key in _ENTRY_KEYS:
             if not isinstance(entry, dict) or key not in entry:

@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "Individual",
     "MalformedGenotype",
     "Profile",
-    "RUNNING",
     "SUCCESS",
     "TABLE2",
     "build_transition_table",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -118,7 +119,7 @@ ORACLE_PROFILES = {
     "det": DET,
     "stoch3": world.make_profile("stoch3"),
     "stoch4": STOCH4,
-    "exp3": experiments.exp3_profile(),
+    "exp3": world.make_profile("exp3", "safe_paths"),
     "stoch3_high_noise": world.make_profile("stoch3", "high_noise"),
 }
 
@@ -267,9 +268,33 @@ def test_exp3_variants_delta_pair():
     deltas = [w.delta for _, _, w in variants]
     assert deltas == [0.0, 150.0]
     profile = variants[0][1]
-    assert profile.risky_losing_cube == 0.2
-    assert profile.risky_losing_localization == 0.4
+    assert profile == world.make_profile("exp3", "safe_paths")
+    assert profile.name == "exp3_safe_paths"
     assert "move_to_pick_safe" in profile.pool
+
+
+# The 10-node straight tree with a re-pick branch; with the reference tree, the
+# two hand-written trees whose risky and safe versions exp3's premise compares.
+TEN_NODE_TREE = bt.from_text(
+    "s( localise tuck head_up f( have_block s( move_to_pick head_down pick head_up ) ) "
+    "move_to_goal head_down place )"
+)
+
+
+def test_exp3_premise_risky_paths_pay_only_without_a_risk_weight():
+    profile = world.make_profile("exp3", "safe_paths")
+
+    def best_j(trees, delta):
+        weights = dataclasses.replace(fitness.TABLE2, delta=delta)
+        return max(fitness.evaluate(t, profile, weights, 3000, random.Random(1)).j for t in trees)
+
+    risky = (REFERENCE_SOLUTION, TEN_NODE_TREE)
+    safe = tuple(
+        tuple(tok + "_safe" if tok.startswith("move_to_") else tok for tok in tree)
+        for tree in risky
+    )
+    assert best_j(risky, 0.0) > best_j(safe, 0.0)
+    assert best_j(safe, 150.0) > best_j(risky, 150.0)
 
 
 def test_experiment_outputs_are_deterministic(tmp_path):
@@ -311,7 +336,7 @@ def test_cli_replay_reports_json(tmp_path, capsys):
         ([], DET),
         (["--profile", "stoch4"], STOCH4),
         (["--pool", "safe_paths"], world.make_profile("det", "safe_paths")),
-        (["--exp3-paths"], experiments.exp3_profile()),
+        (["--profile", "exp3", "--pool", "safe_paths"], world.make_profile("exp3", "safe_paths")),
     ],
 )
 def test_cli_replay_picks_the_profile(tmp_path, capsys, args, profile):
@@ -328,15 +353,14 @@ def test_cli_replay_picks_the_profile(tmp_path, capsys, args, profile):
     [["--profile", "det"], ["--pool", "core9"], ["--profile", "stoch3", "--pool", "safe_paths"]],
 )
 def test_cli_replay_exp3_paths_rejects_profile_and_pool(tmp_path, capsys, flags):
+    # --exp3-paths is gone: exp3's profile is the exp3 column with the
+    # safe_paths pool, so the flag is an argparse error with or without others
     tree_file = tmp_path / "tree.txt"
     experiments.write_genotype(tree_file, REFERENCE_SOLUTION)
-    rc = cli.main(["replay", "--tree", str(tree_file), "--exp3-paths", *flags])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: --exp3-paths sets its own profile and pool; drop --profile/--pool\n"
-    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["replay", "--tree", str(tree_file), "--exp3-paths", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exp3-paths" in capsys.readouterr().err
 
 
 def test_cli_replay_invalid_tree_fails(tmp_path, capsys):
@@ -530,12 +554,20 @@ def set_entry(data, path, value):
     data[last] = value
 
 
+NOT_AN_RNG_STATE = "'rng_state' entry is not a random.Random state"
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
         (("fingerprint",), None, "'fingerprint' entry is not of type dict"),
         (("generation",), "4", "'generation' entry is not of type int"),
         (("rng_state",), 3, "'rng_state' entry is not of type list"),
+        (("rng_state",), [3, [0] * 625], NOT_AN_RNG_STATE),
+        (("rng_state", 0), 99, NOT_AN_RNG_STATE),
+        (("rng_state", 1), [0] * 624, NOT_AN_RNG_STATE),
+        (("rng_state", 1, 0), 2**33, NOT_AN_RNG_STATE),
+        (("rng_state", 2), "x", NOT_AN_RNG_STATE),
         (("population",), 5, "'population' entry is not of type list"),
         (("population", 2), 5, "population entry 2 has no 'genotype'"),
         (
@@ -558,6 +590,11 @@ def set_entry(data, path, value):
         "fingerprint",
         "generation",
         "rng_state",
+        "rng_state_two_items",
+        "rng_state_version",
+        "rng_state_short_vector",
+        "rng_state_wide_word",
+        "rng_state_gauss",
         "population",
         "entry",
         "fitness",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btgp import bt, experiments, fitness, gp, world
+from btgp import bt, fitness, gp, world
 
 DET = world.make_profile("det")
 KINDS = world.leaf_kinds(DET)
@@ -417,7 +417,6 @@ def op_node_deletion(g, rng):
 def mutate_validating_every_candidate(parent, kinds, params, rng, *, max_attempts, exclude):
     ids = sorted(kinds)
     g = parent.genotype
-    last = None
     valid_dup = None
     dup_key = None
     for _ in range(max_attempts):
@@ -428,10 +427,7 @@ def mutate_validating_every_candidate(parent, kinds, params, rng, *, max_attempt
             cand = op_node_addition(g, ids, rng, params.p_control_node)
         else:
             cand = op_node_deletion(g, rng)
-        if cand is None:
-            continue
-        last = cand
-        if bt.node_count(cand) > params.node_cap:
+        if cand is None or bt.node_count(cand) > params.node_cap:
             continue
         if bt.validate(cand, kinds):
             continue
@@ -442,10 +438,6 @@ def mutate_validating_every_candidate(parent, kinds, params, rng, *, max_attempt
         return gp.Individual(cand, key=key)
     if valid_dup is not None:
         return gp.Individual(valid_dup, key=dup_key)
-    if last is not None:
-        repaired = bt.repair(last, kinds, rng)
-        if bt.node_count(repaired) <= params.node_cap and not bt.validate(repaired, kinds):
-            return gp.Individual(repaired)
     return gp.Individual(g, key=parent._key)
 
 
@@ -776,10 +768,10 @@ def history_digest(history) -> str:
 # best genotype or episode count breaks them.
 DET_SEED0_100_DIGEST = "ce6c15463ee1b4ce3f4fc0edc5cf2c691257fcd96f710eff59a9d1ffee331498"
 STOCH3_SEED0_40_DIGEST = "a6ec9712424f24be67832e95871aae156b6e2b030ea5c1f6bf4651b16fd3907a"
-# Taken on the same code as the two above plus the single-pass canonical and
-# the det cache; exp3 with delta = 150 is the one pinned run whose risk term
-# is not zero.
-EXP3_DELTA150_SEED0_40_DIGEST = "131201f524a9b3a6cc7557b323c6163b42ff8c73fe9ec90e20b9a3918b26e2c1"
+# exp3 with delta = 150 is the one pinned run whose risk term is not zero.
+# Re-pinned when the exp3 column's losses fell from 0.2 / 0.4 to 0.05 / 0.1,
+# after the column had reproduced the old digest unedited.
+EXP3_DELTA150_SEED0_40_DIGEST = "4ce4b650abb89628ee337fa4aeee21b55f2fc26e07513483b225f64204807822"
 # Taken while every det episode was still simulated: five per evaluation here.
 DET_EP5_SEED0_60_DIGEST = "4b71c6ea47537174e75c30ce3d4e18fc951d9486b7e6979ca6c6135dcc7d9a1d"
 
@@ -799,7 +791,7 @@ def test_stoch3_history_digest_is_pinned():
 def test_exp3_risk_weighted_history_digest_is_pinned():
     params = gp.GpParams(generations=40, seed=0, episodes_per_eval=5, reevaluate_elites=True)
     weights = dataclasses.replace(fitness.TABLE2, delta=150.0)
-    history, _ = gp.run(params, experiments.exp3_profile(), weights)
+    history, _ = gp.run(params, world.make_profile("exp3", "safe_paths"), weights)
     assert history_digest(history) == EXP3_DELTA150_SEED0_40_DIGEST
 
 
@@ -846,7 +838,9 @@ def test_det_simulates_each_distinct_genotype_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "profile", [world.make_profile("stoch3"), experiments.exp3_profile()], ids=["stoch3", "exp3"]
+    "profile",
+    [world.make_profile("stoch3"), world.make_profile("exp3", "safe_paths")],
+    ids=["stoch3", "exp3"],
 )
 def test_stochastic_profiles_simulate_every_evaluation(monkeypatch, profile):
     params = gp.GpParams(generations=10, seed=0, reevaluate_elites=True)
@@ -980,6 +974,54 @@ def test_resume_binds_the_task_geometry(tmp_path):
         gp.run(params, DET, fitness.TABLE2, resume_from=path)
 
 
+# Profiles as earlier checkpoints stored them, keys the dataclass no longer
+# has included: det, and exp3 when it was the det column with risky overrides.
+STORED_DET_PROFILE = {
+    "name": "det",
+    "loc_failure": 0.0,
+    "pick_failure": 0.0,
+    "place_failure": 0.0,
+    "losing_cube": 0.0,
+    "losing_localization": 0.0,
+    "pool": list(world.CORE9),
+    "safe_time_multiplier": 2.0,
+    "risky_losing_cube": None,
+    "risky_losing_localization": None,
+    **CHECKPOINT_GEOMETRY,
+}
+STORED_EXP3_PROFILE = {
+    **STORED_DET_PROFILE,
+    "name": "exp3_safe_paths",
+    "pool": STORED_DET_PROFILE["pool"] + ["move_to_pick_safe", "move_to_goal_safe"],
+    "risky_losing_cube": 0.2,
+    "risky_losing_localization": 0.4,
+}
+
+
+def test_resume_accepts_a_stored_det_profile(tmp_path):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=12, seed=9)
+    full_history, _ = gp.run(params, DET, fitness.TABLE2)
+    data = write_checkpoint(path, gp.GpParams(generations=6, seed=9))
+    data["fingerprint"]["profile"] = STORED_DET_PROFILE
+    path.write_text(json.dumps(data))
+    resumed_history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
+    assert history_digest(resumed_history) == history_digest(full_history)
+
+
+def test_resume_refuses_a_stored_risky_override_exp3_profile(tmp_path):
+    # the exp3 column now carries the losses, so the old exp3 is another run
+    path = tmp_path / "ckpt.json"
+    exp3 = world.make_profile("exp3", "safe_paths")
+    params = gp.GpParams(generations=2, seed=0)
+    gp.run(params, exp3, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
+    data = json.loads(path.read_text())
+    data["fingerprint"]["profile"] = STORED_EXP3_PROFILE
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"is from another run \(different profile\)$"):
+        gp.run(params, exp3, fitness.TABLE2, resume_from=path)
+
+
 EPISODE5 = {"episodes_per_eval": 5, "reevaluate_elites": True}
 RESUMED_RUNS = {
     "det": (DET, fitness.TABLE2, gp.GpParams(generations=25, seed=0)),
@@ -989,7 +1031,7 @@ RESUMED_RUNS = {
         gp.GpParams(generations=25, seed=0, **EPISODE5),
     ),
     "exp3_delta150": (
-        experiments.exp3_profile(),
+        world.make_profile("exp3", "safe_paths"),
         dataclasses.replace(fitness.TABLE2, delta=150.0),
         gp.GpParams(generations=25, seed=0, **EPISODE5),
     ),

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import random
 
 import pytest
 
-from btgp import bt, experiments, world
+from btgp import bt, world
 
 DET = world.make_profile("det")
 STOCH3 = world.make_profile("stoch3")
@@ -75,6 +76,26 @@ def test_behavior_pool_sizes():
         assert list(world.build_transition_table(profile)) == list(profile.pool)
     with pytest.raises(world.UnknownScenario):
         world.make_profile("det", "nope")
+
+
+def test_profile_is_a_column_and_a_pool():
+    fields = [f.name for f in dataclasses.fields(world.Profile)]
+    assert fields == ["name", *world.PROBABILITY_COLUMNS["det"], "pool"]
+    params = inspect.signature(world.make_profile).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("column", inspect.Parameter.empty),
+        ("pool", "core9"),
+    ]
+
+
+def test_safe_move_never_loses_whatever_the_column():
+    prof = dataclasses.replace(
+        world.make_profile("exp3", "safe_paths"), losing_cube=1.0, losing_localization=1.0
+    )
+    st = ready_state(holding=True, head_up=True)
+    assert execute("move_to_goal_safe", st, prof, random.Random(0)) == bt.SUCCESS
+    assert st.holding and st.localized
+    assert (st.cube_x, st.cube_y) == world.GOAL_POSE
 
 
 def test_safe_move_costs_double_time():
@@ -168,7 +189,7 @@ def test_move_success_reaches_target_and_keeps_loc_error():
 
 
 def test_losing_localization_strands_at_midpoint():
-    prof = world.make_profile("det", "core9", risky_losing_localization=1.0)
+    prof = dataclasses.replace(DET, losing_localization=1.0)
     st = ready_state(at=(0.0, 0.0), head_up=True)
     assert execute("move_to_pick", st, prof, random.Random(0)) == bt.FAILURE
     assert (st.true_x, st.true_y) == (1.0, 0.0)
@@ -178,7 +199,7 @@ def test_losing_localization_strands_at_midpoint():
 
 
 def test_losing_cube_respawns_but_move_succeeds():
-    prof = world.make_profile("det", "core9", risky_losing_cube=1.0)
+    prof = dataclasses.replace(DET, losing_cube=1.0)
     st = ready_state(holding=True, head_up=True)
     assert execute("move_to_goal", st, prof, random.Random(0)) == bt.SUCCESS
     assert (st.true_x, st.true_y) == world.GOAL_POSE
@@ -227,7 +248,7 @@ def test_reference_solution_solves_deterministic_profile():
 
 
 def test_reference_solution_recovers_from_cube_loss():
-    prof = world.make_profile("det", "core9", risky_losing_cube=0.5)
+    prof = dataclasses.replace(DET, losing_cube=0.5)
     placed = 0
     rng = random.Random(9)
     for _ in range(200):
@@ -345,8 +366,7 @@ def test_deterministic_profile_episode_is_pure():
 def test_draws_nothing_only_on_all_zero_probabilities():
     pure = [c for c in world.PROBABILITY_COLUMNS if world.draws_nothing(world.make_profile(c))]
     assert pure == ["det"]
-    # exp3 is the det column with risky-path overrides, and those draw
-    exp3 = experiments.exp3_profile()
-    assert all(getattr(exp3, k) == 0.0 for k in world.PROBABILITY_COLUMNS["det"])
-    assert not world.draws_nothing(exp3)
-    assert world.draws_nothing(world.make_profile("det", "high_noise", risky_losing_cube=0.0))
+    assert world.draws_nothing(world.make_profile("det", "high_noise"))
+    # any one non-zero probability draws, whatever the column's name
+    for key in world.PROBABILITY_COLUMNS["det"]:
+        assert not world.draws_nothing(dataclasses.replace(DET, **{key: 0.1}))
