@@ -275,12 +275,14 @@ def crossover(
     return (Individual(g1, key=p1._key), Individual(g2, key=p2._key))
 
 
-# The mutation operators below each return (candidate, valid, plain) for a
+# The mutation operators below each return (candidate, valid, key) for a
 # valid genotype ``g`` with rows ``facts = bt.node_facts(g)``. ``valid``
 # equals ``not bt.validate(candidate)``: an edit can break V1-V4 only where it
 # touches the tree, so each operator checks just the nodes next to its edit.
-# ``plain`` says the edit leaves no control with a single child, so the
-# candidate of a canonical ``g`` is its own canonical form.
+# ``key`` is the candidate's canonical form if ``g`` is canonical, or None
+# when only ``bt.canonical`` can tell: an edit that leaves no control with a
+# single child is its own key, and one that wraps a single node in a new
+# control is keyed as ``g``, since splicing that control gives ``g`` back.
 
 
 def _is_condition(kinds, tok: str) -> bool:
@@ -313,12 +315,14 @@ def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
         if bt.is_control_open(g[i]):
             # kind flip: V1 against every control child as well
             ok = ok and all(g[j] != tok for j in _child_starts(facts, k))
-            return g[:i] + (tok,) + g[i + 1 :], ok, True
+            cand = g[:i] + (tok,) + g[i + 1 :]
+            return cand, ok, cand
         # leaf -> control: the leaf becomes the new control's only child (V2)
         ok = ok and not _is_condition(kinds, g[i])
-        return g[:i] + (tok, g[i], bt.CLOSE) + g[i + 1 :], ok, False
+        return g[:i] + (tok, g[i], bt.CLOSE) + g[i + 1 :], ok, g
     leaf = ids[_below(bits, len(ids))]
-    return g[:i] + (leaf,) + g[e:], bt.fits(g, facts[k], leaf, kinds), True
+    cand = g[:i] + (leaf,) + g[e:]
+    return cand, bt.fits(g, facts[k], leaf, kinds), cand
 
 
 def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: float):
@@ -330,7 +334,7 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
         tok = _random_control(rng)
         n_runs = sum(m * (m + 1) // 2 for *_, m in facts)
         if not n_runs:  # bare leaf: wrap the root, which becomes the last child (V2)
-            return (tok,) + g + (bt.CLOSE,), not _is_condition(kinds, g[0]), False
+            return (tok,) + g + (bt.CLOSE,), not _is_condition(kinds, g[0]), g
         r = _below(bits, n_runs)
         for k, row in enumerate(facts):
             m = row[4]
@@ -351,8 +355,10 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
             and not _is_condition(kinds, g[hi - 1])
         )
         # the new control gets r + 1 children, the one above keeps m - r
-        plain = r >= 1 and m - r >= 2
-        return g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:], ok, plain
+        cand = g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:]
+        if r == 0:  # a wrap of one child
+            return cand, ok, g
+        return cand, ok, cand if m - r >= 2 else None
     # New leaf, either as a sibling in an existing child list or at a new
     # level (bundled with an existing node under a fresh control).
     leaf = ids[_below(bits, len(ids))]
@@ -363,7 +369,8 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
         j = 1 + _below(bits, len(g) - 1)
         # V2 as the last child, V4 next to an equal leaf
         ok = not cond or (g[j] != bt.CLOSE and g[j] != leaf and g[j - 1] != leaf)
-        return g[:j] + (leaf,) + g[j:], ok, True
+        cand = g[:j] + (leaf,) + g[j:]
+        return cand, ok, cand
     r = _below(bits, 2 * len(facts))
     s, e, _, parent, _ = facts[r // 2]
     tok = _random_control(rng)
@@ -371,18 +378,17 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
     # (a V4 pair of equal conditions always puts a condition last)
     ok = (parent < 0 or g[parent] != tok) and g[s] != tok
     if r % 2 == 0:
-        return (
-            g[:s] + (tok, leaf) + g[s:e] + (bt.CLOSE,) + g[e:],
-            ok and not _is_condition(kinds, g[s]),
-            True,
-        )
-    return g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:], ok and not cond, True
+        cand = g[:s] + (tok, leaf) + g[s:e] + (bt.CLOSE,) + g[e:]
+        return cand, ok and not _is_condition(kinds, g[s]), cand
+    cand = g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:]
+    return cand, ok and not cond, cand
 
 
 def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
     if len(facts) <= 1:
-        return None, False, False  # deleting the only node would empty the tree
-    s, e, *_ = facts[_below(rng.getrandbits, len(facts) - 1) + 1]  # never the root
+        return None, False, None  # deleting the only node would empty the tree
+    k = _below(rng.getrandbits, len(facts) - 1) + 1  # never the root
+    s, e, _, parent, _ = facts[k]
     before, after = g[s - 1], g[e]
     if after == bt.CLOSE:
         # the node was the last child: V3 if it was the only one, else V2
@@ -391,8 +397,12 @@ def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
     else:
         # V4 for the siblings that become neighbours
         ok = before != after or not _is_condition(kinds, before)
-    # the parent loses a child, which may leave it with one
-    return g[:s] + g[e:], ok, False
+    # the parent loses a child, which may leave it with one; its row is the
+    # nearest one before k that starts at its open
+    while facts[k][0] != parent:
+        k -= 1
+    cand = g[:s] + g[e:]
+    return cand, ok, cand if facts[k][4] > 2 else None
 
 
 def mutate(
@@ -403,6 +413,7 @@ def mutate(
     *,
     max_attempts: int = 100,
     exclude: frozenset | set = frozenset(),
+    ids=None,
 ) -> Individual:
     """Apply one of node mutation / addition / deletion (drawn per params).
 
@@ -413,9 +424,11 @@ def mutate(
     The parent must be valid: each operator then decides its candidate's
     validity from the parent's ``node_facts`` at the edit, without
     ``bt.validate``. A canonical parent's candidate skips ``bt.canonical``
-    when its operator says the edit left no single-child control.
+    when its operator knows the candidate's key. ``ids`` is
+    ``sorted(kinds)``, which a caller breeding many offspring passes once.
     """
-    ids = sorted(kinds)
+    if ids is None:
+        ids = sorted(kinds)
     g = parent.genotype
     facts = parent.facts
     canonical_parent = parent.key is g
@@ -424,14 +437,15 @@ def mutate(
     for _ in range(max_attempts):
         r = rng.random()
         if r < params.p_node_mutation:
-            cand, ok, plain = _op_node_mutation(g, facts, ids, kinds, rng, params.p_control_node)
+            cand, ok, key = _op_node_mutation(g, facts, ids, kinds, rng, params.p_control_node)
         elif r < params.p_node_mutation + params.p_node_addition:
-            cand, ok, plain = _op_node_addition(g, facts, ids, kinds, rng, params.p_control_node)
+            cand, ok, key = _op_node_addition(g, facts, ids, kinds, rng, params.p_control_node)
         else:
-            cand, ok, plain = _op_node_deletion(g, facts, kinds, rng)
+            cand, ok, key = _op_node_deletion(g, facts, kinds, rng)
         if cand is None or not ok or bt.node_count(cand) > params.node_cap:
             continue
-        key = cand if plain and canonical_parent else bt.canonical(cand)
+        if key is None or not canonical_parent:
+            key = bt.canonical(cand)
         if key in exclude:
             valid_dup, dup_key = cand, key  # acceptable if nothing novel shows up
             continue
@@ -447,10 +461,13 @@ def mutate(
 class Evaluator:
     """Assigns fitness to individuals, one at a time.
 
-    On a profile that draws from the rng, every evaluation seeds its own rng
-    stream from (master seed, tag, slot), so an individual's fitness depends
-    only on its genotype and its slot in the batch, never on what else the
-    batch holds. Nothing is cached.
+    On a profile that draws from the rng, each ``eval_batch`` call seeds one
+    rng stream from (master seed, tag) and evaluates its individuals in
+    order from it, so an individual's episodes are the stretch of the
+    stream its predecessors in the batch left it: its fitness depends on
+    its genotype and on the genotypes evaluated before it in that batch.
+    Seeding once per batch, not once per individual, saves a Mersenne
+    Twister initialisation per evaluation. Nothing is cached.
 
     When the profile draws nothing (``world.draws_nothing``), an episode is
     a pure function of the genotype, so ``eval_batch`` keeps a genotype ->
@@ -486,19 +503,21 @@ class Evaluator:
             max_ticks=p.max_ticks,
         )
 
-    def seed_string(self, tag: str, slot: int) -> str:
-        return f"{self.params.seed}:{tag}:{slot}"
-
     def eval_batch(self, individuals, tag: str) -> int:
         """Evaluate in order; returns the episode budget spent.
+
+        On a profile that draws, the batch is one rng stream seeded from
+        ``f"{params.seed}:{tag}"``: calling ``evaluate_one`` on each
+        individual in order with that one rng gives the same fitness
+        values. The tag must differ between the batches of a run.
 
         Every individual counts ``episodes_per_eval`` episodes, whether it
         was simulated or its fitness came from the cache.
         """
         cache = self._cache
         if cache is None:
-            for i, ind in enumerate(individuals):
-                rng = random.Random(self.seed_string(tag, i))
+            rng = random.Random(f"{self.params.seed}:{tag}")
+            for ind in individuals:
                 ind.fitness = self.evaluate_one(ind.genotype, rng)
         else:
             for ind in individuals:
@@ -545,9 +564,10 @@ def evolve_generation(
             offspring.append(c2)
 
     mut_parents = tournament(population, n_mut, rng)
+    ids = sorted(kinds)
     for parent in mut_parents:
         for _ in range(2):
-            child = mutate(parent, kinds, params, rng, exclude=taken)
+            child = mutate(parent, kinds, params, rng, exclude=taken, ids=ids)
             taken.add(child.key)
             offspring.append(child)
 
@@ -614,7 +634,14 @@ def _run_fingerprint(params: GpParams, profile: Profile, weights: FitnessWeights
         "risky_losing_cube": None,
         "risky_losing_localization": None,
     }
-    run = {"profile": asdict(profile) | constants, "weights": asdict(weights), "params": fixed}
+    stored = asdict(profile) | constants
+    if not draws_nothing(profile):
+        # Fitness on a profile that draws depends on how evaluations are
+        # seeded. Checkpoints from when every evaluation seeded its own
+        # stream lack this key, so they are refused, not resumed into
+        # other streams; det runs never draw, so theirs still resume.
+        stored["evaluation"] = "one rng stream per eval_batch"
+    run = {"profile": stored, "weights": asdict(weights), "params": fixed}
     return json.loads(json.dumps(run))
 
 

@@ -514,23 +514,23 @@ def test_local_verdicts_match_validate(seed, kinds, p_control):
     p_control=st.floats(0.0, 1.0),
 )
 def test_plain_edits_of_canonical_genotypes_are_canonical(seed, kinds, p_control):
-    """A candidate its operator flags ``plain``, and every crossover splice
-    of two canonical genotypes, is its own canonical form. The genotypes
-    are canonical forms of random ones, whose single-child wrappers have
-    been spliced out."""
+    """A key an operator gives its candidate is the candidate's canonical
+    form, and every crossover splice of two canonical genotypes is its own
+    canonical form. The genotypes are canonical forms of random ones, whose
+    single-child wrappers have been spliced out."""
     rng = random.Random(seed)
     ids = sorted(kinds)
     g = bt.canonical(bt.random_genotype(kinds, rng.randint(1, 12), rng))
     other = bt.canonical(bt.random_genotype(kinds, rng.randint(1, 12), rng))
     facts = bt.node_facts(g)
     for _ in range(20):
-        for cand, _, plain in (
+        for cand, _, key in (
             gp._op_node_mutation(g, facts, ids, kinds, rng, p_control),
             gp._op_node_addition(g, facts, ids, kinds, rng, p_control),
             gp._op_node_deletion(g, facts, kinds, rng),
         ):
-            if plain:
-                assert bt.canonical(cand) == cand, (g, cand)
+            if key is not None:
+                assert bt.canonical(cand) == key, (g, cand)
     for row in facts:
         for s, e, *_ in bt.node_facts(other):
             child = g[: row[0]] + other[s:e] + g[row[1] :]
@@ -555,6 +555,38 @@ def test_canonical_parents_breed_without_canonical_calls(monkeypatch):
         child = gp.mutate(p1, KINDS, params, random.Random(seed))
         assert child.key is child.genotype
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text, p_mutation, p_addition",
+    [
+        ("localise", 0.0, 1.0),  # bare-leaf wrap
+        ("s( localise tuck )", 1.0, 0.0),  # kind flip or leaf -> control wrap
+        ("s( localise tuck pick )", 0.0, 0.0),  # deletions that leave two children
+    ],
+    ids=["bare-leaf-wrap", "leaf-wrap", "deletion"],
+)
+def test_mutate_keys_wraps_and_deletions_of_canonical_parents_without_rescans(
+    monkeypatch, text, p_mutation, p_addition
+):
+    # a single node wrapped in a new control splices back to the parent, and
+    # a deletion that leaves its parent two children is its own canonical form
+    parent = ind(text)
+    assert parent.key is parent.genotype
+    calls = []
+    canonical = bt.canonical
+    monkeypatch.setattr(bt, "canonical", lambda g: calls.append(g) or canonical(g))
+    params = gp.GpParams(
+        p_node_mutation=p_mutation,
+        p_node_addition=p_addition,
+        p_node_deletion=1.0 - p_mutation - p_addition,
+        p_control_node=1.0,
+    )
+    children = [gp.mutate(parent, KINDS, params, random.Random(seed)) for seed in range(30)]
+    assert calls == []
+    for child in children:
+        assert child.key == canonical(child.genotype)
+        assert child.key is child.genotype or child.key is parent.genotype
 
 
 def make_population(n=30, seed=0):
@@ -763,15 +795,16 @@ def history_digest(history) -> str:
     return hashlib.sha256(rows.encode()).hexdigest()
 
 
-# SHA-256 of the history rows of two fixed runs, taken before canonical became
-# one pass and det fitness was cached. A change to any row's best_j, mean_j,
-# best genotype or episode count breaks them.
+# SHA-256 of the history rows of fixed runs. A change to any row's best_j,
+# mean_j, best genotype or episode count breaks them. The det digest was
+# taken before canonical became one pass and det fitness was cached.
 DET_SEED0_100_DIGEST = "ce6c15463ee1b4ce3f4fc0edc5cf2c691257fcd96f710eff59a9d1ffee331498"
-STOCH3_SEED0_40_DIGEST = "a6ec9712424f24be67832e95871aae156b6e2b030ea5c1f6bf4651b16fd3907a"
+# The two stochastic digests were re-pinned (the same on Python 3.10-3.13)
+# when each eval_batch became one rng stream in place of one per individual,
+# after the old digests had passed on the code before that change.
+STOCH3_SEED0_40_DIGEST = "77f4f27df171f4748a3f1163b06856c7f331394a84f198d44eec4cddc2c0c95a"
 # exp3 with delta = 150 is the one pinned run whose risk term is not zero.
-# Re-pinned when the exp3 column's losses fell from 0.2 / 0.4 to 0.05 / 0.1,
-# after the column had reproduced the old digest unedited.
-EXP3_DELTA150_SEED0_40_DIGEST = "4ce4b650abb89628ee337fa4aeee21b55f2fc26e07513483b225f64204807822"
+EXP3_DELTA150_SEED0_40_DIGEST = "b59726e76470737b2cfbda3b9f49f316aa6ff34060e302d0ecce68ac2a4cfcc7"
 # Taken while every det episode was still simulated: five per evaluation here.
 DET_EP5_SEED0_60_DIGEST = "4b71c6ea47537174e75c30ce3d4e18fc951d9486b7e6979ca6c6135dcc7d9a1d"
 
@@ -867,8 +900,59 @@ def test_det_run_never_draws_from_the_shared_rng(monkeypatch):
     assert shared.getstate() == state
 
 
-def write_checkpoint(path, params):
-    gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=params.generations)
+STOCHASTIC_PROFILES = {
+    "stoch3": world.make_profile("stoch3"),
+    "exp3": world.make_profile("exp3", "safe_paths"),
+}
+
+
+@pytest.mark.parametrize("name", list(STOCHASTIC_PROFILES))
+def test_eval_batch_is_in_order_evaluate_one_on_one_stream(name):
+    profile = STOCHASTIC_PROFILES[name]
+    # an evolved population: most random start trees never reach a draw
+    populations = []
+    gp.run(
+        gp.GpParams(generations=20, seed=1), profile, on_generation=lambda _, p: populations.append(p)
+    )
+    batch = [gp.Individual(p.genotype) for p in populations[-1]]
+    batch += [gp.Individual(p.genotype) for p in batch[:5]]  # repeats sit later in the stream
+    params = gp.GpParams(seed=4, episodes_per_eval=3)
+    evaluator = gp.Evaluator(profile, fitness.TABLE2, params)
+    assert evaluator.eval_batch(batch, "g3:off") == 35 * 3
+    rng = random.Random("4:g3:off")
+    want = [evaluator.evaluate_one(p.genotype, rng) for p in batch]
+    assert [p.fitness for p in batch] == want
+
+
+def test_a_stochastic_generation_seeds_one_rng_per_eval_batch(monkeypatch):
+    params = gp.GpParams(seed=0, episodes_per_eval=2, reevaluate_elites=True)
+    evaluator = gp.Evaluator(STOCHASTIC_PROFILES["stoch3"], fitness.TABLE2, params)
+    population = make_population()
+    evaluator.eval_batch(population, "init")
+    breeding = random.Random(1)
+    tags, seeds = [], []
+    eval_batch = evaluator.eval_batch
+
+    def recording_eval_batch(individuals, tag):
+        tags.append(tag)
+        return eval_batch(individuals, tag)
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    evaluator.eval_batch = recording_eval_batch
+    monkeypatch.setattr(gp.random, "Random", CountingRandom)
+    gp.evolve_generation(population, evaluator, params, breeding, 1)
+    assert tags == ["g1:off", "g1:elite"]
+    assert seeds == ["0:g1:off", "0:g1:elite"]
+
+
+def write_checkpoint(path, params, profile=DET):
+    gp.run(
+        params, profile, fitness.TABLE2, checkpoint_path=path, checkpoint_every=params.generations
+    )
     return json.loads(path.read_text())
 
 
@@ -1020,6 +1104,23 @@ def test_resume_refuses_a_stored_risky_override_exp3_profile(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=r"is from another run \(different profile\)$"):
         gp.run(params, exp3, fitness.TABLE2, resume_from=path)
+
+
+def test_resume_refuses_a_stochastic_checkpoint_seeded_per_individual(tmp_path):
+    # fingerprints written while every stochastic evaluation seeded its own
+    # stream have no evaluation entry; resuming one would change its streams
+    path = tmp_path / "ckpt.json"
+    stoch3 = STOCHASTIC_PROFILES["stoch3"]
+    params = gp.GpParams(generations=2, seed=0, population=6, episodes_per_eval=5)
+    data = write_checkpoint(path, params, stoch3)
+    assert "evaluation" in data["fingerprint"]["profile"]
+    del data["fingerprint"]["profile"]["evaluation"]
+    path.write_text(json.dumps(data))
+    pattern = f"^checkpoint {re.escape(str(path))} is from another run \\(different profile\\)$"
+    with pytest.raises(ValueError, match=pattern):
+        gp.run(params, stoch3, fitness.TABLE2, resume_from=path)
+    # det never draws, so its fingerprint is what it was
+    assert "evaluation" not in write_checkpoint(path, params)["fingerprint"]["profile"]
 
 
 EPISODE5 = {"episodes_per_eval": 5, "reevaluate_elites": True}
