@@ -413,7 +413,6 @@ def mutate(
     *,
     max_attempts: int = 100,
     exclude: frozenset | set = frozenset(),
-    ids=None,
 ) -> Individual:
     """Apply one of node mutation / addition / deletion (drawn per params).
 
@@ -424,11 +423,9 @@ def mutate(
     The parent must be valid: each operator then decides its candidate's
     validity from the parent's ``node_facts`` at the edit, without
     ``bt.validate``. A canonical parent's candidate skips ``bt.canonical``
-    when its operator knows the candidate's key. ``ids`` is
-    ``sorted(kinds)``, which a caller breeding many offspring passes once.
+    when its operator knows the candidate's key.
     """
-    if ids is None:
-        ids = sorted(kinds)
+    ids = sorted(kinds)
     g = parent.genotype
     facts = parent.facts
     canonical_parent = parent.key is g
@@ -564,10 +561,9 @@ def evolve_generation(
             offspring.append(c2)
 
     mut_parents = tournament(population, n_mut, rng)
-    ids = sorted(kinds)
     for parent in mut_parents:
         for _ in range(2):
-            child = mutate(parent, kinds, params, rng, exclude=taken, ids=ids)
+            child = mutate(parent, kinds, params, rng, exclude=taken)
             taken.add(child.key)
             offspring.append(child)
 
