@@ -266,15 +266,12 @@ def random_genotype(
     rng,
     *,
     node_cap: int = 64,
-    p_control: float = 0.5,
-    max_attempts: int = 100,
 ) -> Genotype:
     """Random valid genotype with exactly ``length`` nodes.
 
-    Controls are drawn with probability ``p_control`` per slot where a
-    subtree of two or more nodes still fits. Invalid draws are resampled up
-    to ``max_attempts`` times, after which the last draw is repaired by
-    deleting violating nodes.
+    Controls are drawn with probability 0.5 per slot where a subtree of two
+    or more nodes still fits. Invalid draws are resampled up to 100 times,
+    after which the last draw is repaired by deleting violating nodes.
     """
     if not kinds:
         raise PoolEmpty("behavior pool is empty")
@@ -296,7 +293,7 @@ def random_genotype(
         remaining = n - 1
         sizes: list[int] = []
         while remaining > 0:
-            if remaining >= 2 and rng.random() < p_control:
+            if remaining >= 2 and rng.random() < 0.5:
                 size = rng.randint(2, remaining)
             else:
                 size = 1
@@ -308,7 +305,7 @@ def random_genotype(
         return out
 
     last: Genotype = ()
-    for _ in range(max_attempts):
+    for _ in range(100):
         candidate = tuple(grow(length, None))
         if not validate(candidate, kinds):
             return candidate

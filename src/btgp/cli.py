@@ -13,7 +13,6 @@ from . import bt
 from .experiments import (
     DEFAULT_SEEDS,
     DESK_GENERATIONS,
-    FULL_GENERATIONS,
     ExperimentConfig,
     read_genotype,
     replay,
@@ -47,20 +46,27 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _generations(args) -> int:
-    if args.generations is not None:
-        return args.generations
-    return FULL_GENERATIONS if args.full else DESK_GENERATIONS
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--generations", type=int, default=None, help="generation budget")
+def _add_common(parser: argparse.ArgumentParser, reevaluate_elites: bool) -> None:
     parser.add_argument(
-        "--full", action="store_true", help=f"run the full {FULL_GENERATIONS} generations"
+        "--generations", type=int, default=DESK_GENERATIONS, help="generation budget"
     )
-    parser.add_argument("--population", type=int, default=30)
-    parser.add_argument("--episodes-per-eval", type=int, default=1)
+    parser.add_argument("--population", type=int, default=GpParams.population)
+    parser.add_argument("--episodes-per-eval", type=int, default=GpParams.episodes_per_eval)
+    parser.add_argument(
+        "--reevaluate-elites", action=argparse.BooleanOptionalAction, default=reevaluate_elites
+    )
     parser.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV_VAR})")
+
+
+def _gp_params(args, **run_only) -> GpParams:
+    """The run settings the shared flags give, plus ``run``'s own."""
+    return GpParams(
+        population=args.population,
+        generations=args.generations,
+        episodes_per_eval=args.episodes_per_eval,
+        reevaluate_elites=args.reevaluate_elites,
+        **run_only,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,14 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--pool", default="core9", choices=SCENARIOS)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--delta", type=float, default=None, help="risk weight override")
-    run_p.add_argument(
-        "--reevaluate-elites", action=argparse.BooleanOptionalAction, default=False
-    )
     run_p.add_argument("--early-stop-window", type=int, default=0)
     run_p.add_argument("--checkpoint-every", type=int, default=0)
     run_p.add_argument("--checkpoint", default=None, help="checkpoint file path")
     run_p.add_argument("--resume", default=None, help="resume from a checkpoint file")
-    _add_common(run_p)
+    _add_common(run_p, reevaluate_elites=False)
 
     for name, help_text in (
         ("exp1", "failure-probability robustness across the five profiles"),
@@ -93,15 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
         exp_p = sub.add_parser(name, help=help_text)
         exp_p.add_argument("--seeds", type=_parse_seeds, default=DEFAULT_SEEDS)
         exp_p.add_argument(
-            "--reevaluate-elites", action=argparse.BooleanOptionalAction, default=True
-        )
-        exp_p.add_argument(
             "--workers",
             type=int,
             default=1,
             help="run this many (variant, seed) jobs at once in parallel processes",
         )
-        _add_common(exp_p)
+        _add_common(exp_p, reevaluate_elites=True)
 
     replay_p = sub.add_parser("replay", help="Monte Carlo replay of a genotype file")
     replay_p.add_argument("--tree", required=True, help="genotype text file")
@@ -116,17 +116,11 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out or _default_out())
     weights = TABLE2 if args.delta is None else replace(TABLE2, delta=args.delta)
     profile = make_profile(args.profile, args.pool)
-    params = GpParams(
-        population=args.population,
-        generations=_generations(args),
-        episodes_per_eval=args.episodes_per_eval,
-        seed=args.seed,
-        reevaluate_elites=args.reevaluate_elites,
-        early_stop_window=args.early_stop_window,
-    )
+    params = _gp_params(args, seed=args.seed, early_stop_window=args.early_stop_window)
     checkpoint = args.checkpoint
-    if checkpoint is None and args.checkpoint_every > 0:
-        checkpoint = out_dir / f"run_{profile.name}_seed{args.seed}.checkpoint.json"
+    if args.checkpoint_every > 0:
+        if checkpoint is None:
+            checkpoint = out_dir / f"run_{profile.name}_seed{args.seed}.checkpoint.json"
         Path(checkpoint).parent.mkdir(parents=True, exist_ok=True)
     history, best = run(
         params,
@@ -154,10 +148,7 @@ def _cmd_experiment(args) -> int:
         experiment=args.command,
         out_dir=str(args.out or _default_out()),
         seeds=tuple(args.seeds),
-        generations=_generations(args),
-        population=args.population,
-        episodes_per_eval=args.episodes_per_eval,
-        reevaluate_elites=args.reevaluate_elites,
+        params=_gp_params(args),
         workers=args.workers,
     )
     written = run_experiment(config)
@@ -168,8 +159,10 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_replay(args) -> int:
     profile = make_profile(args.profile, args.pool)
-    genotype = read_genotype(args.tree)
-    report = replay(genotype, profile, args.episodes, args.seed)
+    try:
+        report = replay(read_genotype(args.tree), profile, args.episodes, args.seed)
+    except (bt.MalformedGenotype, UnicodeDecodeError) as exc:
+        raise bt.MalformedGenotype(f"tree file {args.tree}: {exc}") from None
     print(json.dumps(report.as_dict(), indent=1))
     return 0
 

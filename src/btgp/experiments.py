@@ -7,6 +7,7 @@ import random
 import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from .world import (
 
 DEFAULT_SEEDS = tuple(range(10))
 DESK_GENERATIONS = 2000
-FULL_GENERATIONS = 8000
 
 EXP3_DELTAS = (0.0, 150.0)
 
@@ -179,12 +179,9 @@ class ExperimentConfig:
     experiment: str  # exp1 | exp2 | exp3
     out_dir: str
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    generations: int = DESK_GENERATIONS
-    population: int = 30
-    episodes_per_eval: int = 1
     # Harness default: refresh elite scores so a lucky episode cannot pin a
     # fragile tree at the top of a stochastic run.
-    reevaluate_elites: bool = True
+    params: GpParams = GpParams(generations=DESK_GENERATIONS, reevaluate_elites=True)
     workers: int = 1  # seed/variant fan-out processes
 
     def __post_init__(self):
@@ -194,15 +191,6 @@ class ExperimentConfig:
             raise ValueError("seeds must not be empty")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-
-    def gp_params(self, seed: int) -> GpParams:
-        return GpParams(
-            population=self.population,
-            generations=self.generations,
-            episodes_per_eval=self.episodes_per_eval,
-            seed=seed,
-            reevaluate_elites=self.reevaluate_elites,
-        )
 
 
 def experiment_variants(config: ExperimentConfig) -> list[tuple[str, Profile, FitnessWeights]]:
@@ -233,36 +221,30 @@ def _run_job(args) -> tuple[str, int, list[GenerationStats], Individual]:
 
 def run_experiment(config: ExperimentConfig) -> list[Path]:
     """Run all (variant, seed) jobs and write per-run CSVs, aggregate curves
-    and best-genotype files under <out_dir>/<experiment>/."""
-    variants = experiment_variants(config)
+    and best-genotype files under <out_dir>/<experiment>/.
+
+    Each job's files are written when it returns and a variant's curve after
+    its last seed; the returned paths are in that order.
+    """
     out_root = Path(config.out_dir) / config.experiment
     jobs = [
-        (variant, seed, profile, weights, config.gp_params(seed))
-        for variant, profile, weights in variants
+        (variant, seed, profile, weights, replace(config.params, seed=seed))
+        for variant, profile, weights in experiment_variants(config)
         for seed in config.seeds
     ]
-    results: dict[tuple[str, int], tuple[list[GenerationStats], Individual]] = {}
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for variant, seed, history, best in pool.map(_run_job, jobs):
-                results[(variant, seed)] = (history, best)
-    else:
-        for job in jobs:
-            variant, seed, history, best = _run_job(job)
-            results[(variant, seed)] = (history, best)
-
     written: list[Path] = []
-    for variant, _profile, _weights in variants:
-        histories = []
-        for seed in config.seeds:
-            history, best = results[(variant, seed)]
-            histories.append(history)
+    histories: list[list[GenerationStats]] = []
+    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+        for variant, seed, history, best in (pool.map if pool else map)(_run_job, jobs):
             run_csv = out_root / variant / f"seed{seed}.csv"
             write_history_csv(run_csv, history)
             best_txt = out_root / variant / f"best_seed{seed}.txt"
             write_genotype(best_txt, best.genotype)
             written.extend([run_csv, best_txt])
-        curve_csv = out_root / f"{variant}_curve.csv"
-        write_curve_csv(curve_csv, aggregate(histories), config.seeds)
-        written.append(curve_csv)
+            histories.append(history)
+            if seed == config.seeds[-1]:
+                curve_csv = out_root / f"{variant}_curve.csv"
+                write_curve_csv(curve_csv, aggregate(histories), config.seeds)
+                written.append(curve_csv)
+                histories = []
     return written

@@ -710,9 +710,12 @@ def _is_rng_state(rs: list) -> bool:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint; a missing or mistyped entry is a one-line
-    ValueError naming the checkpoint and the entry."""
-    data = json.loads(Path(path).read_text())
+    """Read a checkpoint; a file that is not JSON, or a missing or mistyped
+    entry, is a one-line ValueError naming the checkpoint (and the entry)."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ValueError(f"checkpoint {path} is not a JSON file: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     for key, kind in _CHECKPOINT_KEYS.items():

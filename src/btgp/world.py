@@ -114,9 +114,6 @@ CORE9 = (
     "have_block",
 )
 
-SCENARIOS = ("core9", "low_noise", "high_noise", "safe_paths")
-
-
 class UnknownBehavior(KeyError):
     pass
 
@@ -161,22 +158,22 @@ AUX_POSES = _aux_poses()
 AUX_IDS = tuple(f"move_to_aux_{i:02d}" for i in range(len(AUX_POSES)))
 
 
-def scenario_pool_ids(scenario: str) -> tuple[str, ...]:
-    if scenario == "core9":
-        return CORE9
-    if scenario == "low_noise":
-        return CORE9 + AUX_IDS[:3]
-    if scenario == "high_noise":
-        return CORE9 + AUX_IDS
-    if scenario == "safe_paths":
-        return CORE9 + ("move_to_pick_safe", "move_to_goal_safe")
-    raise UnknownScenario(f"unknown scenario {scenario!r}")
+# scenario name -> behavior pool
+POOLS = {
+    "core9": CORE9,
+    "low_noise": CORE9 + AUX_IDS[:3],
+    "high_noise": CORE9 + AUX_IDS,
+    "safe_paths": CORE9 + ("move_to_pick_safe", "move_to_goal_safe"),
+}
+SCENARIOS = tuple(POOLS)
 
 
 def make_profile(column: str, pool: str = "core9") -> Profile:
     """Assemble a profile from a probability column and a scenario's pool."""
     if column not in PROBABILITY_COLUMNS:
         raise UnknownScenario(f"unknown probability column {column!r}")
+    if pool not in POOLS:
+        raise UnknownScenario(f"unknown scenario {pool!r}")
     probs = PROBABILITY_COLUMNS[column]
     return Profile(
         name=column if pool == "core9" else f"{column}_{pool}",
@@ -185,7 +182,7 @@ def make_profile(column: str, pool: str = "core9") -> Profile:
         place_failure=probs["place_failure"],
         losing_cube=probs["losing_cube"],
         losing_localization=probs["losing_localization"],
-        pool=scenario_pool_ids(pool),
+        pool=POOLS[pool],
     )
 
 

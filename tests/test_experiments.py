@@ -230,16 +230,12 @@ def test_genotype_file_roundtrip(tmp_path):
     assert experiments.read_genotype(path) == REFERENCE_SOLUTION
 
 
-def tiny_config(tmp_path, experiment, **kw):
-    defaults = dict(
-        experiment=experiment,
-        out_dir=str(tmp_path),
-        seeds=(0,),
-        generations=2,
-        population=6,
-        episodes_per_eval=1,
-        workers=1,
+def tiny_config(tmp_path, experiment, generations=2, **kw):
+    # the harness's own run settings, at a tiny budget
+    params = dataclasses.replace(
+        experiments.ExperimentConfig.params, generations=generations, population=6
     )
+    defaults = dict(experiment=experiment, out_dir=str(tmp_path), seeds=(0,), params=params)
     defaults.update(kw)
     return experiments.ExperimentConfig(**defaults)
 
@@ -318,6 +314,25 @@ def test_experiment_workers_fanout_matches_serial(tmp_path):
     assert curve.read_text().splitlines()[0] == "generation,mean_best,std_best,seed3,seed7"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_experiment_returns_paths_in_job_order(tmp_path, workers):
+    # per variant: each seed's CSV and best tree, then the variant's curve
+    config = tiny_config(tmp_path, "exp3", seeds=(3, 7), workers=workers)
+    written = experiments.run_experiment(config)
+    assert [str(p.relative_to(tmp_path)) for p in written] == [
+        "exp3/delta0/seed3.csv",
+        "exp3/delta0/best_seed3.txt",
+        "exp3/delta0/seed7.csv",
+        "exp3/delta0/best_seed7.txt",
+        "exp3/delta0_curve.csv",
+        "exp3/delta150/seed3.csv",
+        "exp3/delta150/best_seed3.txt",
+        "exp3/delta150/seed7.csv",
+        "exp3/delta150/best_seed7.txt",
+        "exp3/delta150_curve.csv",
+    ]
+
+
 def test_cli_replay_reports_json(tmp_path, capsys):
     tree_file = tmp_path / "tree.txt"
     experiments.write_genotype(tree_file, REFERENCE_SOLUTION)
@@ -369,6 +384,22 @@ def test_cli_replay_invalid_tree_fails(tmp_path, capsys):
     rc = cli.main(["replay", "--tree", str(tree_file)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"", "empty genotype text"),
+        (b"s( nope )", "unknown leaf id 'nope'"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["empty", "unknown_leaf", "not_utf8"],
+)
+def test_cli_replay_names_the_tree_file_in_errors(tmp_path, capsys, text, message):
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_bytes(text)
+    assert cli.main(["replay", "--tree", str(tree_file)]) == 1
+    assert capsys.readouterr().err == f"error: tree file {tree_file}: {message}\n"
 
 
 def test_cli_replay_zero_episodes_fails(tmp_path, capsys):
@@ -488,6 +519,23 @@ def test_cli_run_has_no_workers_option(tmp_path, capsys):
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
+def test_cli_run_has_no_full_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--full", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --full" in capsys.readouterr().err
+
+
+def test_cli_run_creates_the_directory_of_a_checkpoint_path(tmp_path):
+    ckpt = tmp_path / "nodir" / "x.json"
+    rc = cli.main(
+        ["run", "--generations", "2", "--population", "6", "--out", str(tmp_path)]
+        + ["--checkpoint", str(ckpt), "--checkpoint-every", "1"]
+    )
+    assert rc == 0
+    assert json.loads(ckpt.read_text())["generation"] == 2
+
+
 def test_cli_run_rejects_checkpoint_without_interval(tmp_path, capsys):
     ckpt = tmp_path / "x.json"
     rc = cli.main(
@@ -537,6 +585,22 @@ def test_cli_checkpoint_resume(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "resumed" / "run_det_seed0.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["empty", "not_utf8"],
+)
+def test_cli_resume_names_a_checkpoint_that_is_not_json(tmp_path, capsys, data, reason):
+    ckpt = tmp_path / "bad.json"
+    ckpt.write_bytes(data)
+    rc = cli.main(["run", "--generations", "2", "--resume", str(ckpt), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: checkpoint {ckpt} is not a JSON file: {reason}\n"
 
 
 def test_cli_resume_rejects_a_checkpoint_missing_keys(tmp_path, capsys):
