@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import csv
+import math
 import random
-import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 from . import bt
 from .fitness import TABLE2, FitnessWeights
 from .gp import GenerationStats, GpParams, Individual, mean_left_to_right, run
 from .world import (
+    MAX_ROOT_FAILURES,
+    MAX_TICKS,
     Profile,
     build_transition_table,
     check_budgets,
@@ -43,6 +46,22 @@ class CurvePoint:
     per_seed: tuple[float, ...]
 
 
+def _sample_stdev(values) -> float:
+    """Sample standard deviation, exact and rounded once, as Python 3.11+'s
+    ``statistics.stdev`` gives it (3.10's differs in the last digit)."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    # an integer square root of 55-56 bits rounded to odd, so that the one
+    # rounding to a float is correct (the method of 3.11's statistics)
+    n, m = var.numerator, var.denominator
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    n, m = (n, m << 2 * q) if q >= 0 else (n << -2 * q, m)
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def aggregate(histories: list[list[GenerationStats]]) -> list[CurvePoint]:
     """Per-generation mean and sample std of best fitness across runs."""
     if not histories:
@@ -55,7 +74,7 @@ def aggregate(histories: list[list[GenerationStats]]) -> list[CurvePoint]:
     for g in range(length):
         values = tuple(h[g].best_j for h in histories)
         mean = mean_left_to_right(values)
-        std = statistics.stdev(values) if len(values) > 1 else 0.0
+        std = _sample_stdev(values) if len(values) > 1 else 0.0
         curve.append(CurvePoint(histories[0][g].generation, mean, std, values))
     return curve
 
@@ -86,8 +105,8 @@ def replay(
     episodes: int,
     seed: int,
     *,
-    max_root_failures: int = 5,
-    max_ticks: int = 100,
+    max_root_failures: int = MAX_ROOT_FAILURES,
+    max_ticks: int = MAX_TICKS,
 ) -> ReplayReport:
     """Monte Carlo report for a genotype: success rate, time, risk, action log.
 

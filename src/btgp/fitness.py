@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from .bt import Genotype, compile_tree, node_count
 from .world import (
     GOAL_POSE,
+    MAX_ROOT_FAILURES,
+    MAX_TICKS,
     EpisodeResult,
     Profile,
     build_transition_table,
@@ -107,8 +109,8 @@ def evaluate_compiled(
     episodes: int,
     rng,
     *,
-    max_root_failures: int = 5,
-    max_ticks: int = 100,
+    max_root_failures: int = MAX_ROOT_FAILURES,
+    max_ticks: int = MAX_TICKS,
 ) -> FitnessValue:
     """Mean fitness over independent episodes of an already-compiled tree.
 
@@ -146,8 +148,8 @@ def evaluate(
     episodes: int,
     rng,
     *,
-    max_root_failures: int = 5,
-    max_ticks: int = 100,
+    max_root_failures: int = MAX_ROOT_FAILURES,
+    max_ticks: int = MAX_TICKS,
 ) -> FitnessValue:
     """Mean fitness of a genotype over ``episodes`` independent episodes."""
     return evaluate_compiled(

@@ -55,20 +55,28 @@ def _mean_j(individuals) -> float:
     return mean_left_to_right([ind.fitness.j for ind in individuals])
 
 
+# The search's fixed rates: each generation breeds from crossover and
+# mutation tournaments of these fractions of the population and keeps the
+# elite fraction unchallenged; a mutation is a node mutation, addition or
+# deletion (the rest) with these chances, and a new or changed node is a
+# control with chance P_CONTROL_NODE. Initial trees have START_LENGTH nodes.
+START_LENGTH = 4
+CROSSOVER_FRACTION = 0.40
+MUTATION_FRACTION = 0.60
+ELITISM_FRACTION = 0.10
+P_NODE_MUTATION = 0.30
+P_NODE_ADDITION = 0.40
+P_NODE_DELETION = 0.30
+P_CONTROL_NODE = 0.50
+
+
 @dataclass(frozen=True)
 class GpParams:
-    """Evolution parameters; defaults follow the standard run configuration."""
+    """One run's settings: the values a caller chooses per run. The
+    search's rates are the module constants above, the same in every run."""
 
     population: int = 30
-    start_length: int = 4
     generations: int = 8000
-    crossover_fraction: float = 0.40
-    mutation_fraction: float = 0.60
-    elitism_fraction: float = 0.10
-    p_node_mutation: float = 0.30
-    p_node_addition: float = 0.40
-    p_node_deletion: float = 0.30
-    p_control_node: float = 0.50
     episodes_per_eval: int = 1
     seed: int = 0
     node_cap: int = 64
@@ -76,29 +84,14 @@ class GpParams:
     # the top forever; re-evaluating elites each generation washes that out.
     reevaluate_elites: bool = False
     early_stop_window: int = 0  # 0 disables
-    max_root_failures: int = 5
-    max_ticks: int = 100
+    max_root_failures: int = world.MAX_ROOT_FAILURES
+    max_ticks: int = world.MAX_TICKS
 
     def __post_init__(self):
-        for name in (
-            "p_node_mutation",
-            "p_node_addition",
-            "p_node_deletion",
-            "p_control_node",
-            "crossover_fraction",
-            "mutation_fraction",
-            "elitism_fraction",
-        ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        s = self.p_node_mutation + self.p_node_addition + self.p_node_deletion
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError("mutation operator probabilities must sum to 1")
         if self.population < 2:
             raise ValueError("population must be >= 2")
-        if self.start_length < 1 or self.start_length > self.node_cap:
-            raise ValueError("start_length must be in [1, node_cap]")
+        if self.node_cap < START_LENGTH:
+            raise ValueError(f"node_cap must be >= {START_LENGTH}, got {self.node_cap}")
         if self.generations < 0:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
         if self.episodes_per_eval < 1:
@@ -304,11 +297,11 @@ def _random_control(rng) -> str:
     return bt.SEQUENCE_OPEN if rng.random() < 0.5 else bt.FALLBACK_OPEN
 
 
-def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng, p_control: float):
+def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng):
     bits = rng.getrandbits
     k = _below(bits, len(facts))
     i, e, _, parent, _ = facts[k]
-    if rng.random() < p_control:
+    if rng.random() < P_CONTROL_NODE:
         tok = _random_control(rng)
         # V1 against the parent, which is the only check when the node is the root
         ok = parent < 0 or g[parent] != tok
@@ -325,9 +318,9 @@ def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng, p_control: floa
     return cand, bt.fits(g, facts[k], leaf, kinds), cand
 
 
-def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng, p_control: float):
+def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
     bits = rng.getrandbits
-    if rng.random() < p_control:
+    if rng.random() < P_CONTROL_NODE:
         # New control node over a contiguous run of siblings: the runs of a
         # control with m children are its (x, y) child boundary pairs,
         # 0 <= x < y <= m, numbered x-major, controls in token order.
@@ -408,13 +401,14 @@ def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
 def mutate(
     parent: Individual,
     kinds,
-    params: GpParams,
     rng,
     *,
+    node_cap: int = 64,
     max_attempts: int = 100,
     exclude: frozenset | set = frozenset(),
 ) -> Individual:
-    """Apply one of node mutation / addition / deletion (drawn per params).
+    """Apply one of node mutation / addition / deletion, drawn with
+    probabilities P_NODE_MUTATION / P_NODE_ADDITION / the rest.
 
     Inapplicable or invalid outcomes (and genotypes in ``exclude``) re-draw
     the operator; after ``max_attempts`` the last valid candidate found in
@@ -433,13 +427,13 @@ def mutate(
     dup_key = None
     for _ in range(max_attempts):
         r = rng.random()
-        if r < params.p_node_mutation:
-            cand, ok, key = _op_node_mutation(g, facts, ids, kinds, rng, params.p_control_node)
-        elif r < params.p_node_mutation + params.p_node_addition:
-            cand, ok, key = _op_node_addition(g, facts, ids, kinds, rng, params.p_control_node)
+        if r < P_NODE_MUTATION:
+            cand, ok, key = _op_node_mutation(g, facts, ids, kinds, rng)
+        elif r < P_NODE_MUTATION + P_NODE_ADDITION:
+            cand, ok, key = _op_node_addition(g, facts, ids, kinds, rng)
         else:
             cand, ok, key = _op_node_deletion(g, facts, kinds, rng)
-        if cand is None or not ok or bt.node_count(cand) > params.node_cap:
+        if cand is None or not ok or bt.node_count(cand) > node_cap:
             continue
         if key is None or not canonical_parent:
             key = bt.canonical(cand)
@@ -539,9 +533,9 @@ def evolve_generation(
     if len(population) != n:
         raise ValueError(f"population size {len(population)} != {n}")
     kinds = evaluator.kinds
-    n_cx = round_half_up(n * params.crossover_fraction)
-    n_mut = round_half_up(n * params.mutation_fraction)
-    n_elite = round_half_up(n * params.elitism_fraction)
+    n_cx = round_half_up(n * CROSSOVER_FRACTION)
+    n_mut = round_half_up(n * MUTATION_FRACTION)
+    n_elite = round_half_up(n * ELITISM_FRACTION)
 
     # Offspring are kept novel against the current population and against
     # each other (bounded retries), where "duplicate" means same canonical
@@ -563,7 +557,7 @@ def evolve_generation(
     mut_parents = tournament(population, n_mut, rng)
     for parent in mut_parents:
         for _ in range(2):
-            child = mutate(parent, kinds, params, rng, exclude=taken)
+            child = mutate(parent, kinds, rng, node_cap=params.node_cap, exclude=taken)
             taken.add(child.key)
             offspring.append(child)
 
@@ -616,7 +610,22 @@ _RESUMABLE_PARAMS = ("generations", "early_stop_window")
 
 def _run_fingerprint(params: GpParams, profile: Profile, weights: FitnessWeights) -> dict:
     """The run configuration a checkpoint is bound to, as JSON will load it."""
-    fixed = {k: v for k, v in asdict(params).items() if k not in _RESUMABLE_PARAMS}
+    kept = {k: v for k, v in asdict(params).items() if k not in _RESUMABLE_PARAMS}
+    # The fixed rates, stored as when they were GpParams fields (same keys,
+    # right after population), so a run stays bound to them, older
+    # checkpoints resume and new ones are written byte for byte as before.
+    fixed = {
+        "population": kept.pop("population"),
+        "start_length": START_LENGTH,
+        "crossover_fraction": CROSSOVER_FRACTION,
+        "mutation_fraction": MUTATION_FRACTION,
+        "elitism_fraction": ELITISM_FRACTION,
+        "p_node_mutation": P_NODE_MUTATION,
+        "p_node_addition": P_NODE_ADDITION,
+        "p_node_deletion": P_NODE_DELETION,
+        "p_control_node": P_CONTROL_NODE,
+        **kept,
+    }
     # World constants, stored with the profile under the keys checkpoints have
     # always used for them, so a run stays bound to them; every checkpointed
     # run stored the risky-path overrides (now the exp3 column) unset.
@@ -721,7 +730,7 @@ def load_checkpoint(path) -> dict:
     for key, kind in _CHECKPOINT_KEYS.items():
         if key not in data:
             raise ValueError(f"checkpoint {path} has no {key!r} entry")
-        if not isinstance(data[key], kind):
+        if type(data[key]) is not kind:  # a bool is not a generation
             raise ValueError(f"checkpoint {path}: {key!r} entry is not of type {kind.__name__}")
     if not _is_rng_state(data["rng_state"]):
         raise ValueError(f"checkpoint {path}: 'rng_state' entry is not a random.Random state")
@@ -740,6 +749,9 @@ def load_checkpoint(path) -> dict:
                 f"checkpoint {path}: history row {i} is not "
                 "[generation, best_j, mean_j, genotype, episodes]"
             )
+    generation = data["generation"]
+    if generation < 0 or [row[0] for row in data["history"]] != list(range(generation + 1)):
+        raise ValueError(f"checkpoint {path}: history rows are not generations 0..{generation}")
     return data
 
 
@@ -793,6 +805,11 @@ def run(
                 f"checkpoint {resume_from} is at generation {data['generation']}, "
                 f"past generations={params.generations}"
             )
+        if len(data["population"]) != params.population:
+            raise ValueError(
+                f"checkpoint {resume_from} holds {len(data['population'])} individuals, "
+                f"not population={params.population}"
+            )
         rs = data["rng_state"]
         rng.setstate((rs[0], tuple(rs[1]), rs[2]))
         # breeding assumes valid parents, so a checkpoint is held to that too
@@ -814,7 +831,7 @@ def run(
     else:
         population = [
             Individual(
-                bt.random_genotype(kinds, params.start_length, rng, node_cap=params.node_cap)
+                bt.random_genotype(kinds, START_LENGTH, rng, node_cap=params.node_cap)
             )
             for _ in range(params.population)
         ]

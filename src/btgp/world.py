@@ -18,6 +18,10 @@ from .bt import ACTION, CONDITION, FAILURE, SUCCESS
 ROOT_SUCCESS = "root_success"
 FAILURE_BUDGET = "failure_budget"
 TICK_BUDGET = "tick_budget"
+# Default episode budgets: an episode ends at its MAX_TICKS-th tick or at
+# its root's first failure past MAX_ROOT_FAILURES.
+MAX_ROOT_FAILURES = 5
+MAX_TICKS = 100
 
 # Task geometry, the same in every scenario: the robot starts unlocalized at
 # START with the cube on the pick table at PICK_POSE, and delivers it to the
@@ -427,7 +431,7 @@ def check_budgets(max_root_failures: int, max_ticks: int) -> None:
 
 
 def run_compiled(
-    compiled, rng, *, max_root_failures: int = 5, max_ticks: int = 100
+    compiled, rng, *, max_root_failures: int = MAX_ROOT_FAILURES, max_ticks: int = MAX_TICKS
 ) -> EpisodeResult:
     """Episode loop over a compiled tree from the start state; the hot path
     for evaluation.

@@ -5,8 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import random
+import statistics
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +51,29 @@ def test_aggregate_sums_left_to_right():
     # a compensated sum (Python 3.12's sum of floats) gives 0.6 / 3 instead
     curve = experiments.aggregate([fake_history([v]) for v in (0.1, 0.2, 0.3)])
     assert curve[0].mean_best == ((0.1 + 0.2) + 0.3) / 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([-171.5, -170.7025, 0.1]),
+        min_size=2,
+        max_size=10,
+    )
+)
+def test_sample_stdev_is_the_exact_value_correctly_rounded(values):
+    got = experiments._sample_stdev(values)
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    # the exact root lies within half a float step of got on either side
+    below, above = math.nextafter(got, -math.inf), math.nextafter(got, math.inf)
+    assert got >= 0.0
+    if got > 0.0:
+        assert ((Fraction(below) + Fraction(got)) / 2) ** 2 <= var
+    assert var <= ((Fraction(got) + Fraction(above)) / 2) ** 2
+    if sys.version_info >= (3, 11):
+        assert got == statistics.stdev(values)
 
 
 def test_aggregate_rejects_unequal_lengths():
@@ -312,6 +339,25 @@ def test_experiment_workers_fanout_matches_serial(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
     curve = tmp_path / "s" / "exp3" / "delta0_curve.csv"
     assert curve.read_text().splitlines()[0] == "generation,mean_best,std_best,seed3,seed7"
+
+
+# sha256 of exp3's curve CSVs over seeds 0-2 at 3 generations, population 6:
+# the same bytes on Python 3.10-3.13 (3.10's statistics.stdev gave delta0's
+# generation 0 std_best as 0.40301209659265186)
+EXP3_CURVE_DIGESTS = {
+    "delta0_curve.csv": "3bf27ed4e7b184478392507db43c63c2951171a3e1e3c69d068d29f34145827d",
+    "delta150_curve.csv": "dab5907969823f76835bdfc8358e079880283f7576c010e6c4145abfe4a87d7f",
+}
+
+
+def test_exp3_curve_digests_are_pinned(tmp_path):
+    config = tiny_config(tmp_path, "exp3", seeds=(0, 1, 2), generations=3)
+    experiments.run_experiment(config)
+    got = {
+        name: hashlib.sha256((tmp_path / "exp3" / name).read_bytes()).hexdigest()
+        for name in EXP3_CURVE_DIGESTS
+    }
+    assert got == EXP3_CURVE_DIGESTS
 
 
 @pytest.mark.parametrize("workers", [1, 2])

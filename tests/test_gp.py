@@ -9,6 +9,7 @@ import json
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,11 +40,24 @@ def test_round_half_up():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        gp.GpParams(p_node_mutation=0.5, p_node_addition=0.5, p_node_deletion=0.5)
-    with pytest.raises(ValueError):
-        gp.GpParams(crossover_fraction=1.5)
-    with pytest.raises(ValueError):
         gp.GpParams(population=1)
+
+
+def test_params_hold_no_rates():
+    names = [f.name for f in dataclasses.fields(gp.GpParams)]
+    assert names == [
+        "population",
+        "generations",
+        "episodes_per_eval",
+        "seed",
+        "node_cap",
+        "reevaluate_elites",
+        "early_stop_window",
+        "max_root_failures",
+        "max_ticks",
+    ]
+    with pytest.raises(TypeError):
+        gp.GpParams(p_node_mutation=0.3)
 
 
 @pytest.mark.parametrize(
@@ -54,6 +68,7 @@ def test_params_validation():
         ("early_stop_window", -1),
         ("max_ticks", 0),
         ("max_root_failures", -3),
+        ("node_cap", 3),  # below the fixed start length of 4
     ],
 )
 def test_params_reject_out_of_range_counts(field, value):
@@ -61,27 +76,21 @@ def test_params_reject_out_of_range_counts(field, value):
         gp.GpParams(**{field: value})
 
 
-@pytest.mark.parametrize(
-    "probs, field",
-    [
-        # each operator triple sums to 1, so only a range check per field catches it
-        ((1.5, -0.5, 0.0, 0.5), "p_node_mutation"),
-        ((0.0, -0.2, 1.2, 0.5), "p_node_addition"),
-        ((0.0, 0.0, 1.0 + 1e-12, 0.5), "p_node_deletion"),
-        ((0.3, 0.4, 0.3, 2.0), "p_control_node"),
-        ((0.3, 0.4, 0.3, -0.1), "p_control_node"),
-    ],
-)
-def test_params_reject_probabilities_outside_unit_interval(probs, field):
-    names = ("p_node_mutation", "p_node_addition", "p_node_deletion", "p_control_node")
-    overrides = dict(zip(names, probs))
-    with pytest.raises(ValueError, match=rf"^{field} must be in \[0, 1\], got {overrides[field]}$"):
-        gp.GpParams(**overrides)
-
-
 def test_params_accept_probability_bounds():
-    gp.GpParams(p_node_mutation=1.0, p_node_addition=0.0, p_node_deletion=0.0, p_control_node=0.0)
-    gp.GpParams(p_control_node=1.0, max_ticks=1, max_root_failures=0)
+    # the fixed rates are probabilities, and the mutation operators split
+    # each draw between them; the episode budgets are accepted at their bounds
+    rates = (
+        gp.CROSSOVER_FRACTION,
+        gp.MUTATION_FRACTION,
+        gp.ELITISM_FRACTION,
+        gp.P_NODE_MUTATION,
+        gp.P_NODE_ADDITION,
+        gp.P_NODE_DELETION,
+        gp.P_CONTROL_NODE,
+    )
+    assert all(0.0 <= rate <= 1.0 for rate in rates)
+    assert gp.P_NODE_MUTATION + gp.P_NODE_ADDITION + gp.P_NODE_DELETION == 1.0
+    gp.GpParams(node_cap=gp.START_LENGTH, max_ticks=1, max_root_failures=0)
 
 
 def test_tournament_single_duel():
@@ -273,52 +282,47 @@ def test_crossover_offspring_are_valid():
 
 
 def test_mutate_offspring_are_valid_and_capped():
-    params = gp.GpParams()
     rng = random.Random(8)
     for _ in range(500):
         parent = gp.Individual(bt.random_genotype(KINDS, rng.randint(1, 10), rng))
-        child = gp.mutate(parent, KINDS, params, rng)
+        child = gp.mutate(parent, KINDS, rng, node_cap=10)  # binds for 9- and 10-node parents
         assert not bt.validate(child.genotype, KINDS)
-        assert bt.node_count(child.genotype) <= params.node_cap
+        assert bt.node_count(child.genotype) <= 10
 
 
 def test_mutate_single_leaf_redraws_operator():
     # deletion alone cannot apply to a single-leaf tree; another operator runs
-    params = gp.GpParams()
     parent = ind("localise")
     changed = 0
     for seed in range(100):
-        child = gp.mutate(parent, KINDS, params, random.Random(seed))
+        child = gp.mutate(parent, KINDS, random.Random(seed))
         assert not bt.validate(child.genotype, KINDS)
         changed += child.genotype != parent.genotype
     assert changed > 60
 
 
 def test_mutate_can_add_leaf_between_siblings():
-    params = gp.GpParams()
     parent = ind("s( localise tuck )")
     outcomes = {
-        gp.mutate(parent, KINDS, params, random.Random(seed)).genotype
+        gp.mutate(parent, KINDS, random.Random(seed)).genotype
         for seed in range(400)
     }
     assert bt.from_text("s( localise pick tuck )") in outcomes
 
 
 def test_mutate_can_flip_control_kind():
-    params = gp.GpParams()
     parent = ind("s( localise tuck )")
     outcomes = {
-        gp.mutate(parent, KINDS, params, random.Random(seed)).genotype
+        gp.mutate(parent, KINDS, random.Random(seed)).genotype
         for seed in range(200)
     }
     assert bt.from_text("f( localise tuck )") in outcomes
 
 
 def test_mutate_can_delete_subtree():
-    params = gp.GpParams()
     parent = ind("s( localise f( tuck pick ) place )")
     outcomes = {
-        gp.mutate(parent, KINDS, params, random.Random(seed)).genotype
+        gp.mutate(parent, KINDS, random.Random(seed)).genotype
         for seed in range(200)
     }
     assert bt.from_text("s( localise place )") in outcomes
@@ -363,10 +367,10 @@ def random_control(rng):
     return bt.SEQUENCE_OPEN if rng.random() < 0.5 else bt.FALLBACK_OPEN
 
 
-def op_node_mutation(g, ids, rng, p_control):
+def op_node_mutation(g, ids, rng):
     nodes = node_indices(g)
     i = nodes[rng.randrange(len(nodes))]
-    if rng.random() < p_control:
+    if rng.random() < gp.P_CONTROL_NODE:
         tok = random_control(rng)
         if bt.is_control_open(g[i]):
             return g[:i] + (tok,) + g[i + 1 :]
@@ -378,8 +382,8 @@ def op_node_mutation(g, ids, rng, p_control):
     return g[:i] + (leaf,) + g[i + 1 :]
 
 
-def op_node_addition(g, ids, rng, p_control):
-    if rng.random() < p_control:
+def op_node_addition(g, ids, rng):
+    if rng.random() < gp.P_CONTROL_NODE:
         runs = [
             (slots[x], slots[y])
             for slots in child_boundaries(g)
@@ -414,20 +418,20 @@ def op_node_deletion(g, rng):
     return g[:s] + g[e:]
 
 
-def mutate_validating_every_candidate(parent, kinds, params, rng, *, max_attempts, exclude):
+def mutate_validating_every_candidate(parent, kinds, rng, *, node_cap, max_attempts, exclude):
     ids = sorted(kinds)
     g = parent.genotype
     valid_dup = None
     dup_key = None
     for _ in range(max_attempts):
         r = rng.random()
-        if r < params.p_node_mutation:
-            cand = op_node_mutation(g, ids, rng, params.p_control_node)
-        elif r < params.p_node_mutation + params.p_node_addition:
-            cand = op_node_addition(g, ids, rng, params.p_control_node)
+        if r < gp.P_NODE_MUTATION:
+            cand = op_node_mutation(g, ids, rng)
+        elif r < gp.P_NODE_MUTATION + gp.P_NODE_ADDITION:
+            cand = op_node_addition(g, ids, rng)
         else:
             cand = op_node_deletion(g, rng)
-        if cand is None or bt.node_count(cand) > params.node_cap:
+        if cand is None or bt.node_count(cand) > node_cap:
             continue
         if bt.validate(cand, kinds):
             continue
@@ -461,17 +465,19 @@ def test_mutate_matches_validating_oracle(
     parent = gp.Individual(bt.random_genotype(kinds, setup.randint(1, 12), setup))
     # a cap the parent meets, so that copying it is within the cap too
     cap = bt.node_count(parent.genotype) + slack
-    params = gp.GpParams(start_length=1, node_cap=cap, p_control_node=p_control)
-    # exclude a random share of the canonical forms mutation reaches, the parent's included
-    reachable = {parent.key} | {
-        gp.mutate(parent, kinds, params, setup).key for _ in range(30)
-    }
-    exclude = {key for key in sorted(reachable) if setup.random() < p_exclude}
-    rng_a, rng_b = random.Random(seed), random.Random(seed)
-    got = gp.mutate(parent, kinds, params, rng_a, max_attempts=max_attempts, exclude=exclude)
-    want = mutate_validating_every_candidate(
-        parent, kinds, params, rng_b, max_attempts=max_attempts, exclude=exclude
-    )
+    with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
+        # exclude a random share of the canonical forms mutation reaches, the parent's included
+        reachable = {parent.key} | {
+            gp.mutate(parent, kinds, setup, node_cap=cap).key for _ in range(30)
+        }
+        exclude = {key for key in sorted(reachable) if setup.random() < p_exclude}
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        got = gp.mutate(
+            parent, kinds, rng_a, node_cap=cap, max_attempts=max_attempts, exclude=exclude
+        )
+        want = mutate_validating_every_candidate(
+            parent, kinds, rng_b, node_cap=cap, max_attempts=max_attempts, exclude=exclude
+        )
     assert (got.genotype, got.key) == (want.genotype, want.key)
     assert rng_a.getstate() == rng_b.getstate()
     assert not bt.validate(got.genotype, kinds)
@@ -492,14 +498,15 @@ def test_local_verdicts_match_validate(seed, kinds, p_control):
     g = bt.random_genotype(kinds, rng.randint(1, 12), rng)
     other = bt.random_genotype(kinds, rng.randint(1, 12), rng)
     facts = bt.node_facts(g)
-    for _ in range(20):
-        for cand, ok, _ in (
-            gp._op_node_mutation(g, facts, ids, kinds, rng, p_control),
-            gp._op_node_addition(g, facts, ids, kinds, rng, p_control),
-            gp._op_node_deletion(g, facts, kinds, rng),
-        ):
-            if cand is not None:
-                assert ok == (not bt.validate(cand, kinds)), (g, cand)
+    with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
+        for _ in range(20):
+            for cand, ok, _ in (
+                gp._op_node_mutation(g, facts, ids, kinds, rng),
+                gp._op_node_addition(g, facts, ids, kinds, rng),
+                gp._op_node_deletion(g, facts, kinds, rng),
+            ):
+                if cand is not None:
+                    assert ok == (not bt.validate(cand, kinds)), (g, cand)
     # every subtree swap crossover can make from g and other
     for row in facts:
         for s, e, *_ in bt.node_facts(other):
@@ -523,14 +530,15 @@ def test_plain_edits_of_canonical_genotypes_are_canonical(seed, kinds, p_control
     g = bt.canonical(bt.random_genotype(kinds, rng.randint(1, 12), rng))
     other = bt.canonical(bt.random_genotype(kinds, rng.randint(1, 12), rng))
     facts = bt.node_facts(g)
-    for _ in range(20):
-        for cand, _, key in (
-            gp._op_node_mutation(g, facts, ids, kinds, rng, p_control),
-            gp._op_node_addition(g, facts, ids, kinds, rng, p_control),
-            gp._op_node_deletion(g, facts, kinds, rng),
-        ):
-            if key is not None:
-                assert bt.canonical(cand) == key, (g, cand)
+    with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
+        for _ in range(20):
+            for cand, _, key in (
+                gp._op_node_mutation(g, facts, ids, kinds, rng),
+                gp._op_node_addition(g, facts, ids, kinds, rng),
+                gp._op_node_deletion(g, facts, kinds, rng),
+            ):
+                if key is not None:
+                    assert bt.canonical(cand) == key, (g, cand)
     for row in facts:
         for s, e, *_ in bt.node_facts(other):
             child = g[: row[0]] + other[s:e] + g[row[1] :]
@@ -548,11 +556,10 @@ def test_canonical_parents_breed_without_canonical_calls(monkeypatch):
     for seed in range(10):
         c1, c2 = gp.crossover(p1, p2, KINDS, random.Random(seed))
         assert c1.key is c1.genotype and c2.key is c2.genotype
-    params = gp.GpParams(
-        p_node_mutation=1.0, p_node_addition=0.0, p_node_deletion=0.0, p_control_node=0.0
-    )
+    monkeypatch.setattr(gp, "P_NODE_MUTATION", 1.0)
+    monkeypatch.setattr(gp, "P_CONTROL_NODE", 0.0)
     for seed in range(10):
-        child = gp.mutate(p1, KINDS, params, random.Random(seed))
+        child = gp.mutate(p1, KINDS, random.Random(seed))
         assert child.key is child.genotype
     assert calls == []
 
@@ -576,13 +583,10 @@ def test_mutate_keys_wraps_and_deletions_of_canonical_parents_without_rescans(
     calls = []
     canonical = bt.canonical
     monkeypatch.setattr(bt, "canonical", lambda g: calls.append(g) or canonical(g))
-    params = gp.GpParams(
-        p_node_mutation=p_mutation,
-        p_node_addition=p_addition,
-        p_node_deletion=1.0 - p_mutation - p_addition,
-        p_control_node=1.0,
-    )
-    children = [gp.mutate(parent, KINDS, params, random.Random(seed)) for seed in range(30)]
+    monkeypatch.setattr(gp, "P_NODE_MUTATION", p_mutation)
+    monkeypatch.setattr(gp, "P_NODE_ADDITION", p_addition)
+    monkeypatch.setattr(gp, "P_CONTROL_NODE", 1.0)
+    children = [gp.mutate(parent, KINDS, random.Random(seed)) for seed in range(30)]
     assert calls == []
     for child in children:
         assert child.key == canonical(child.genotype)
@@ -1009,6 +1013,78 @@ def test_resume_names_a_missing_population_key(tmp_path, drop):
     with pytest.raises(ValueError, match=pattern):
         gp.run(params, DET, fitness.TABLE2, resume_from=path)
 
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(generation=-3), "history rows are not generations 0..-3"),
+        (lambda d: d.update(generation=-1, history=[]), "history rows are not generations 0..-1"),
+        (lambda d: d.update(generation=True), "'generation' entry is not of type int"),
+        (lambda d: d.update(history=d["history"][:3]), "history rows are not generations 0..6"),
+        (lambda d: d["history"][2].__setitem__(0, 7), "history rows are not generations 0..6"),
+    ],
+    ids=["negative", "minus-one-empty", "bool", "cut-history", "misnumbered-row"],
+)
+def test_resume_refuses_a_generation_its_history_contradicts(tmp_path, edit, message):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=12, seed=9)
+    data = write_checkpoint(path, gp.GpParams(generations=6, seed=9))
+    edit(data)
+    path.write_text(json.dumps(data))
+    pattern = f"^checkpoint {re.escape(str(path))}: {re.escape(message)}$"
+    with pytest.raises(ValueError, match=pattern):
+        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+
+
+@pytest.mark.parametrize("size", [5, 7])
+def test_resume_names_a_checkpoint_whose_population_has_another_size(tmp_path, size):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=4, seed=1, population=6)
+    data = write_checkpoint(path, gp.GpParams(generations=2, seed=1, population=6))
+    data["population"] = (data["population"] * 2)[:size]
+    path.write_text(json.dumps(data))
+    pattern = f"^checkpoint {re.escape(str(path))} holds {size} individuals, not population=6$"
+    with pytest.raises(ValueError, match=pattern):
+        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+
+
+# The params entry a checkpoint of a default run stores, in its stored key
+# order: the fixed rates sit after population, as when they were GpParams
+# fields, so every checkpoint written then still resumes.
+CHECKPOINT_PARAMS = {
+    "population": 30,
+    "start_length": 4,
+    "crossover_fraction": 0.4,
+    "mutation_fraction": 0.6,
+    "elitism_fraction": 0.1,
+    "p_node_mutation": 0.3,
+    "p_node_addition": 0.4,
+    "p_node_deletion": 0.3,
+    "p_control_node": 0.5,
+    "episodes_per_eval": 1,
+    "seed": 0,
+    "node_cap": 64,
+    "reevaluate_elites": False,
+    "max_root_failures": 5,
+    "max_ticks": 100,
+}
+
+
+def test_resume_binds_the_fixed_rates(tmp_path):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=12)
+    full_history, _ = gp.run(params, DET, fitness.TABLE2)
+    data = write_checkpoint(path, gp.GpParams(generations=6))
+    stored = data["fingerprint"]["params"]
+    assert list(stored.items()) == list(CHECKPOINT_PARAMS.items())
+    assert path.read_text().count(json.dumps(CHECKPOINT_PARAMS)) == 1
+    resumed_history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
+    assert history_digest(resumed_history) == history_digest(full_history)
+    stored["p_node_mutation"] = 0.5
+    path.write_text(json.dumps(data))
+    pattern = f"^checkpoint {re.escape(str(path))} is from another run \\(different params\\)$"
+    with pytest.raises(ValueError, match=pattern):
+        gp.run(params, DET, fitness.TABLE2, resume_from=path)
 
 
 def test_resume_accepts_entries_that_carry_a_birth_generation(tmp_path):
