@@ -260,13 +260,7 @@ def fits(tokens: Genotype, row: tuple, root: str, kinds: LeafKinds) -> bool:
     return after != CLOSE and after != root and tokens[start - 1] != root
 
 
-def random_genotype(
-    kinds: LeafKinds,
-    length: int,
-    rng,
-    *,
-    node_cap: int = 64,
-) -> Genotype:
+def random_genotype(kinds: LeafKinds, length: int, rng) -> Genotype:
     """Random valid genotype with exactly ``length`` nodes.
 
     Controls are drawn with probability 0.5 per slot where a subtree of two
@@ -277,8 +271,6 @@ def random_genotype(
         raise PoolEmpty("behavior pool is empty")
     if length < 1:
         raise ValueError("length must be >= 1")
-    if length > node_cap:
-        raise ValueError(f"length {length} exceeds node cap {node_cap}")
     leaves = sorted(kinds)
 
     def grow(n: int, parent_kind: str | None) -> list[str]:

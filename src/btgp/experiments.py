@@ -253,7 +253,9 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     ]
     written: list[Path] = []
     histories: list[list[GenerationStats]] = []
-    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+    # a process pool forks all its workers at once, so it gets no more than there are jobs
+    workers = min(config.workers, len(jobs))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for variant, seed, history, best in (pool.map if pool else map)(_run_job, jobs):
             run_csv = out_root / variant / f"seed{seed}.csv"
             write_history_csv(run_csv, history)

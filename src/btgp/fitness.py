@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bt import Genotype, compile_tree, node_count
 from .world import (
@@ -36,6 +36,12 @@ class FitnessWeights:
     delta: float = 0.0  # accumulated failure probability
     pick_reward: float = 50.0
     place_reward: float = 100.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):  # a NaN weight would score every tree NaN
+                raise ValueError(f"weight {f.name} must be finite, got {value}")
 
 
 TABLE2 = FitnessWeights()
@@ -118,20 +124,19 @@ def evaluate_compiled(
     the order ``cost`` lists them, and one FitnessValue is built from their
     means at the end, with j re-derived so the breakdown sums to the cost
     exactly. When the profile draws nothing every episode repeats the first,
-    so that one is simulated and its terms are added ``episodes`` times: the
-    same additions in the same order, so the same bits.
+    so only that one is run: the value is its fitness, whatever ``episodes``.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     check_budgets(max_root_failures, max_ticks)
-    simulated = 1 if episodes > 1 and draws_nothing(profile) else episodes
+    if draws_nothing(profile):
+        episodes = 1
     distance = length = time = risk = rewards = 0.0
-    for i in range(episodes):
-        if i < simulated:
-            result = run_compiled(
-                compiled, rng, max_root_failures=max_root_failures, max_ticks=max_ticks
-            )
-            d, n, t, r, w = _terms(result, n_nodes, weights)
+    for _ in range(episodes):
+        result = run_compiled(
+            compiled, rng, max_root_failures=max_root_failures, max_ticks=max_ticks
+        )
+        d, n, t, r, w = _terms(result, n_nodes, weights)
         distance += d
         length += n
         time += t

@@ -68,6 +68,8 @@ P_NODE_MUTATION = 0.30
 P_NODE_ADDITION = 0.40
 P_NODE_DELETION = 0.30
 P_CONTROL_NODE = 0.50
+# Attempts a crossover or a mutation makes before it gives up on a novel offspring.
+MAX_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -201,8 +203,8 @@ def crossover(
     kinds,
     rng,
     *,
-    node_cap: int = 64,
-    max_attempts: int = 100,
+    node_cap: int = GpParams.node_cap,
+    max_attempts: int = MAX_ATTEMPTS,
     exclude: frozenset | set = frozenset(),
 ) -> tuple[Individual, Individual]:
     """Swap one uniformly chosen subtree span between the parents.
@@ -214,9 +216,9 @@ def crossover(
     cheapest first: node cap and validity from the parents' facts before
     the offspring are built, canonical forms last. Each is pure, so their
     order decides no outcome, and a span pair already rejected in this call
-    is skipped without re-checking (both points are still drawn, so the rng
-    stream is the same). Once every span pair has been rejected, the
-    remaining attempts only make their draws.
+    is skipped without re-checking. Once every span pair has been rejected
+    the call stops drawing and returns the parents: a later attempt could
+    only redraw a rejected pair.
 
     Both parents must be valid: an offspring's validity is then decided
     from its parent's ``node_facts`` row and the inserted root token
@@ -233,15 +235,9 @@ def crossover(
     plain = p1.key is g1 and p2.key is g2
     tried: set[tuple[int, int]] = set()
     bits = rng.getrandbits
-    for left in range(max_attempts, 0, -1):
+    for _ in range(max_attempts):
         if len(tried) == n1 * n2:
-            k1, k2 = n1.bit_length(), n2.bit_length()
-            for _ in range(left):  # _below's draws, values unused
-                while bits(k1) >= n1:
-                    pass
-                while bits(k2) >= n2:
-                    pass
-            break
+            break  # every span pair rejected: no further draw can succeed
         pair = (_below(bits, n1), _below(bits, n2))
         if pair in tried:
             continue
@@ -403,8 +399,8 @@ def mutate(
     kinds,
     rng,
     *,
-    node_cap: int = 64,
-    max_attempts: int = 100,
+    node_cap: int = GpParams.node_cap,
+    max_attempts: int = MAX_ATTEMPTS,
     exclude: frozenset | set = frozenset(),
 ) -> Individual:
     """Apply one of node mutation / addition / deletion, drawn with
@@ -463,9 +459,11 @@ class Evaluator:
     When the profile draws nothing (``world.draws_nothing``), an episode is
     a pure function of the genotype, so ``eval_batch`` keeps a genotype ->
     fitness dict for the evaluator's lifetime and simulates each distinct
-    genotype once. Every such evaluation is handed the one rng the evaluator
-    holds for its lifetime: no episode draws from it, so a stream seeded per
-    evaluation would change nothing.
+    genotype once, in one episode whatever ``episodes_per_eval``: det runs at
+    different episode counts differ only in their histories' episodes column.
+    Every such evaluation is handed the one rng the evaluator holds for its
+    lifetime: no episode draws from it, so a stream seeded per evaluation
+    would change nothing.
     """
 
     def __init__(self, profile: Profile, weights: FitnessWeights, params: GpParams):
@@ -743,12 +741,16 @@ def load_checkpoint(path) -> dict:
                 f"checkpoint {path}: population entry {i} needs a genotype string "
                 "and 6 fitness floats"
             )
+        if not all(map(math.isfinite, entry["fitness"])):  # json reads NaN and Infinity
+            raise ValueError(f"checkpoint {path}: population entry {i} has a non-finite fitness")
     for i, row in enumerate(data["history"]):
         if _item_types(row) != [int, float, float, str, int]:
             raise ValueError(
                 f"checkpoint {path}: history row {i} is not "
                 "[generation, best_j, mean_j, genotype, episodes]"
             )
+        if not (math.isfinite(row[1]) and math.isfinite(row[2])):
+            raise ValueError(f"checkpoint {path}: history row {i} has a non-finite best_j/mean_j")
     generation = data["generation"]
     if generation < 0 or [row[0] for row in data["history"]] != list(range(generation + 1)):
         raise ValueError(f"checkpoint {path}: history rows are not generations 0..{generation}")
@@ -830,9 +832,7 @@ def run(
         start_generation = data["generation"] + 1
     else:
         population = [
-            Individual(
-                bt.random_genotype(kinds, START_LENGTH, rng, node_cap=params.node_cap)
-            )
+            Individual(bt.random_genotype(kinds, START_LENGTH, rng))
             for _ in range(params.population)
         ]
         episodes = evaluator.eval_batch(population, "init")

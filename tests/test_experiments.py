@@ -341,12 +341,35 @@ def test_experiment_workers_fanout_matches_serial(tmp_path):
     assert curve.read_text().splitlines()[0] == "generation,mean_best,std_best,seed3,seed7"
 
 
+def test_experiment_pool_gets_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    # a fork pool starts every worker at its first job, idle or not
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    for workers in (64, 3, 1):  # exp3 on two seeds is four jobs
+        config = tiny_config(tmp_path / str(workers), "exp3", seeds=(0, 1), workers=workers)
+        experiments.run_experiment(config)
+    assert sizes == [4, 3]
+
+
 # sha256 of exp3's curve CSVs over seeds 0-2 at 3 generations, population 6:
-# the same bytes on Python 3.10-3.13 (3.10's statistics.stdev gave delta0's
-# generation 0 std_best as 0.40301209659265186)
+# std_best is computed exactly, so the bytes do not depend on the interpreter
+# (CI checks Python 3.10-3.13)
 EXP3_CURVE_DIGESTS = {
-    "delta0_curve.csv": "3bf27ed4e7b184478392507db43c63c2951171a3e1e3c69d068d29f34145827d",
-    "delta150_curve.csv": "dab5907969823f76835bdfc8358e079880283f7576c010e6c4145abfe4a87d7f",
+    "delta0_curve.csv": "ac0b6fdbff4c087721c8124be294308e8b9a43dbd1684c619e5d8a4dfd4c3563",
+    "delta150_curve.csv": "1af92056e688b93be8b24dec770fd412e3421cf0d0583af9d0b5044c8c69206f",
 }
 
 
@@ -633,6 +656,14 @@ def test_cli_checkpoint_resume(tmp_path):
     assert (tmp_path / "resumed" / "run_det_seed0.csv").exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_cli_run_rejects_a_non_finite_weight(tmp_path, capsys, delta):
+    args = ["run", "--profile", "exp3", "--pool", "safe_paths", f"--delta={delta}"]
+    assert cli.main(args + ["--generations", "2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: weight delta must be finite, got {float(delta)}\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "data, reason",
     [
@@ -695,6 +726,10 @@ NOT_AN_RNG_STATE = "'rng_state' entry is not a random.Random state"
             7,
             "history row 1 is not [generation, best_j, mean_j, genotype, episodes]",
         ),
+        (("population", 0, "fitness", 0), math.nan, "population entry 0 has a non-finite fitness"),
+        (("population", 3, "fitness", 2), math.inf, "population entry 3 has a non-finite fitness"),
+        (("history", 1, 1), -math.inf, "history row 1 has a non-finite best_j/mean_j"),
+        (("history", 2, 2), math.nan, "history row 2 has a non-finite best_j/mean_j"),
     ],
     ids=[
         "fingerprint",
@@ -710,6 +745,10 @@ NOT_AN_RNG_STATE = "'rng_state' entry is not a random.Random state"
         "fitness",
         "genotype",
         "history",
+        "fitness_nan",
+        "fitness_inf",
+        "best_j_inf",
+        "mean_j_nan",
     ],
 )
 def test_cli_resume_rejects_a_malformed_checkpoint(tmp_path, capsys, path, value, message):

