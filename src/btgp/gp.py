@@ -14,7 +14,9 @@ from .bt import Genotype
 from .fitness import FitnessValue, FitnessWeights, TABLE2, evaluate_compiled
 from .world import Profile, build_transition_table, check_budgets, draws_nothing, leaf_kinds
 
-CHECKPOINT_FORMAT = "btgp-checkpoint-v2"
+# A change that would make an existing checkpoint resume into a run it did
+# not come from bumps the format; it adds no marker key to the fingerprint.
+CHECKPOINT_FORMAT = "btgp-checkpoint-v3"
 
 
 class SlotsExceedCandidates(ValueError):
@@ -520,12 +522,14 @@ class Evaluator:
 def evolve_generation(
     population: list, evaluator: Evaluator, params: GpParams, rng, generation: int = 0
 ) -> tuple[list, GenerationStats]:
-    """One generation: breed 2N offspring, evaluate, select survivors.
+    """One generation: breed offspring, evaluate, select survivors.
 
     Crossover parents come from one tournament (paired after a shuffle, two
-    crossover applications per pair), mutation parents from another (two
-    offspring each). The next population is the elite fraction plus a
-    tournament over parents and offspring combined.
+    crossover applications per pair; an odd one out breeds nothing), mutation
+    parents from another (two offspring each): 2N offspring, or 2N - 2 when
+    round(CROSSOVER_FRACTION * N) is odd (N = 7, 8 and 13 breed 12, 14, 24).
+    The next population is the elite fraction plus a tournament over parents
+    and offspring combined.
     """
     n = params.population
     if len(population) != n:
@@ -604,53 +608,48 @@ def evolve_generation(
 # GpParams fields a resumed run may change: they decide only when a run
 # stops, never what any generation computes.
 _RESUMABLE_PARAMS = ("generations", "early_stop_window")
+# Module constants a run is bound to besides GpParams, stored under these names.
+_GP_CONSTANTS = (
+    "START_LENGTH", "CROSSOVER_FRACTION", "MUTATION_FRACTION", "ELITISM_FRACTION",
+    "P_NODE_MUTATION", "P_NODE_ADDITION", "P_NODE_DELETION", "P_CONTROL_NODE", "MAX_ATTEMPTS",
+)
+_WORLD_CONSTANTS = (
+    "START", "PICK_POSE", "GOAL_POSE", "REACH_RADIUS", "SPEED", "SAFE_TIME_MULTIPLIER"
+)
 
 
 def _run_fingerprint(params: GpParams, profile: Profile, weights: FitnessWeights) -> dict:
     """The run configuration a checkpoint is bound to, as JSON will load it."""
-    kept = {k: v for k, v in asdict(params).items() if k not in _RESUMABLE_PARAMS}
-    # The fixed rates, stored as when they were GpParams fields (same keys,
-    # right after population), so a run stays bound to them, older
-    # checkpoints resume and new ones are written byte for byte as before.
-    fixed = {
-        "population": kept.pop("population"),
-        "start_length": START_LENGTH,
-        "crossover_fraction": CROSSOVER_FRACTION,
-        "mutation_fraction": MUTATION_FRACTION,
-        "elitism_fraction": ELITISM_FRACTION,
-        "p_node_mutation": P_NODE_MUTATION,
-        "p_node_addition": P_NODE_ADDITION,
-        "p_node_deletion": P_NODE_DELETION,
-        "p_control_node": P_CONTROL_NODE,
-        **kept,
+    run = {
+        "params": {k: v for k, v in asdict(params).items() if k not in _RESUMABLE_PARAMS},
+        "gp": {name: globals()[name] for name in _GP_CONSTANTS},
+        "world": {name: getattr(world, name) for name in _WORLD_CONSTANTS},
+        "profile": asdict(profile),
+        "weights": asdict(weights),
     }
-    # World constants, stored with the profile under the keys checkpoints have
-    # always used for them, so a run stays bound to them; every checkpointed
-    # run stored the risky-path overrides (now the exp3 column) unset.
-    constants = {
-        "start": world.START,
-        "pick_pose": world.PICK_POSE,
-        "goal_pose": world.GOAL_POSE,
-        "reach_radius": world.REACH_RADIUS,
-        "speed": world.SPEED,
-        "safe_time_multiplier": world.SAFE_TIME_MULTIPLIER,
-        "risky_losing_cube": None,
-        "risky_losing_localization": None,
-    }
-    stored = asdict(profile) | constants
-    if not draws_nothing(profile):
-        # Fitness on a profile that draws depends on how evaluations are
-        # seeded. Checkpoints from when every evaluation seeded its own
-        # stream lack this key, so they are refused, not resumed into
-        # other streams; det runs never draw, so theirs still resume.
-        stored["evaluation"] = "one rng stream per eval_batch"
-    run = {"profile": stored, "weights": asdict(weights), "params": fixed}
     return json.loads(json.dumps(run))
+
+
+def _differing(stored, current, name: str = "") -> list[str]:
+    """The fingerprint entries, as ``section.key``, on which a checkpoint
+    and this run differ; an entry that only one side has differs too."""
+    if not (isinstance(stored, dict) and isinstance(current, dict)):
+        return [] if stored == current else [name]
+    differ = []
+    for key in [*current, *(k for k in stored if k not in current)]:
+        full = f"{name}.{key}" if name else key
+        both = key in stored and key in current
+        differ += _differing(stored[key], current[key], full) if both else [full]
+    return differ
 
 
 def save_checkpoint(path, fingerprint: dict, generation: int, population, history, rng) -> None:
     """Resumable snapshot: population with fitness cache, rng cursor, history.
 
+    One JSON object: ``format``, ``fingerprint`` (sections ``params``, ``gp``,
+    ``world``, ``profile`` and ``weights``), ``generation``, ``rng_state``,
+    ``population`` (a ``genotype`` text and six ``fitness`` floats each) and
+    ``history`` rows [generation, best_j, mean_j, genotype, episodes].
     Written to a temporary file next to ``path`` and moved over it, so a
     crash mid-write leaves the previous checkpoint intact.
     """
@@ -692,8 +691,6 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
 _CHECKPOINT_KEYS = {
     "fingerprint": dict, "generation": int, "rng_state": list, "population": list, "history": list
 }
-# Entries of older v2 checkpoints also record each individual's generation
-# of birth, which no run reads back; it is ignored, so they still resume.
 _ENTRY_KEYS = ("genotype", "fitness")
 
 
@@ -790,6 +787,8 @@ def run(
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     if checkpoint_path is not None and checkpoint_every == 0:
         raise ValueError("a checkpoint path needs checkpoint_every >= 1")
+    if checkpoint_path is None and checkpoint_every > 0:
+        raise ValueError(f"checkpoint_every={checkpoint_every} needs a checkpoint path")
     fingerprint = _run_fingerprint(params, profile, weights)
     evaluator = Evaluator(profile, weights, params)
     rng = random.Random(params.seed)
@@ -797,7 +796,7 @@ def run(
     history: list[GenerationStats]
     if resume_from is not None:
         data = load_checkpoint(resume_from)
-        differ = [k for k in fingerprint if data["fingerprint"].get(k) != fingerprint[k]]
+        differ = _differing(data["fingerprint"], fingerprint)
         if differ:
             raise ValueError(
                 f"checkpoint {resume_from} is from another run (different {', '.join(differ)})"

@@ -688,6 +688,18 @@ def test_cli_resume_rejects_a_checkpoint_missing_keys(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: checkpoint {ckpt} has no 'fingerprint' entry\n"
 
 
+def test_cli_resume_refuses_a_v2_checkpoint(tmp_path, capsys):
+    ckpt = tmp_path / "c.json"
+    args = ["run", "--generations", "4", "--population", "6", "--out", str(tmp_path)]
+    assert cli.main(args + ["--checkpoint", str(ckpt), "--checkpoint-every", "2"]) == 0
+    capsys.readouterr()
+    data = json.loads(ckpt.read_text())
+    data["format"] = "btgp-checkpoint-v2"
+    ckpt.write_text(json.dumps(data))
+    assert cli.main(args + ["--resume", str(ckpt)]) == 1
+    assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v3 file: {ckpt}\n"
+
+
 def set_entry(data, path, value):
     *parents, last = path
     for key in parents:

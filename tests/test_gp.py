@@ -628,6 +628,18 @@ def test_evolve_generation_offspring_accounting():
     assert not any(bt.validate(i.genotype, KINDS) for i in new_pop)
 
 
+@pytest.mark.parametrize("n, bred", [(7, 12), (8, 14), (10, 20), (13, 24)])
+def test_an_odd_crossover_count_leaves_one_parent_unpaired(n, bred):
+    # round(0.4 N) crossover parents breed four offspring per pair and
+    # round(0.6 N) mutation parents two each: 2N, less two when 0.4 N rounds odd
+    params = gp.GpParams(seed=0, population=n)
+    evaluator = gp.Evaluator(DET, fitness.TABLE2, params)
+    population = make_population(n)
+    evaluator.eval_batch(population, "init")
+    _, stats = gp.evolve_generation(population, evaluator, params, random.Random(1), 1)
+    assert stats.episodes == bred
+
+
 def test_evolve_generation_reevaluates_elites_when_asked():
     params = gp.GpParams(seed=0, reevaluate_elites=True)
     evaluator = gp.Evaluator(DET, fitness.TABLE2, params)
@@ -724,6 +736,18 @@ def test_checkpoint_rejects_wrong_seed(tmp_path):
         gp.run(gp.GpParams(generations=5, seed=2), DET, fitness.TABLE2, resume_from=path)
 
 
+def resume_refusal(path, differs: str) -> str:
+    message = f"checkpoint {path} is from another run (different {differs})"
+    return f"^{re.escape(message)}$"
+
+
+# The entries a checkpoint of a det run names when resumed into another run.
+DIFFERING_ENTRIES = {
+    "profile": "profile.name, profile.losing_localization",
+    "weights": "weights.delta",
+}
+
+
 @pytest.mark.parametrize(
     "profile, weights, differs",
     [
@@ -735,7 +759,7 @@ def test_checkpoint_rejects_other_profile_or_weights(tmp_path, profile, weights,
     path = tmp_path / "ckpt.json"
     params = gp.GpParams(generations=2, seed=1, population=6)
     gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
-    with pytest.raises(ValueError, match=f"another run \\(different {differs}\\)"):
+    with pytest.raises(ValueError, match=resume_refusal(path, DIFFERING_ENTRIES[differs])):
         gp.run(params, profile, weights, resume_from=path)
 
 
@@ -777,6 +801,14 @@ def test_run_rejects_checkpoint_interval(tmp_path, every, message):
     with pytest.raises(ValueError, match=message):
         gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=every)
     assert not path.exists()
+
+
+def test_run_rejects_an_interval_without_a_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    params = gp.GpParams(generations=3, population=6)
+    with pytest.raises(ValueError, match="^checkpoint_every=1 needs a checkpoint path$"):
+        gp.run(params, DET, fitness.TABLE2, checkpoint_every=1)
+    assert not any(tmp_path.iterdir())
 
 
 def test_resume_rejects_checkpoint_past_generations(tmp_path):
@@ -1054,155 +1086,112 @@ def test_resume_names_a_checkpoint_whose_population_has_another_size(tmp_path, s
         gp.run(params, DET, fitness.TABLE2, resume_from=path)
 
 
-# The params entry a checkpoint of a default run stores, in its stored key
-# order: the fixed rates sit after population, as when they were GpParams
-# fields, so every checkpoint written then still resumes.
-CHECKPOINT_PARAMS = {
-    "population": 30,
-    "start_length": 4,
-    "crossover_fraction": 0.4,
-    "mutation_fraction": 0.6,
-    "elitism_fraction": 0.1,
-    "p_node_mutation": 0.3,
-    "p_node_addition": 0.4,
-    "p_node_deletion": 0.3,
-    "p_control_node": 0.5,
-    "episodes_per_eval": 1,
-    "seed": 0,
-    "node_cap": 64,
-    "reevaluate_elites": False,
-    "max_root_failures": 5,
-    "max_ticks": 100,
+# The fingerprint a checkpoint of a det run at the GpParams defaults stores,
+# in its stored order: each entry under the name the code gives it.
+DET_FINGERPRINT = {
+    "params": {
+        "population": 30,
+        "episodes_per_eval": 1,
+        "seed": 0,
+        "node_cap": 64,
+        "reevaluate_elites": False,
+        "max_root_failures": 5,
+        "max_ticks": 100,
+    },
+    "gp": {
+        "START_LENGTH": 4,
+        "CROSSOVER_FRACTION": 0.4,
+        "MUTATION_FRACTION": 0.6,
+        "ELITISM_FRACTION": 0.1,
+        "P_NODE_MUTATION": 0.3,
+        "P_NODE_ADDITION": 0.4,
+        "P_NODE_DELETION": 0.3,
+        "P_CONTROL_NODE": 0.5,
+        "MAX_ATTEMPTS": 100,
+    },
+    "world": {
+        "START": [0.0, 0.0],
+        "PICK_POSE": [2.0, 0.0],
+        "GOAL_POSE": [-2.0, 0.0],
+        "REACH_RADIUS": 0.6,
+        "SPEED": 0.5,
+        "SAFE_TIME_MULTIPLIER": 2.0,
+    },
+    "profile": {
+        "name": "det",
+        "loc_failure": 0.0,
+        "pick_failure": 0.0,
+        "place_failure": 0.0,
+        "losing_cube": 0.0,
+        "losing_localization": 0.0,
+        "pool": list(world.CORE9),
+    },
+    "weights": {
+        "alpha1": 10.0,
+        "alpha2": 2.0,
+        "alpha3": 1.0,
+        "beta": 0.5,
+        "gamma": 0.1,
+        "delta": 0.0,
+        "pick_reward": 50.0,
+        "place_reward": 100.0,
+    },
 }
 
 
-def test_resume_binds_the_fixed_rates(tmp_path):
+def test_a_checkpoint_stores_the_run_under_the_code_names(tmp_path):
     path = tmp_path / "ckpt.json"
-    params = gp.GpParams(generations=12)
-    full_history, _ = gp.run(params, DET, fitness.TABLE2)
-    data = write_checkpoint(path, gp.GpParams(generations=6))
-    stored = data["fingerprint"]["params"]
-    assert list(stored.items()) == list(CHECKPOINT_PARAMS.items())
-    assert path.read_text().count(json.dumps(CHECKPOINT_PARAMS)) == 1
-    resumed_history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
-    assert history_digest(resumed_history) == history_digest(full_history)
-    stored["p_node_mutation"] = 0.5
+    data = write_checkpoint(path, gp.GpParams(generations=2))
+    assert data["format"] == "btgp-checkpoint-v3"
+    assert json.dumps(data["fingerprint"]) == json.dumps(DET_FINGERPRINT)
+
+
+def other_value(value):
+    """A value of the same JSON type that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "_other"
+    return value + value[:1]
+
+
+@pytest.mark.parametrize(
+    "section, key", [(s, k) for s, entries in DET_FINGERPRINT.items() for k in entries]
+)
+def test_resume_binds_every_fingerprint_entry(tmp_path, section, key):
+    path = tmp_path / "ckpt.json"
+    params = gp.GpParams(generations=4, seed=1, population=6)
+    data = write_checkpoint(path, dataclasses.replace(params, generations=2))
+    entries = data["fingerprint"][section]
+    entries[key] = other_value(entries[key])
     path.write_text(json.dumps(data))
-    pattern = f"^checkpoint {re.escape(str(path))} is from another run \\(different params\\)$"
-    with pytest.raises(ValueError, match=pattern):
+    with pytest.raises(ValueError, match=resume_refusal(path, f"{section}.{key}")):
         gp.run(params, DET, fitness.TABLE2, resume_from=path)
 
 
-def test_resume_accepts_entries_that_carry_a_birth_generation(tmp_path):
-    # earlier writers of the same format stored each individual's generation
-    # of birth in its population entry; such a checkpoint still resumes to
-    # the uninterrupted run
+@pytest.mark.parametrize(
+    "edit, differs",
+    [
+        (lambda f: f["params"].pop("seed"), "params.seed"),
+        (lambda f: f["gp"].update(P_NODE_SWAP=0.1), "gp.P_NODE_SWAP"),
+        (lambda f: f.pop("world"), "world"),
+        (lambda f: f.update(evaluation="one rng stream per eval_batch"), "evaluation"),
+        (lambda f: f.update(params=[]), "params"),
+        (lambda f: f.update(profile="det"), "profile"),
+        (lambda f: f["weights"].update(beta=None, gamma="0.1"), "weights.beta, weights.gamma"),
+    ],
+    ids=["missing-key", "extra-key", "missing-section", "extra-section", "list", "string", "two"],
+)
+def test_resume_refuses_a_fingerprint_with_other_entries(tmp_path, edit, differs):
     path = tmp_path / "ckpt.json"
-    params = gp.GpParams(generations=12, seed=9)
-    full_history, _ = gp.run(params, DET, fitness.TABLE2)
-    data = write_checkpoint(path, gp.GpParams(generations=6, seed=9))
-    data["population"] = [
-        {"genotype": e["genotype"], "birth_generation": i % 7, "fitness": e["fitness"]}
-        for i, e in enumerate(data["population"])
-    ]
+    params = gp.GpParams(generations=4, seed=1, population=6)
+    data = write_checkpoint(path, dataclasses.replace(params, generations=2))
+    edit(data["fingerprint"])
     path.write_text(json.dumps(data))
-    resumed_history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
-    assert history_digest(resumed_history) == history_digest(full_history)
-
-
-# Profile fields the fingerprint of every checkpoint written so far holds:
-# the task geometry, at the values of the one geometry the world has had.
-CHECKPOINT_GEOMETRY = {
-    "start": [0.0, 0.0],
-    "pick_pose": [2.0, 0.0],
-    "goal_pose": [-2.0, 0.0],
-    "reach_radius": 0.6,
-    "speed": 0.5,
-}
-
-
-def test_resume_binds_the_task_geometry(tmp_path):
-    # the geometry left Profile for world constants; checkpoints that store
-    # it at the world's values still resume, any other geometry is another run
-    path = tmp_path / "ckpt.json"
-    params = gp.GpParams(generations=12, seed=9)
-    full_history, _ = gp.run(params, DET, fitness.TABLE2)
-    data = write_checkpoint(path, gp.GpParams(generations=6, seed=9))
-    stored = data["fingerprint"]["profile"]
-    assert {k: stored[k] for k in CHECKPOINT_GEOMETRY} == CHECKPOINT_GEOMETRY
-    stored.update(CHECKPOINT_GEOMETRY)
-    path.write_text(json.dumps(data))
-    resumed_history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
-    assert history_digest(resumed_history) == history_digest(full_history)
-    stored["pick_pose"] = [3.0, 0.0]
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=r"is from another run \(different profile\)$"):
+    with pytest.raises(ValueError, match=resume_refusal(path, differs)):
         gp.run(params, DET, fitness.TABLE2, resume_from=path)
-
-
-# Profiles as earlier checkpoints stored them, keys the dataclass no longer
-# has included: det, and exp3 when it was the det column with risky overrides.
-STORED_DET_PROFILE = {
-    "name": "det",
-    "loc_failure": 0.0,
-    "pick_failure": 0.0,
-    "place_failure": 0.0,
-    "losing_cube": 0.0,
-    "losing_localization": 0.0,
-    "pool": list(world.CORE9),
-    "safe_time_multiplier": 2.0,
-    "risky_losing_cube": None,
-    "risky_losing_localization": None,
-    **CHECKPOINT_GEOMETRY,
-}
-STORED_EXP3_PROFILE = {
-    **STORED_DET_PROFILE,
-    "name": "exp3_safe_paths",
-    "pool": STORED_DET_PROFILE["pool"] + ["move_to_pick_safe", "move_to_goal_safe"],
-    "risky_losing_cube": 0.2,
-    "risky_losing_localization": 0.4,
-}
-
-
-def test_resume_accepts_a_stored_det_profile(tmp_path):
-    path = tmp_path / "ckpt.json"
-    params = gp.GpParams(generations=12, seed=9)
-    full_history, _ = gp.run(params, DET, fitness.TABLE2)
-    data = write_checkpoint(path, gp.GpParams(generations=6, seed=9))
-    data["fingerprint"]["profile"] = STORED_DET_PROFILE
-    path.write_text(json.dumps(data))
-    resumed_history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
-    assert history_digest(resumed_history) == history_digest(full_history)
-
-
-def test_resume_refuses_a_stored_risky_override_exp3_profile(tmp_path):
-    # the exp3 column now carries the losses, so the old exp3 is another run
-    path = tmp_path / "ckpt.json"
-    exp3 = world.make_profile("exp3", "safe_paths")
-    params = gp.GpParams(generations=2, seed=0)
-    gp.run(params, exp3, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
-    data = json.loads(path.read_text())
-    data["fingerprint"]["profile"] = STORED_EXP3_PROFILE
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=r"is from another run \(different profile\)$"):
-        gp.run(params, exp3, fitness.TABLE2, resume_from=path)
-
-
-def test_resume_refuses_a_stochastic_checkpoint_seeded_per_individual(tmp_path):
-    # fingerprints written while every stochastic evaluation seeded its own
-    # stream have no evaluation entry; resuming one would change its streams
-    path = tmp_path / "ckpt.json"
-    stoch3 = STOCHASTIC_PROFILES["stoch3"]
-    params = gp.GpParams(generations=2, seed=0, population=6, episodes_per_eval=5)
-    data = write_checkpoint(path, params, stoch3)
-    assert "evaluation" in data["fingerprint"]["profile"]
-    del data["fingerprint"]["profile"]["evaluation"]
-    path.write_text(json.dumps(data))
-    pattern = f"^checkpoint {re.escape(str(path))} is from another run \\(different profile\\)$"
-    with pytest.raises(ValueError, match=pattern):
-        gp.run(params, stoch3, fitness.TABLE2, resume_from=path)
-    # det never draws, so its fingerprint is what it was
-    assert "evaluation" not in write_checkpoint(path, params)["fingerprint"]["profile"]
 
 
 EPISODE5 = {"episodes_per_eval": 5, "reevaluate_elites": True}
