@@ -60,55 +60,41 @@ def validate(tokens: Iterable[str], kinds: LeafKinds) -> list[Violation]:
     V3 childless control, V4 identical adjacent condition siblings.
     Raises MalformedGenotype for a sequence that is not one balanced tree
     over the leaves in ``kinds``.
+
+    Only V1 needs the enclosing control; the others are read off
+    neighbouring tokens, as ``fits`` reads them. A close is V3 after an
+    open and V2 after a condition. A condition equal to the token before it
+    is V4: a leaf before a token is its left sibling. Violations are listed
+    in the order their last token is reached, V2 and V3 at their close.
     """
     toks = tuple(tokens)
     if not toks:
         raise MalformedGenotype("empty genotype")
     violations: list[Violation] = []
-    # stack entries: [kind, open_index, n_children, last_condition_id, last_child_cond_index]
-    stack: list[list] = []
-    roots = 0
+    stack: list[str] = []  # the open token of each enclosing control
     for i, tok in enumerate(toks):
         if tok == CLOSE:
             if not stack:
                 raise MalformedGenotype(f"unmatched close at token {i}")
-            kind, open_index, n_children, _, last_cond = stack.pop()
-            if n_children == 0:
-                violations.append(Violation("V3", open_index, "control node without children"))
-            if last_cond is not None:
-                violations.append(
-                    Violation("V2", last_cond, "condition in the rightmost position")
-                )
+            stack.pop()
+            before = toks[i - 1]
+            if is_control_open(before):
+                violations.append(Violation("V3", i - 1, "control node without children"))
+            elif kinds.get(before) == CONDITION:
+                violations.append(Violation("V2", i - 1, "condition in the rightmost position"))
             continue
-        parent = stack[-1] if stack else None
-        if parent is None:
-            roots += 1
-            if roots > 1:
-                raise MalformedGenotype(f"trailing tokens after position {i}")
+        if not stack and i > 0:
+            raise MalformedGenotype(f"trailing tokens after position {i}")
         if is_control_open(tok):
-            kind = "s" if tok == SEQUENCE_OPEN else "f"
-            if parent is not None:
-                if parent[0] == kind:
-                    violations.append(
-                        Violation("V1", i, "same control kind on consecutive levels")
-                    )
-                parent[2] += 1
-                parent[3] = None
-                parent[4] = None
-            stack.append([kind, i, 0, None, None])
+            if stack and stack[-1] == tok:
+                violations.append(Violation("V1", i, "same control kind on consecutive levels"))
+            stack.append(tok)
             continue
         leaf_kind = kinds.get(tok)
         if leaf_kind is None:
             raise MalformedGenotype(f"unknown leaf id {tok!r}")
-        is_cond = leaf_kind == CONDITION
-        if parent is not None:
-            if is_cond and parent[3] == tok:
-                violations.append(
-                    Violation("V4", i, "identical condition nodes next to each other")
-                )
-            parent[2] += 1
-            parent[3] = tok if is_cond else None
-            parent[4] = i if is_cond else None
+        if leaf_kind == CONDITION and i > 0 and toks[i - 1] == tok:
+            violations.append(Violation("V4", i, "identical condition nodes next to each other"))
     if stack:
         raise MalformedGenotype("unclosed control node")
     return violations

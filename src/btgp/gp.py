@@ -206,7 +206,6 @@ def crossover(
     rng,
     *,
     node_cap: int = GpParams.node_cap,
-    max_attempts: int = MAX_ATTEMPTS,
     exclude: frozenset | set = frozenset(),
 ) -> tuple[Individual, Individual]:
     """Swap one uniformly chosen subtree span between the parents.
@@ -214,7 +213,7 @@ def crossover(
     Invalid or over-cap offspring, offspring equal to each other, or
     offspring listed in ``exclude`` (duplicate rejection across repeated
     applications) trigger a re-draw of the crossover points; after
-    ``max_attempts`` the parents are returned unchanged. The checks run
+    ``MAX_ATTEMPTS`` the parents are returned unchanged. The checks run
     cheapest first: node cap and validity from the parents' facts before
     the offspring are built, canonical forms last. Each is pure, so their
     order decides no outcome, and a span pair already rejected in this call
@@ -237,7 +236,7 @@ def crossover(
     plain = p1.key is g1 and p2.key is g2
     tried: set[tuple[int, int]] = set()
     bits = rng.getrandbits
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         if len(tried) == n1 * n2:
             break  # every span pair rejected: no further draw can succeed
         pair = (_below(bits, n1), _below(bits, n2))
@@ -402,14 +401,13 @@ def mutate(
     rng,
     *,
     node_cap: int = GpParams.node_cap,
-    max_attempts: int = MAX_ATTEMPTS,
     exclude: frozenset | set = frozenset(),
 ) -> Individual:
     """Apply one of node mutation / addition / deletion, drawn with
     probabilities P_NODE_MUTATION / P_NODE_ADDITION / the rest.
 
     Inapplicable or invalid outcomes (and genotypes in ``exclude``) re-draw
-    the operator; after ``max_attempts`` the last valid candidate found in
+    the operator; after ``MAX_ATTEMPTS`` the last valid candidate found in
     ``exclude`` is kept, and failing that the parent is copied unchanged.
 
     The parent must be valid: each operator then decides its candidate's
@@ -423,7 +421,7 @@ def mutate(
     canonical_parent = parent.key is g
     valid_dup = None
     dup_key = None
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         r = rng.random()
         if r < P_NODE_MUTATION:
             cand, ok, key = _op_node_mutation(g, facts, ids, kinds, rng)
@@ -448,10 +446,10 @@ def mutate(
 
 
 class Evaluator:
-    """Assigns fitness to individuals, one at a time.
+    """Assigns fitness to individuals, a batch at a time, in ``eval_batch``.
 
-    On a profile that draws from the rng, each ``eval_batch`` call seeds one
-    rng stream from (master seed, tag) and evaluates its individuals in
+    On a profile that draws from the rng, each batch is one rng stream
+    seeded from (master seed, tag), and its individuals are evaluated in
     order from it, so an individual's episodes are the stretch of the
     stream its predecessors in the batch left it: its fitness depends on
     its genotype and on the genotypes evaluated before it in that batch.
@@ -463,9 +461,7 @@ class Evaluator:
     fitness dict for the evaluator's lifetime and simulates each distinct
     genotype once, in one episode whatever ``episodes_per_eval``: det runs at
     different episode counts differ only in their histories' episodes column.
-    Every such evaluation is handed the one rng the evaluator holds for its
-    lifetime: no episode draws from it, so a stream seeded per evaluation
-    would change nothing.
+    Such an evaluation gets ``rng=None``, so a draw would raise.
     """
 
     def __init__(self, profile: Profile, weights: FitnessWeights, params: GpParams):
@@ -474,53 +470,46 @@ class Evaluator:
         self.params = params
         self.kinds = leaf_kinds(profile)
         self.table = build_transition_table(profile)
-        self._cache: dict[Genotype, FitnessValue] | None = None
-        self._rng = None
-        if draws_nothing(profile):
-            self._cache = {}
-            self._rng = random.Random(params.seed)
-
-    def evaluate_one(self, genotype: Genotype, rng) -> FitnessValue:
-        """Mean fitness of one genotype over episodes drawing from ``rng``."""
-        p = self.params
-        return evaluate_compiled(
-            bt.compile_tree(genotype, self.table),
-            bt.node_count(genotype),
-            self.profile,
-            self.weights,
-            p.episodes_per_eval,
-            rng,
-            max_root_failures=p.max_root_failures,
-            max_ticks=p.max_ticks,
-        )
+        self._cache: dict[Genotype, FitnessValue] | None = {} if draws_nothing(profile) else None
 
     def eval_batch(self, individuals, tag: str) -> int:
         """Evaluate in order; returns the episode budget spent.
 
         On a profile that draws, the batch is one rng stream seeded from
-        ``f"{params.seed}:{tag}"``: calling ``evaluate_one`` on each
+        ``f"{params.seed}:{tag}"``: ``fitness.evaluate`` called on each
         individual in order with that one rng gives the same fitness
-        values. The tag must differ between the batches of a run.
+        values. The tag must differ between the batches of a run. On a
+        profile that draws nothing, each genotype not yet cached is
+        evaluated with ``rng=None``.
 
         Every individual counts ``episodes_per_eval`` episodes, whether it
         was simulated or its fitness came from the cache.
         """
+        p = self.params
         cache = self._cache
-        if cache is None:
-            rng = random.Random(f"{self.params.seed}:{tag}")
-            for ind in individuals:
-                ind.fitness = self.evaluate_one(ind.genotype, rng)
-        else:
-            for ind in individuals:
-                fv = cache.get(ind.genotype)
-                if fv is None:
-                    fv = cache[ind.genotype] = self.evaluate_one(ind.genotype, self._rng)
-                ind.fitness = fv
-        return len(individuals) * self.params.episodes_per_eval
+        rng = None if cache is not None else random.Random(f"{p.seed}:{tag}")
+        for ind in individuals:
+            g = ind.genotype
+            fv = None if cache is None else cache.get(g)
+            if fv is None:
+                fv = evaluate_compiled(
+                    bt.compile_tree(g, self.table),
+                    bt.node_count(g),
+                    self.profile,
+                    self.weights,
+                    p.episodes_per_eval,
+                    rng,
+                    max_root_failures=p.max_root_failures,
+                    max_ticks=p.max_ticks,
+                )
+                if cache is not None:
+                    cache[g] = fv
+            ind.fitness = fv
+        return len(individuals) * p.episodes_per_eval
 
 
 def evolve_generation(
-    population: list, evaluator: Evaluator, params: GpParams, rng, generation: int = 0
+    population: list, evaluator: Evaluator, rng, generation: int = 0
 ) -> tuple[list, GenerationStats]:
     """One generation: breed offspring, evaluate, select survivors.
 
@@ -529,8 +518,9 @@ def evolve_generation(
     parents from another (two offspring each): 2N offspring, or 2N - 2 when
     round(CROSSOVER_FRACTION * N) is odd (N = 7, 8 and 13 breed 12, 14, 24).
     The next population is the elite fraction plus a tournament over parents
-    and offspring combined.
+    and offspring combined. The run's settings are ``evaluator.params``.
     """
+    params = evaluator.params
     n = params.population
     if len(population) != n:
         raise ValueError(f"population size {len(population)} != {n}")
@@ -842,7 +832,7 @@ def run(
         start_generation = 1
 
     for g in range(start_generation, params.generations + 1):
-        population, stats = evolve_generation(population, evaluator, params, rng, g)
+        population, stats = evolve_generation(population, evaluator, rng, g)
         history.append(stats)
         if on_generation is not None:
             on_generation(stats, population)

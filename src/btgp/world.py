@@ -10,7 +10,7 @@ risk bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .bt import ACTION, CONDITION, FAILURE, SUCCESS
@@ -141,6 +141,12 @@ class Profile:
     losing_cube: float
     losing_localization: float
     pool: tuple[str, ...]
+
+    def __post_init__(self):
+        for f in fields(self)[1:-1]:  # the five probabilities between name and pool
+            value = getattr(self, f.name)
+            if not 0.0 <= value <= 1.0:  # NaN fails every comparison
+                raise ValueError(f"probability {f.name} must be in [0, 1], got {value}")
 
 
 def _aux_poses() -> list[tuple[float, float]]:

@@ -504,6 +504,106 @@ def test_node_facts_agree_with_the_tree(tokens):
             assert any(row[0] == stop for row in siblings) == (tokens[stop] != bt.CLOSE)
 
 
+def validate_tracking_children(tokens, kinds):
+    """``bt.validate`` as a stack of per-control records (kind, open index,
+    child count, last condition child), each constraint checked where a
+    child is added or a control closes."""
+    toks = tuple(tokens)
+    if not toks:
+        raise bt.MalformedGenotype("empty genotype")
+    violations = []
+    # stack entries: [kind, open_index, n_children, last_condition_id, last_child_cond_index]
+    stack = []
+    roots = 0
+    for i, tok in enumerate(toks):
+        if tok == bt.CLOSE:
+            if not stack:
+                raise bt.MalformedGenotype(f"unmatched close at token {i}")
+            kind, open_index, n_children, _, last_cond = stack.pop()
+            if n_children == 0:
+                violations.append(bt.Violation("V3", open_index, "control node without children"))
+            if last_cond is not None:
+                violations.append(
+                    bt.Violation("V2", last_cond, "condition in the rightmost position")
+                )
+            continue
+        parent = stack[-1] if stack else None
+        if parent is None:
+            roots += 1
+            if roots > 1:
+                raise bt.MalformedGenotype(f"trailing tokens after position {i}")
+        if bt.is_control_open(tok):
+            kind = "s" if tok == bt.SEQUENCE_OPEN else "f"
+            if parent is not None:
+                if parent[0] == kind:
+                    violations.append(
+                        bt.Violation("V1", i, "same control kind on consecutive levels")
+                    )
+                parent[2] += 1
+                parent[3] = None
+                parent[4] = None
+            stack.append([kind, i, 0, None, None])
+            continue
+        leaf_kind = kinds.get(tok)
+        if leaf_kind is None:
+            raise bt.MalformedGenotype(f"unknown leaf id {tok!r}")
+        is_cond = leaf_kind == bt.CONDITION
+        if parent is not None:
+            if is_cond and parent[3] == tok:
+                violations.append(
+                    bt.Violation("V4", i, "identical condition nodes next to each other")
+                )
+            parent[2] += 1
+            parent[3] = tok if is_cond else None
+            parent[4] = i if is_cond else None
+    if stack:
+        raise bt.MalformedGenotype("unclosed control node")
+    return violations
+
+
+# KINDS plus a second condition, so that V4 can tell two condition ids apart
+TWO_CONDITIONS = {**KINDS, "path_clear": bt.CONDITION}
+ALPHABET = (bt.SEQUENCE_OPEN, bt.FALLBACK_OPEN, bt.CLOSE, "a", "have_block", "path_clear", "nope")
+
+
+@st.composite
+def corrupted_trees(draw):
+    """Random valid genotypes with up to four tokens inserted, deleted or
+    replaced at random positions."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    toks = list(bt.random_genotype(TWO_CONDITIONS, draw(st.integers(1, 12)), rng))
+    for _ in range(draw(st.integers(0, 4))):
+        i = rng.randrange(len(toks) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            toks.insert(i, rng.choice(ALPHABET))
+        elif i < len(toks):
+            toks[i : i + 1] = [] if edit == 1 else [rng.choice(ALPHABET)]
+    return tuple(toks)
+
+
+def validate_outcome(validate, tokens):
+    try:
+        return validate(tokens, TWO_CONDITIONS)
+    except bt.MalformedGenotype as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        token_strings(),
+        st.lists(st.sampled_from(ALPHABET), max_size=14).map(tuple),
+        corrupted_trees(),
+    )
+)
+def test_validate_matches_the_child_tracking_oracle(tokens):
+    # the same violations in the same order, or the same MalformedGenotype text
+    assert validate_outcome(bt.validate, tokens) == validate_outcome(
+        validate_tracking_children, tokens
+    )
+
+
 def test_repair_produces_valid_genotype():
     rng = random.Random(5)
     broken = [

@@ -266,13 +266,13 @@ def test_evaluation_simulates_one_episode_only_when_nothing_draws(
 def test_det_run_simulates_one_episode_per_evaluation(monkeypatch):
     calls = count_episodes(monkeypatch)
     evaluations = []
-    evaluate_one = gp.Evaluator.evaluate_one
+    evaluate_compiled = gp.evaluate_compiled
 
-    def counting_evaluate_one(self, genotype, rng):
-        evaluations.append(genotype)
-        return evaluate_one(self, genotype, rng)
+    def counting_evaluate_compiled(compiled, *args, **kwargs):
+        evaluations.append(compiled)
+        return evaluate_compiled(compiled, *args, **kwargs)
 
-    monkeypatch.setattr(gp.Evaluator, "evaluate_one", counting_evaluate_one)
+    monkeypatch.setattr(gp, "evaluate_compiled", counting_evaluate_compiled)
     params = gp.GpParams(generations=10, seed=0, episodes_per_eval=5)
     history, _ = gp.run(params, DET, fitness.TABLE2)
     assert len(calls) == len(evaluations) > 0

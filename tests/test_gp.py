@@ -269,9 +269,8 @@ def test_crossover_matches_retrying_oracle(seed, node_cap, max_attempts, p_exclu
         bt.canonical(c) for pair in swaps for c in pair if setup.random() < p_exclude
     }
     rng_a, rng_b = random.Random(seed), random.Random(seed)
-    got = gp.crossover(
-        p1, p2, KINDS, rng_a, node_cap=node_cap, max_attempts=max_attempts, exclude=exclude
-    )
+    with mock.patch.object(gp, "MAX_ATTEMPTS", max_attempts):
+        got = gp.crossover(p1, p2, KINDS, rng_a, node_cap=node_cap, exclude=exclude)
     want = crossover_retrying_every_pair(
         p1, p2, KINDS, rng_b, node_cap=node_cap, max_attempts=max_attempts, exclude=exclude
     )
@@ -480,9 +479,8 @@ def test_mutate_matches_validating_oracle(
         }
         exclude = {key for key in sorted(reachable) if setup.random() < p_exclude}
         rng_a, rng_b = random.Random(seed), random.Random(seed)
-        got = gp.mutate(
-            parent, kinds, rng_a, node_cap=cap, max_attempts=max_attempts, exclude=exclude
-        )
+        with mock.patch.object(gp, "MAX_ATTEMPTS", max_attempts):
+            got = gp.mutate(parent, kinds, rng_a, node_cap=cap, exclude=exclude)
         want = mutate_validating_every_candidate(
             parent, kinds, rng_b, node_cap=cap, max_attempts=max_attempts, exclude=exclude
         )
@@ -620,7 +618,7 @@ def test_evolve_generation_offspring_accounting():
         return original(individuals, tag)
 
     evaluator.eval_batch = counting_eval
-    new_pop, stats = gp.evolve_generation(population, evaluator, params, random.Random(1), 1)
+    new_pop, stats = gp.evolve_generation(population, evaluator, random.Random(1), 1)
     assert len(new_pop) == 30
     # 12 crossover parents -> 6 pairs x 4 = 24; 18 mutation parents x 2 = 36
     assert counted == [("g1:off", 60)]
@@ -636,7 +634,7 @@ def test_an_odd_crossover_count_leaves_one_parent_unpaired(n, bred):
     evaluator = gp.Evaluator(DET, fitness.TABLE2, params)
     population = make_population(n)
     evaluator.eval_batch(population, "init")
-    _, stats = gp.evolve_generation(population, evaluator, params, random.Random(1), 1)
+    _, stats = gp.evolve_generation(population, evaluator, random.Random(1), 1)
     assert stats.episodes == bred
 
 
@@ -645,8 +643,22 @@ def test_evolve_generation_reevaluates_elites_when_asked():
     evaluator = gp.Evaluator(DET, fitness.TABLE2, params)
     population = make_population()
     evaluator.eval_batch(population, "init")
-    _, stats = gp.evolve_generation(population, evaluator, params, random.Random(1), 1)
+    _, stats = gp.evolve_generation(population, evaluator, random.Random(1), 1)
     assert stats.episodes == 63  # 60 offspring + 3 elites
+
+
+def test_breeding_takes_no_per_call_settings():
+    # a run's settings are the evaluator's GpParams, the retry bound is MAX_ATTEMPTS
+    params = gp.GpParams(seed=0)
+    evaluator = gp.Evaluator(DET, fitness.TABLE2, params)
+    population = make_population()
+    evaluator.eval_batch(population, "init")
+    with pytest.raises(TypeError):
+        gp.evolve_generation(population, evaluator, params, random.Random(1), 1)
+    with pytest.raises(TypeError):
+        gp.crossover(population[0], population[1], KINDS, random.Random(1), max_attempts=5)
+    with pytest.raises(TypeError):
+        gp.mutate(population[0], KINDS, random.Random(1), max_attempts=5)
 
 
 def test_run_zero_generations_returns_initial_population_only():
@@ -883,21 +895,29 @@ def test_mean_j_sums_left_to_right():
 
 
 def count_evaluations(monkeypatch, profile, params):
-    """(genotypes simulated by evaluate_one, genotypes handed to eval_batch)."""
+    """(genotypes simulated by evaluate_compiled, genotypes handed to eval_batch)."""
     simulated: Counter = Counter()
     requested: list = []
-    evaluate_one = gp.Evaluator.evaluate_one
+    evaluate_compiled = gp.evaluate_compiled
     eval_batch = gp.Evaluator.eval_batch
+    compile_tree = gp.bt.compile_tree
+    genotype_of = {}  # compiled tree -> its genotype
 
-    def counting_evaluate_one(self, genotype, rng):
-        simulated[genotype] += 1
-        return evaluate_one(self, genotype, rng)
+    def recording_compile_tree(genotype, table):
+        compiled = compile_tree(genotype, table)
+        genotype_of[compiled] = genotype
+        return compiled
+
+    def counting_evaluate_compiled(compiled, *args, **kwargs):
+        simulated[genotype_of[compiled]] += 1
+        return evaluate_compiled(compiled, *args, **kwargs)
 
     def recording_eval_batch(self, individuals, tag):
         requested.extend(ind.genotype for ind in individuals)
         return eval_batch(self, individuals, tag)
 
-    monkeypatch.setattr(gp.Evaluator, "evaluate_one", counting_evaluate_one)
+    monkeypatch.setattr(gp.bt, "compile_tree", recording_compile_tree)
+    monkeypatch.setattr(gp, "evaluate_compiled", counting_evaluate_compiled)
     monkeypatch.setattr(gp.Evaluator, "eval_batch", recording_eval_batch)
     history, _ = gp.run(params, profile, fitness.TABLE2)
     assert sum(h.episodes for h in history) == len(requested) * params.episodes_per_eval
@@ -924,22 +944,19 @@ def test_stochastic_profiles_simulate_every_evaluation(monkeypatch, profile):
     assert len(requested) > len(set(requested))  # repeats were simulated again
 
 
-def test_det_run_never_draws_from_the_shared_rng(monkeypatch):
+def test_det_run_evaluates_with_no_rng(monkeypatch):
     rngs = []
-    evaluate_one = gp.Evaluator.evaluate_one
+    evaluate_compiled = gp.evaluate_compiled
 
-    def recording_evaluate_one(self, genotype, rng):
-        rngs.append((rng, rng.getstate()))
-        return evaluate_one(self, genotype, rng)
+    def recording_evaluate_compiled(compiled, n_nodes, profile, weights, episodes, rng, **kw):
+        rngs.append(rng)
+        return evaluate_compiled(compiled, n_nodes, profile, weights, episodes, rng, **kw)
 
-    monkeypatch.setattr(gp.Evaluator, "evaluate_one", recording_evaluate_one)
+    monkeypatch.setattr(gp, "evaluate_compiled", recording_evaluate_compiled)
     params = gp.GpParams(generations=30, seed=0, reevaluate_elites=True)
     gp.run(params, DET, fitness.TABLE2)
-    shared, state = rngs[0]
-    # one rng for every evaluation, and no evaluation moved it
-    assert all(rng is shared for rng, _ in rngs)
-    assert {s for _, s in rngs} == {state}
-    assert shared.getstate() == state
+    # nothing on det draws, so no evaluation needs a stream: a draw would raise
+    assert rngs and all(rng is None for rng in rngs)
 
 
 STOCHASTIC_PROFILES = {
@@ -949,7 +966,7 @@ STOCHASTIC_PROFILES = {
 
 
 @pytest.mark.parametrize("name", list(STOCHASTIC_PROFILES))
-def test_eval_batch_is_in_order_evaluate_one_on_one_stream(name):
+def test_eval_batch_is_in_order_evaluate_on_one_stream(name):
     profile = STOCHASTIC_PROFILES[name]
     # an evolved population: most random start trees never reach a draw
     populations = []
@@ -962,7 +979,7 @@ def test_eval_batch_is_in_order_evaluate_one_on_one_stream(name):
     evaluator = gp.Evaluator(profile, fitness.TABLE2, params)
     assert evaluator.eval_batch(batch, "g3:off") == 35 * 3
     rng = random.Random("4:g3:off")
-    want = [evaluator.evaluate_one(p.genotype, rng) for p in batch]
+    want = [fitness.evaluate(p.genotype, profile, fitness.TABLE2, 3, rng) for p in batch]
     assert [p.fitness for p in batch] == want
 
 
@@ -986,7 +1003,7 @@ def test_a_stochastic_generation_seeds_one_rng_per_eval_batch(monkeypatch):
 
     evaluator.eval_batch = recording_eval_batch
     monkeypatch.setattr(gp.random, "Random", CountingRandom)
-    gp.evolve_generation(population, evaluator, params, breeding, 1)
+    gp.evolve_generation(population, evaluator, breeding, 1)
     assert tags == ["g1:off", "g1:elite"]
     assert seeds == ["0:g1:off", "0:g1:elite"]
 

@@ -88,6 +88,23 @@ def test_profile_is_a_column_and_a_pool():
     ]
 
 
+PROBABILITIES = list(world.PROBABILITY_COLUMNS["det"])
+
+
+@pytest.mark.parametrize("name", PROBABILITIES)
+@pytest.mark.parametrize("value", [math.nan, -0.5, 1.5])
+def test_profile_refuses_a_probability_outside_0_1(name, value):
+    message = rf"^probability {name} must be in \[0, 1\], got {value}$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(DET, **{name: value})
+
+
+@pytest.mark.parametrize("name", PROBABILITIES)
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_profile_accepts_the_probability_bounds(name, value):
+    assert getattr(dataclasses.replace(DET, **{name: value}), name) == value
+
+
 def test_safe_move_never_loses_whatever_the_column():
     prof = dataclasses.replace(
         world.make_profile("exp3", "safe_paths"), losing_cube=1.0, losing_localization=1.0
