@@ -6,13 +6,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bt
 from .experiments import (
     DEFAULT_SEEDS,
-    DESK_GENERATIONS,
     ExperimentConfig,
     read_genotype,
     replay,
@@ -20,7 +18,7 @@ from .experiments import (
     write_genotype,
     write_history_csv,
 )
-from .fitness import TABLE2
+from .fitness import FitnessWeights
 from .gp import GpParams, run
 from .world import PROBABILITY_COLUMNS, SCENARIOS, UnknownScenario, make_profile
 
@@ -48,7 +46,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 def _add_common(parser: argparse.ArgumentParser, reevaluate_elites: bool) -> None:
     parser.add_argument(
-        "--generations", type=int, default=DESK_GENERATIONS, help="generation budget"
+        "--generations", type=int, default=GpParams.generations, help="generation budget"
     )
     parser.add_argument("--population", type=int, default=GpParams.population)
     parser.add_argument("--episodes-per-eval", type=int, default=GpParams.episodes_per_eval)
@@ -81,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile", default="det", choices=sorted(PROBABILITY_COLUMNS))
     run_p.add_argument("--pool", default="core9", choices=SCENARIOS)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--delta", type=float, default=None, help="risk weight override")
+    run_p.add_argument("--delta", type=float, default=FitnessWeights.delta, help="risk weight")
     run_p.add_argument("--early-stop-window", type=int, default=0)
     run_p.add_argument("--checkpoint-every", type=int, default=0)
     run_p.add_argument("--checkpoint", default=None, help="checkpoint file path")
@@ -114,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     out_dir = Path(args.out or _default_out())
-    weights = TABLE2 if args.delta is None else replace(TABLE2, delta=args.delta)
+    weights = FitnessWeights(delta=args.delta)
     profile = make_profile(args.profile, args.pool)
     params = _gp_params(args, seed=args.seed, early_stop_window=args.early_stop_window)
     checkpoint = args.checkpoint

@@ -27,7 +27,6 @@ from .world import (
 )
 
 DEFAULT_SEEDS = tuple(range(10))
-DESK_GENERATIONS = 2000
 
 EXP3_DELTAS = (0.0, 150.0)
 
@@ -200,7 +199,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     # Harness default: refresh elite scores so a lucky episode cannot pin a
     # fragile tree at the top of a stochastic run.
-    params: GpParams = GpParams(generations=DESK_GENERATIONS, reevaluate_elites=True)
+    params: GpParams = GpParams(reevaluate_elites=True)
     workers: int = 1  # seed/variant fan-out processes
 
     def __post_init__(self):
@@ -227,7 +226,7 @@ def experiment_variants(config: ExperimentConfig) -> list[tuple[str, Profile, Fi
     if config.experiment == "exp3":
         profile = make_profile("exp3", "safe_paths")
         return [
-            (f"delta{delta:g}", profile, replace(TABLE2, delta=delta)) for delta in EXP3_DELTAS
+            (f"delta{delta:g}", profile, FitnessWeights(delta=delta)) for delta in EXP3_DELTAS
         ]
     raise ValueError(f"unknown experiment {config.experiment!r}")
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .bt import Genotype, compile_tree, node_count
 from .world import (
@@ -19,29 +19,30 @@ from .world import (
 )
 
 
+# Table 2's fixed cost weights, the same in every run: squared distances
+# (cube-goal, robot-cube, localization error), tree length and execution
+# time are costs; picking and placing are rewarded (negative cost).
+ALPHA1 = 10.0  # cube-goal distance
+ALPHA2 = 2.0  # robot-cube distance
+ALPHA3 = 1.0  # localization error
+BETA = 0.5  # tree length
+GAMMA = 0.1  # execution time
+PICK_REWARD = 50.0
+PLACE_REWARD = 100.0
+
+
 @dataclass(frozen=True)
 class FitnessWeights:
-    """Weight set for the episode cost function.
+    """The cost weight a run chooses: ``delta``, the weight of the
+    accumulated failure probability (exp3's risk weight). The other weights
+    are the module constants above; a checkpoint binds this as its
+    ``weights`` section and those as its ``fitness`` section."""
 
-    Costs: squared distances (cube-goal, robot-cube, localization error),
-    tree length, execution time, accumulated risk; picking and placing are
-    rewarded (negative cost).
-    """
-
-    alpha1: float = 10.0  # cube-goal distance
-    alpha2: float = 2.0  # robot-cube distance
-    alpha3: float = 1.0  # localization error
-    beta: float = 0.5  # tree length
-    gamma: float = 0.1  # execution time
-    delta: float = 0.0  # accumulated failure probability
-    pick_reward: float = 50.0
-    place_reward: float = 100.0
+    delta: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):  # a NaN weight would score every tree NaN
-                raise ValueError(f"weight {f.name} must be finite, got {value}")
+        if not math.isfinite(self.delta):  # a NaN weight would score every tree NaN
+            raise ValueError(f"weight delta must be finite, got {self.delta}")
 
 
 TABLE2 = FitnessWeights()
@@ -84,19 +85,19 @@ def _terms(result: EpisodeResult, n_nodes: int, weights: FitnessWeights) -> tupl
     )
     err = st.loc_error
     distance_term = (
-        weights.alpha1 * d_cube_goal * d_cube_goal
-        + weights.alpha2 * d_robot_cube * d_robot_cube
-        + weights.alpha3 * err * err
+        ALPHA1 * d_cube_goal * d_cube_goal
+        + ALPHA2 * d_robot_cube * d_robot_cube
+        + ALPHA3 * err * err
     )
     rewards = 0.0
     if st.picked_once:
-        rewards += weights.pick_reward
+        rewards += PICK_REWARD
     if st.placed:
-        rewards += weights.place_reward
+        rewards += PLACE_REWARD
     return (
         distance_term,
-        weights.beta * n_nodes,
-        weights.gamma * st.elapsed_time,
+        BETA * n_nodes,
+        GAMMA * st.elapsed_time,
         weights.delta * st.risk_sum,
         rewards,
     )

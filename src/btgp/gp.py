@@ -6,17 +6,17 @@ import json
 import math
 import os
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
-from . import bt, world
+from . import bt, fitness, world
 from .bt import Genotype
 from .fitness import FitnessValue, FitnessWeights, TABLE2, evaluate_compiled
 from .world import Profile, build_transition_table, check_budgets, draws_nothing, leaf_kinds
 
 # A change that would make an existing checkpoint resume into a run it did
 # not come from bumps the format; it adds no marker key to the fingerprint.
-CHECKPOINT_FORMAT = "btgp-checkpoint-v3"
+CHECKPOINT_FORMAT = "btgp-checkpoint-v4"
 
 
 class SlotsExceedCandidates(ValueError):
@@ -80,7 +80,7 @@ class GpParams:
     search's rates are the module constants above, the same in every run."""
 
     population: int = 30
-    generations: int = 8000
+    generations: int = 2000
     episodes_per_eval: int = 1
     seed: int = 0
     node_cap: int = 64
@@ -606,6 +606,7 @@ _GP_CONSTANTS = (
 _WORLD_CONSTANTS = (
     "START", "PICK_POSE", "GOAL_POSE", "REACH_RADIUS", "SPEED", "SAFE_TIME_MULTIPLIER"
 )
+_FITNESS_CONSTANTS = ("ALPHA1", "ALPHA2", "ALPHA3", "BETA", "GAMMA", "PICK_REWARD", "PLACE_REWARD")
 
 
 def _run_fingerprint(params: GpParams, profile: Profile, weights: FitnessWeights) -> dict:
@@ -614,6 +615,7 @@ def _run_fingerprint(params: GpParams, profile: Profile, weights: FitnessWeights
         "params": {k: v for k, v in asdict(params).items() if k not in _RESUMABLE_PARAMS},
         "gp": {name: globals()[name] for name in _GP_CONSTANTS},
         "world": {name: getattr(world, name) for name in _WORLD_CONSTANTS},
+        "fitness": {name: getattr(fitness, name) for name in _FITNESS_CONSTANTS},
         "profile": asdict(profile),
         "weights": asdict(weights),
     }
@@ -637,8 +639,9 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
     """Resumable snapshot: population with fitness cache, rng cursor, history.
 
     One JSON object: ``format``, ``fingerprint`` (sections ``params``, ``gp``,
-    ``world``, ``profile`` and ``weights``), ``generation``, ``rng_state``,
-    ``population`` (a ``genotype`` text and six ``fitness`` floats each) and
+    ``world``, ``fitness``, ``profile`` and ``weights``), ``generation``,
+    ``rng_state``, ``population`` (a ``genotype`` text and the six
+    ``FitnessValue`` fields in their declared order each) and
     ``history`` rows [generation, best_j, mean_j, genotype, episodes].
     Written to a temporary file next to ``path`` and moved over it, so a
     crash mid-write leaves the previous checkpoint intact.
@@ -652,14 +655,7 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
         "population": [
             {
                 "genotype": bt.to_text(ind.genotype),
-                "fitness": [
-                    ind.fitness.j,
-                    ind.fitness.distance_term,
-                    ind.fitness.length_term,
-                    ind.fitness.time_term,
-                    ind.fitness.risk_term,
-                    ind.fitness.rewards,
-                ],
+                "fitness": list(astuple(ind.fitness)),
             }
             for ind in population
         ],

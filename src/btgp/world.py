@@ -147,6 +147,8 @@ class Profile:
             value = getattr(self, f.name)
             if not 0.0 <= value <= 1.0:  # NaN fails every comparison
                 raise ValueError(f"probability {f.name} must be in [0, 1], got {value}")
+        if ACTION not in leaf_kinds(self).values():  # no valid tree of two or more nodes
+            raise ValueError(f"pool {self.pool} has no action")
 
 
 def _aux_poses() -> list[tuple[float, float]]:

@@ -694,10 +694,11 @@ def test_cli_resume_refuses_a_v2_checkpoint(tmp_path, capsys):
     assert cli.main(args + ["--checkpoint", str(ckpt), "--checkpoint-every", "2"]) == 0
     capsys.readouterr()
     data = json.loads(ckpt.read_text())
-    data["format"] = "btgp-checkpoint-v2"
-    ckpt.write_text(json.dumps(data))
-    assert cli.main(args + ["--resume", str(ckpt)]) == 1
-    assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v3 file: {ckpt}\n"
+    for old in ("btgp-checkpoint-v2", "btgp-checkpoint-v3"):
+        data["format"] = old
+        ckpt.write_text(json.dumps(data))
+        assert cli.main(args + ["--resume", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v4 file: {ckpt}\n"
 
 
 def set_entry(data, path, value):

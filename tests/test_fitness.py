@@ -87,7 +87,8 @@ def test_robot_cube_distance_is_zero_while_holding():
 def test_length_monotonicity():
     w = fitness.TABLE2
     result = make_result(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
-    assert fitness.cost(result, 6, w).j == pytest.approx(fitness.cost(result, 5, w).j - w.beta)
+    longer = fitness.cost(result, 5, w).j - fitness.BETA
+    assert fitness.cost(result, 6, w).j == pytest.approx(longer)
 
 
 def test_delta_sensitivity():
@@ -209,6 +210,12 @@ def test_weights_must_be_finite(name, value):
         dataclasses.replace(fitness.TABLE2, **{name: value})
 
 
+def test_weights_hold_only_delta():
+    assert [f.name for f in dataclasses.fields(fitness.FitnessWeights)] == ["delta"]
+    with pytest.raises(TypeError):
+        fitness.FitnessWeights(alpha1=10.0)
+
+
 def float_bits(fv: fitness.FitnessValue) -> list[str]:
     return [getattr(fv, f.name).hex() for f in dataclasses.fields(fv)]
 
@@ -313,10 +320,9 @@ def test_evaluate_rejects_zero_episodes():
 
 
 def test_weight_sets_table2_defaults():
-    w = fitness.TABLE2
-    assert (w.alpha1, w.alpha2, w.alpha3) == (10.0, 2.0, 1.0)
-    assert (w.beta, w.gamma, w.delta) == (0.5, 0.1, 0.0)
-    assert (w.pick_reward, w.place_reward) == (50.0, 100.0)
+    assert (fitness.ALPHA1, fitness.ALPHA2, fitness.ALPHA3) == (10.0, 2.0, 1.0)
+    assert (fitness.BETA, fitness.GAMMA, fitness.TABLE2.delta) == (0.5, 0.1, 0.0)
+    assert (fitness.PICK_REWARD, fitness.PLACE_REWARD) == (50.0, 100.0)
 
 
 def test_fitness_value_is_slotted_and_pickles():

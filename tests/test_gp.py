@@ -1134,6 +1134,15 @@ DET_FINGERPRINT = {
         "SPEED": 0.5,
         "SAFE_TIME_MULTIPLIER": 2.0,
     },
+    "fitness": {
+        "ALPHA1": 10.0,
+        "ALPHA2": 2.0,
+        "ALPHA3": 1.0,
+        "BETA": 0.5,
+        "GAMMA": 0.1,
+        "PICK_REWARD": 50.0,
+        "PLACE_REWARD": 100.0,
+    },
     "profile": {
         "name": "det",
         "loc_failure": 0.0,
@@ -1143,23 +1152,14 @@ DET_FINGERPRINT = {
         "losing_localization": 0.0,
         "pool": list(world.CORE9),
     },
-    "weights": {
-        "alpha1": 10.0,
-        "alpha2": 2.0,
-        "alpha3": 1.0,
-        "beta": 0.5,
-        "gamma": 0.1,
-        "delta": 0.0,
-        "pick_reward": 50.0,
-        "place_reward": 100.0,
-    },
+    "weights": {"delta": 0.0},
 }
 
 
 def test_a_checkpoint_stores_the_run_under_the_code_names(tmp_path):
     path = tmp_path / "ckpt.json"
     data = write_checkpoint(path, gp.GpParams(generations=2))
-    assert data["format"] == "btgp-checkpoint-v3"
+    assert data["format"] == "btgp-checkpoint-v4"
     assert json.dumps(data["fingerprint"]) == json.dumps(DET_FINGERPRINT)
 
 
@@ -1197,7 +1197,7 @@ def test_resume_binds_every_fingerprint_entry(tmp_path, section, key):
         (lambda f: f.update(evaluation="one rng stream per eval_batch"), "evaluation"),
         (lambda f: f.update(params=[]), "params"),
         (lambda f: f.update(profile="det"), "profile"),
-        (lambda f: f["weights"].update(beta=None, gamma="0.1"), "weights.beta, weights.gamma"),
+        (lambda f: f["fitness"].update(BETA=None, GAMMA="0.1"), "fitness.BETA, fitness.GAMMA"),
     ],
     ids=["missing-key", "extra-key", "missing-section", "extra-section", "list", "string", "two"],
 )

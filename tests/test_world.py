@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import math
 import random
+import re
 
 import pytest
 
@@ -103,6 +104,12 @@ def test_profile_refuses_a_probability_outside_0_1(name, value):
 @pytest.mark.parametrize("value", [0.0, 1.0])
 def test_profile_accepts_the_probability_bounds(name, value):
     assert getattr(dataclasses.replace(DET, **{name: value}), name) == value
+
+
+@pytest.mark.parametrize("pool", [("have_block",), ()])
+def test_profile_refuses_a_pool_with_no_action(pool):
+    with pytest.raises(ValueError, match=rf"^pool {re.escape(str(pool))} has no action$"):
+        dataclasses.replace(DET, pool=pool)
 
 
 def test_safe_move_never_loses_whatever_the_column():
