@@ -108,6 +108,20 @@ def cost(result: EpisodeResult, n_nodes: int, weights: FitnessWeights) -> Fitnes
     return _from_terms(*_terms(result, n_nodes, weights))
 
 
+class _DrawWatch:
+    """Stands in for an rng during one episode and notes whether it drew."""
+
+    __slots__ = ("rng", "drew")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drew = False
+
+    def random(self) -> float:
+        self.drew = True
+        return self.rng.random()
+
+
 def evaluate_compiled(
     compiled,
     n_nodes: int,
@@ -126,18 +140,29 @@ def evaluate_compiled(
     means at the end, with j re-derived so the breakdown sums to the cost
     exactly. When the profile draws nothing every episode repeats the first,
     so only that one is run: the value is its fitness, whatever ``episodes``.
+
+    On a profile that draws, an episode that happens to draw nothing leaves
+    ``rng`` where it was, so every later episode would repeat it: when the
+    first episode draws nothing, its terms are added ``episodes`` times and
+    no further episode is simulated. The value and the rng state afterwards
+    are those of simulating every episode, bit for bit.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     check_budgets(max_root_failures, max_ticks)
     if draws_nothing(profile):
         episodes = 1
+    watch = _DrawWatch(rng) if episodes > 1 else rng
     distance = length = time = risk = rewards = 0.0
-    for _ in range(episodes):
-        result = run_compiled(
-            compiled, rng, max_root_failures=max_root_failures, max_ticks=max_ticks
-        )
-        d, n, t, r, w = _terms(result, n_nodes, weights)
+    for i in range(episodes):
+        if i == 0 or watch.drew:  # else the draw-free first episode repeats
+            result = run_compiled(
+                compiled,
+                watch if i == 0 else rng,
+                max_root_failures=max_root_failures,
+                max_ticks=max_ticks,
+            )
+            d, n, t, r, w = _terms(result, n_nodes, weights)
         distance += d
         length += n
         time += t

@@ -130,7 +130,9 @@ class Individual:
         return self._facts
 
     def clone(self) -> "Individual":
-        return Individual(self.genotype, self.fitness, self._key)
+        twin = Individual(self.genotype, self.fitness, self._key)
+        twin._facts = self._facts  # shared: breeding only reads the table
+        return twin
 
     def __repr__(self):
         j = None if self.fitness is None else round(self.fitness.j, 3)
@@ -454,7 +456,9 @@ class Evaluator:
     stream its predecessors in the batch left it: its fitness depends on
     its genotype and on the genotypes evaluated before it in that batch.
     Seeding once per batch, not once per individual, saves a Mersenne
-    Twister initialisation per evaluation. Nothing is cached.
+    Twister initialisation per evaluation. No fitness is cached, but a tree
+    whose first episode draws nothing is simulated once, since each later
+    episode would repeat it (``fitness.evaluate_compiled``).
 
     When the profile draws nothing (``world.draws_nothing``), an episode is
     a pure function of the genotype, so ``eval_batch`` keeps a genotype ->
@@ -478,9 +482,10 @@ class Evaluator:
         On a profile that draws, the batch is one rng stream seeded from
         ``f"{params.seed}:{tag}"``: ``fitness.evaluate`` called on each
         individual in order with that one rng gives the same fitness
-        values. The tag must differ between the batches of a run. On a
-        profile that draws nothing, each genotype not yet cached is
-        evaluated with ``rng=None``.
+        values, and an individual whose first episode draws nothing is
+        simulated once whatever ``episodes_per_eval``. The tag must differ
+        between the batches of a run. On a profile that draws nothing, each
+        genotype not yet cached is evaluated with ``rng=None``.
 
         Every individual counts ``episodes_per_eval`` episodes, whether it
         was simulated or its fitness came from the cache.

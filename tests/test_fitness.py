@@ -174,6 +174,19 @@ def test_evaluate_stochastic_mean_below_deterministic():
     assert stoch_j < det_j
 
 
+def every_episode_oracle(compiled, n_nodes, weights, episodes, rng, **budgets):
+    """The mean of the terms ``cost`` gives each of ``episodes`` simulated
+    episodes, summed in episode order."""
+    sums = [0.0] * 5
+    for _ in range(episodes):
+        fv = fitness.cost(world.run_compiled(compiled, rng, **budgets), n_nodes, weights)
+        for k, term in enumerate(
+            (fv.distance_term, fv.length_term, fv.time_term, fv.risk_term, fv.rewards)
+        ):
+            sums[k] += term
+    return fitness._from_terms(*(total * (1.0 / episodes) for total in sums))
+
+
 def test_evaluate_compiled_equals_mean_of_per_episode_costs():
     # the running sums must reproduce, bit for bit, the mean of the terms
     # that cost() gives each episode, risk term included
@@ -188,18 +201,7 @@ def test_evaluate_compiled_equals_mean_of_per_episode_costs():
         got = fitness.evaluate_compiled(
             compiled, n_nodes, STOCH3, weights, 7, random.Random(seed)
         )
-        rng = random.Random(seed)
-        costs = [
-            fitness.cost(world.run_compiled(compiled, rng), n_nodes, weights)
-            for _ in range(7)
-        ]
-        sums = [0.0] * 5
-        for fv in costs:
-            for k, term in enumerate(
-                (fv.distance_term, fv.length_term, fv.time_term, fv.risk_term, fv.rewards)
-            ):
-                sums[k] += term
-        assert got == fitness._from_terms(*(total * (1.0 / 7) for total in sums))
+        assert got == every_episode_oracle(compiled, n_nodes, weights, 7, random.Random(seed))
         assert got.risk_term > 0.0
 
 
@@ -259,15 +261,61 @@ def count_episodes(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("profile, simulated", [(DET, 1), (STOCH3, 5)], ids=["det", "stoch3"])
+@pytest.mark.parametrize(
+    "profile, text, simulated",
+    [
+        (DET, "s( localise tuck move_to_pick head_down pick )", 1),
+        (STOCH3, "s( localise tuck move_to_pick head_down pick )", 5),
+        # the move fails unlocalised before it can draw, and localise is never ticked
+        (STOCH3, "s( move_to_pick localise )", 1),
+        # neither behavior can fail or lose anything on stoch3
+        (STOCH3, "s( tuck head_up )", 1),
+    ],
+    ids=["det", "stoch3", "stoch3-unlocalised-move", "stoch3-no-drawing-leaf"],
+)
 def test_evaluation_simulates_one_episode_only_when_nothing_draws(
-    monkeypatch, profile, simulated
+    monkeypatch, profile, text, simulated
 ):
     calls = count_episodes(monkeypatch)
-    tokens = bt.from_text("s( localise tuck move_to_pick head_down pick )")
+    tokens = bt.from_text(text)
     compiled = bt.compile_tree(tokens, world.build_transition_table(profile))
-    fitness.evaluate_compiled(compiled, 6, profile, fitness.TABLE2, 5, random.Random(0))
+    n_nodes = bt.node_count(tokens)
+    fitness.evaluate_compiled(compiled, n_nodes, profile, fitness.TABLE2, 5, random.Random(0))
     assert calls == [compiled] * simulated
+
+
+STOCHASTIC_COLUMNS = [c for c in world.PROBABILITY_COLUMNS if c != "det"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    column=st.sampled_from(STOCHASTIC_COLUMNS),
+    pool=st.sampled_from(world.SCENARIOS),
+    length=st.integers(1, 16),
+    episodes=st.integers(1, 7),
+    max_root_failures=st.integers(0, 6),
+    max_ticks=st.integers(1, 120),
+)
+def test_stochastic_evaluation_matches_every_episode_oracle(
+    seed, column, pool, length, episodes, max_root_failures, max_ticks
+):
+    # scoring a draw-free first episode once must give the value and leave
+    # the rng state of simulating every episode, bit for bit
+    profile = world.make_profile(column, pool)
+    rng = random.Random(seed)
+    tokens = bt.random_genotype(world.leaf_kinds(profile), length, rng)
+    compiled = bt.compile_tree(tokens, world.build_transition_table(profile))
+    n_nodes = bt.node_count(tokens)
+    weights = dataclasses.replace(fitness.TABLE2, delta=rng.choice([0.0, 150.0]))
+    budgets = {"max_root_failures": max_root_failures, "max_ticks": max_ticks}
+    got_rng, oracle_rng = random.Random(seed), random.Random(seed)
+    got = fitness.evaluate_compiled(
+        compiled, n_nodes, profile, weights, episodes, got_rng, **budgets
+    )
+    oracle = every_episode_oracle(compiled, n_nodes, weights, episodes, oracle_rng, **budgets)
+    assert float_bits(got) == float_bits(oracle)
+    assert got_rng.getstate() == oracle_rng.getstate()
 
 
 def test_det_run_simulates_one_episode_per_evaluation(monkeypatch):

@@ -843,6 +843,19 @@ def test_individual_repr_and_clone():
     assert "localise" in repr(individual)
 
 
+def test_breeding_from_a_clone_reuses_the_facts_table(monkeypatch):
+    # a re-evaluated elite is a clone; breeding from it reads the table its
+    # original already built
+    p1 = ind("s( localise f( have_block tuck ) move_to_pick )")
+    p2 = ind("f( s( localise tuck ) head_up )")
+    assert p1.facts and p2.facts
+    c1, c2 = p1.clone(), p2.clone()
+    monkeypatch.setattr(bt, "node_facts", mock.Mock(side_effect=AssertionError("rebuilt")))
+    gp.crossover(c1, c2, KINDS, random.Random(0))
+    gp.mutate(c1, KINDS, random.Random(0))
+    assert c1.facts is p1.facts
+
+
 def history_digest(history) -> str:
     rows = "".join(
         f"{h.generation},{h.best_j!r},{h.mean_j!r},{bt.to_text(h.best_genotype)},{h.episodes}\n"
@@ -856,6 +869,9 @@ def history_digest(history) -> str:
 # Python 3.10-3.13.
 DET_SEED0_100_DIGEST = "c7125f6a6b9c444292bffba4a6219506c87b62384a8c1f1dca076c5583f039a1"
 STOCH3_SEED0_40_DIGEST = "983078529748151bd4b946eb53b85095dedfec96b5af32d3404760cd06984e33"
+# stoch1's only draws are move localization losses, so many of its trees
+# never draw and are scored from one simulated episode (stoch2 reads the same).
+STOCH1_SEED0_40_DIGEST = "0f92b1ebef54ae450edcfddc1d7f2a5022894b531cc72af36d85de71e7a2247a"
 # exp3 with delta = 150 is the one pinned run whose risk term is not zero.
 EXP3_DELTA150_SEED0_40_DIGEST = "fd43d4f1e2abadf2035caf3652d3394d5f545b7b75f4a92de69a20fc37b2eb66"
 
@@ -870,6 +886,12 @@ def test_stoch3_history_digest_is_pinned():
     params = gp.GpParams(generations=40, seed=0, episodes_per_eval=5, reevaluate_elites=True)
     history, _ = gp.run(params, world.make_profile("stoch3"), fitness.TABLE2)
     assert history_digest(history) == STOCH3_SEED0_40_DIGEST
+
+
+def test_stoch1_history_digest_is_pinned():
+    params = gp.GpParams(generations=40, seed=0, episodes_per_eval=5, reevaluate_elites=True)
+    history, _ = gp.run(params, world.make_profile("stoch1"), fitness.TABLE2)
+    assert history_digest(history) == STOCH1_SEED0_40_DIGEST
 
 
 def test_exp3_risk_weighted_history_digest_is_pinned():
