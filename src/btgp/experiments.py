@@ -15,16 +15,7 @@ from pathlib import Path
 from . import bt
 from .fitness import TABLE2, FitnessWeights
 from .gp import GenerationStats, GpParams, Individual, mean_left_to_right, run
-from .world import (
-    MAX_ROOT_FAILURES,
-    MAX_TICKS,
-    Profile,
-    build_transition_table,
-    check_budgets,
-    make_profile,
-    leaf_kinds,
-    run_compiled,
-)
+from .world import Profile, build_transition_table, make_profile, leaf_kinds, run_compiled
 
 DEFAULT_SEEDS = tuple(range(10))
 
@@ -98,16 +89,9 @@ class ReplayReport:
         }
 
 
-def replay(
-    genotype: bt.Genotype,
-    profile: Profile,
-    episodes: int,
-    seed: int,
-    *,
-    max_root_failures: int = MAX_ROOT_FAILURES,
-    max_ticks: int = MAX_TICKS,
-) -> ReplayReport:
-    """Monte Carlo report for a genotype: success rate, time, risk, action log.
+def replay(genotype: bt.Genotype, profile: Profile, episodes: int, seed: int) -> ReplayReport:
+    """Monte Carlo report for a genotype at the default episode budgets:
+    success rate, time, risk, action log.
 
     The genotype must pass ``bt.parse`` (MalformedGenotype otherwise).
     ``executed`` maps each behavior run at least once to its total
@@ -117,7 +101,6 @@ def replay(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    check_budgets(max_root_failures, max_ticks)
     genotype = bt.parse(genotype, leaf_kinds(profile))
     # One int cell per behavior, bound into its wrapper as a default argument:
     # a counted call then costs one local add, with no dict lookup or hashing.
@@ -138,14 +121,12 @@ def replay(
     risk_sum = 0.0
     terminations: Counter[str] = Counter()
     for _ in range(episodes):
-        result = run_compiled(
-            compiled, rng, max_root_failures=max_root_failures, max_ticks=max_ticks
-        )
-        if result.final_state.placed:
+        final = run_compiled(compiled, rng)
+        if final.placed:
             successes += 1
-        time_sum += result.final_state.elapsed_time
-        risk_sum += result.final_state.risk_sum
-        terminations[result.terminated_by] += 1
+        time_sum += final.elapsed_time
+        risk_sum += final.risk_sum
+        terminations[final.terminated_by] += 1
     return ReplayReport(
         episodes=episodes,
         success_rate=successes / episodes,

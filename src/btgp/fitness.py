@@ -10,8 +10,8 @@ from .world import (
     GOAL_POSE,
     MAX_ROOT_FAILURES,
     MAX_TICKS,
-    EpisodeResult,
     Profile,
+    WorldState,
     build_transition_table,
     check_budgets,
     draws_nothing,
@@ -74,15 +74,14 @@ def _from_terms(distance, length, time, risk, rewards) -> FitnessValue:
     return FitnessValue(-total, distance, length, time, risk, rewards)
 
 
-def _terms(result: EpisodeResult, n_nodes: int, weights: FitnessWeights) -> tuple[float, ...]:
-    """(distance, length, time, risk, rewards) cost terms of one episode of
-    an ``n_nodes``-node tree; robot-cube distance counts as 0 while holding."""
-    st = result.final_state
+def _terms(st: WorldState, n_nodes: int, weights: FitnessWeights) -> tuple[float, ...]:
+    """(distance, length, time, risk, rewards) cost terms of an episode of an
+    ``n_nodes``-node tree that ended in ``st``; a held cube is at the robot's
+    true pose, so its robot-cube distance is 0."""
     gx, gy = GOAL_POSE
-    d_cube_goal = math.hypot(st.cube_x - gx, st.cube_y - gy)
-    d_robot_cube = (
-        0.0 if st.holding else math.hypot(st.true_x - st.cube_x, st.true_y - st.cube_y)
-    )
+    cx, cy = (st.true_x, st.true_y) if st.holding else (st.cube_x, st.cube_y)
+    d_cube_goal = math.hypot(cx - gx, cy - gy)
+    d_robot_cube = math.hypot(st.true_x - cx, st.true_y - cy)
     err = st.loc_error
     distance_term = (
         ALPHA1 * d_cube_goal * d_cube_goal
@@ -103,9 +102,9 @@ def _terms(result: EpisodeResult, n_nodes: int, weights: FitnessWeights) -> tupl
     )
 
 
-def cost(result: EpisodeResult, n_nodes: int, weights: FitnessWeights) -> FitnessValue:
-    """Score one episode of an ``n_nodes``-node tree."""
-    return _from_terms(*_terms(result, n_nodes, weights))
+def cost(st: WorldState, n_nodes: int, weights: FitnessWeights) -> FitnessValue:
+    """Score an episode of an ``n_nodes``-node tree by its final state."""
+    return _from_terms(*_terms(st, n_nodes, weights))
 
 
 class _DrawWatch:
@@ -156,13 +155,13 @@ def evaluate_compiled(
     distance = length = time = risk = rewards = 0.0
     for i in range(episodes):
         if i == 0 or watch.drew:  # else the draw-free first episode repeats
-            result = run_compiled(
+            final = run_compiled(
                 compiled,
                 watch if i == 0 else rng,
                 max_root_failures=max_root_failures,
                 max_ticks=max_ticks,
             )
-            d, n, t, r, w = _terms(result, n_nodes, weights)
+            d, n, t, r, w = _terms(final, n_nodes, weights)
         distance += d
         length += n
         time += t

@@ -16,7 +16,7 @@ from .world import Profile, build_transition_table, check_budgets, draws_nothing
 
 # A change that would make an existing checkpoint resume into a run it did
 # not come from bumps the format; it adds no marker key to the fingerprint.
-CHECKPOINT_FORMAT = "btgp-checkpoint-v4"
+CHECKPOINT_FORMAT = "btgp-checkpoint-v5"
 
 
 class SlotsExceedCandidates(ValueError):
@@ -609,7 +609,8 @@ _GP_CONSTANTS = (
     "P_NODE_MUTATION", "P_NODE_ADDITION", "P_NODE_DELETION", "P_CONTROL_NODE", "MAX_ATTEMPTS",
 )
 _WORLD_CONSTANTS = (
-    "START", "PICK_POSE", "GOAL_POSE", "REACH_RADIUS", "SPEED", "SAFE_TIME_MULTIPLIER"
+    "START", "PICK_POSE", "GOAL_POSE", "REACH_RADIUS", "SPEED", "SAFE_TIME_MULTIPLIER",
+    "LOC_ERROR_LOCALIZED", "LOC_ERROR_LOST", "FIXED_TIME_COSTS",
 )
 _FITNESS_CONSTANTS = ("ALPHA1", "ALPHA2", "ALPHA3", "BETA", "GAMMA", "PICK_REWARD", "PLACE_REWARD")
 
@@ -731,6 +732,11 @@ def load_checkpoint(path) -> dict:
             )
         if not all(map(math.isfinite, entry["fitness"])):  # json reads NaN and Infinity
             raise ValueError(f"checkpoint {path}: population entry {i} has a non-finite fitness")
+        j, *terms = entry["fitness"]
+        if fitness._from_terms(*terms).j != j:  # exact: JSON round-trips every float
+            raise ValueError(
+                f"checkpoint {path}: population entry {i} has a j its terms do not give"
+            )
     for i, row in enumerate(data["history"]):
         if _item_types(row) != [int, float, float, str, int]:
             raise ValueError(

@@ -103,7 +103,6 @@ FIXED_TIME_COSTS = {
     "tuck": 2.0,
     "pick": 5.0,
     "place": 5.0,
-    "have_block": 0.0,
 }
 
 CORE9 = (
@@ -204,13 +203,20 @@ def leaf_kinds(profile: Profile) -> dict[str, str]:
 
 
 class WorldState:
-    """Mutable episode state; a new one is the episode's start state."""
+    """Mutable episode state; a new one is the episode's start state, and
+    ``run_compiled`` returns the final one.
+
+    Each fact is stored once. The estimated pose is off the true pose only
+    along x, so there is no estimated y. A held cube is where the robot is,
+    so ``cube_x`` / ``cube_y`` say where an unheld cube lies and are stale
+    while ``holding``. ``ticks_used`` and ``terminated_by`` are set once,
+    when the episode ends.
+    """
 
     __slots__ = (
         "true_x",
         "true_y",
         "est_x",
-        "est_y",
         "localized",
         "arm_tucked",
         "head_up",
@@ -222,12 +228,13 @@ class WorldState:
         "picked_once",
         "placed",
         "root_failures",
+        "ticks_used",
+        "terminated_by",
     )
 
     def __init__(self):
         self.true_x, self.true_y = START
         self.est_x = self.true_x + LOC_ERROR_LOST
-        self.est_y = self.true_y
         self.localized = False
         self.arm_tucked = False
         self.head_up = True
@@ -241,14 +248,7 @@ class WorldState:
 
     @property
     def loc_error(self) -> float:
-        return math.hypot(self.true_x - self.est_x, self.true_y - self.est_y)
-
-
-@dataclass(slots=True)
-class EpisodeResult:
-    final_state: WorldState
-    ticks_used: int
-    terminated_by: str
+        return abs(self.true_x - self.est_x)
 
 
 TransitionFn = Callable[[WorldState, object], int]
@@ -266,7 +266,6 @@ def _make_fixed(behavior_id: str, profile: Profile) -> TransitionFn:
                 return FAILURE
             st.localized = True
             st.est_x = st.true_x + LOC_ERROR_LOCALIZED
-            st.est_y = st.true_y
             return SUCCESS
         return localise
     if behavior_id == "head_up":
@@ -314,27 +313,22 @@ def _make_move(
             st.true_y += dy * 0.5
             st.localized = False
             st.est_x = st.true_x + LOC_ERROR_LOST
-            st.est_y = st.true_y
-            if st.holding:
-                st.cube_x, st.cube_y = st.true_x, st.true_y
             return FAILURE
         off_x = st.est_x - st.true_x
-        off_y = st.est_y - st.true_y
         st.elapsed_time += planned
         st.true_x, st.true_y = tx, ty
-        st.est_x, st.est_y = tx + off_x, ty + off_y
-        if st.holding:
-            if losing_cube > 0.0 and rng.random() < losing_cube:
-                st.holding = False
-                st.cube_x, st.cube_y = rx, ry
-            else:
-                st.cube_x, st.cube_y = tx, ty
+        st.est_x = tx + off_x
+        if st.holding and losing_cube > 0.0 and rng.random() < losing_cube:
+            st.holding = False
+            st.cube_x, st.cube_y = rx, ry
         return SUCCESS
 
     return move
 
 
-def _make_pick(fail_prob: float, time_cost: float, reach: float) -> TransitionFn:
+def _make_pick(fail_prob: float) -> TransitionFn:
+    time_cost, reach = FIXED_TIME_COSTS["pick"], REACH_RADIUS
+
     def pick(st, rng):
         st.elapsed_time += time_cost
         st.risk_sum += fail_prob
@@ -349,12 +343,12 @@ def _make_pick(fail_prob: float, time_cost: float, reach: float) -> TransitionFn
             return FAILURE
         st.holding = True
         st.picked_once = True
-        st.cube_x, st.cube_y = st.true_x, st.true_y
         return SUCCESS
     return pick
 
 
-def _make_place(fail_prob: float, time_cost: float, reach: float) -> TransitionFn:
+def _make_place(fail_prob: float) -> TransitionFn:
+    time_cost, reach = FIXED_TIME_COSTS["place"], REACH_RADIUS
     gx, gy = GOAL_POSE
 
     def place(st, rng):
@@ -398,9 +392,9 @@ def build_transition_table(profile: Profile) -> dict[str, TransitionFn]:
         if bid == "have_block":
             table[bid] = _have_block
         elif bid == "pick":
-            table[bid] = _make_pick(profile.pick_failure, FIXED_TIME_COSTS[bid], REACH_RADIUS)
+            table[bid] = _make_pick(profile.pick_failure)
         elif bid == "place":
-            table[bid] = _make_place(profile.place_failure, FIXED_TIME_COSTS[bid], REACH_RADIUS)
+            table[bid] = _make_place(profile.place_failure)
         elif bid in targets:
             safe = bid.endswith("_safe")
             table[bid] = _make_move(
@@ -440,9 +434,10 @@ def check_budgets(max_root_failures: int, max_ticks: int) -> None:
 
 def run_compiled(
     compiled, rng, *, max_root_failures: int = MAX_ROOT_FAILURES, max_ticks: int = MAX_TICKS
-) -> EpisodeResult:
+) -> WorldState:
     """Episode loop over a compiled tree from the start state; the hot path
-    for evaluation.
+    for evaluation. Returns the final state, with ``ticks_used`` and
+    ``terminated_by`` set.
 
     The profile reaches the episode only through the transition table
     ``compiled`` was built on. The budgets are not checked here, once per
@@ -464,7 +459,7 @@ def run_compiled(
         if ticks >= max_ticks:
             terminated = TICK_BUDGET
             break
-    # positional: cheaper than keywords, and every evaluation and replay
-    # episode builds one
-    return EpisodeResult(state, ticks, terminated)
+    state.ticks_used = ticks
+    state.terminated_by = terminated
+    return state
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import btgp
 
 # Growing or shrinking the public API is a deliberate edit of this list.
@@ -31,3 +34,18 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(btgp.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         getattr(btgp, name)  # AttributeError if the name does not resolve
+
+
+def test_the_benchmark_finds_every_name_it_traces(monkeypatch):
+    # perfbench/ wraps these names by attribute and its episode wrapper reads
+    # ticks_used and terminated_by, so a change that drops one breaks it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.prepare import prepare
+    from perfbench.tracing import Tracer
+
+    ctx = prepare()
+    for owner, attribute, _ in Tracer(ctx).targets():
+        assert attribute in vars(owner), f"{owner.__name__}.{attribute}"
+    table = ctx.world.build_transition_table(ctx.profiles["det"])
+    final = ctx.world.run_compiled(ctx.bt.compile_tree(ctx.reference, table), random.Random(0))
+    assert (final.ticks_used, final.terminated_by) == (1, ctx.world.ROOT_SUCCESS)

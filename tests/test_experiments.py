@@ -101,9 +101,7 @@ def test_replay_stoch4_reproducible_and_strictly_between_0_and_1():
     assert a.executed["localise"] > 0
 
 
-def replay_counting_with_a_counter(
-    genotype, profile, episodes, seed, *, max_root_failures, max_ticks
-):
+def replay_counting_with_a_counter(genotype, profile, episodes, seed):
     """``experiments.replay`` as it was before its int cells: every behavior
     call adds to one ``Counter`` through a closure."""
     kinds = world.leaf_kinds(profile)
@@ -125,13 +123,11 @@ def replay_counting_with_a_counter(
     time_sum = risk_sum = 0.0
     terminations: Counter[str] = Counter()
     for _ in range(episodes):
-        result = world.run_compiled(
-            compiled, rng, max_root_failures=max_root_failures, max_ticks=max_ticks
-        )
-        successes += result.final_state.placed
-        time_sum += result.final_state.elapsed_time
-        risk_sum += result.final_state.risk_sum
-        terminations[result.terminated_by] += 1
+        final = world.run_compiled(compiled, rng)
+        successes += final.placed
+        time_sum += final.elapsed_time
+        risk_sum += final.risk_sum
+        terminations[final.terminated_by] += 1
     return experiments.ReplayReport(
         episodes=episodes,
         success_rate=successes / episodes,
@@ -158,17 +154,12 @@ ORACLE_PROFILES = {
     length=st.integers(1, 14),
     seed=st.integers(0, 10**6),
     episodes=st.integers(1, 40),
-    max_root_failures=st.integers(0, 6),
-    max_ticks=st.integers(1, 100),
 )
-def test_replay_matches_counter_oracle(
-    profile_name, tree_seed, length, seed, episodes, max_root_failures, max_ticks
-):
+def test_replay_matches_counter_oracle(profile_name, tree_seed, length, seed, episodes):
     profile = ORACLE_PROFILES[profile_name]
     genotype = bt.random_genotype(world.leaf_kinds(profile), length, random.Random(tree_seed))
-    budgets = dict(max_root_failures=max_root_failures, max_ticks=max_ticks)
-    got = experiments.replay(genotype, profile, episodes, seed, **budgets)
-    want = replay_counting_with_a_counter(genotype, profile, episodes, seed, **budgets)
+    got = experiments.replay(genotype, profile, episodes, seed)
+    want = replay_counting_with_a_counter(genotype, profile, episodes, seed)
     assert got.as_dict() == want.as_dict()
     assert 0 not in got.executed.values()
 
@@ -187,9 +178,7 @@ def test_replay_matches_counter_oracle(
 def test_replay_leaves_idle_behaviors_out_of_executed(text, never_run):
     genotype = bt.from_text(text)
     got = experiments.replay(genotype, DET, 30, 4)
-    want = replay_counting_with_a_counter(
-        genotype, DET, 30, 4, max_root_failures=5, max_ticks=100
-    )
+    want = replay_counting_with_a_counter(genotype, DET, 30, 4)
     assert got.as_dict() == want.as_dict()
     assert never_run.isdisjoint(got.executed)
     assert set(got.executed) <= set(genotype)
@@ -207,15 +196,6 @@ def test_reference_stoch4_replay_digest_is_pinned():
     report = experiments.replay(REFERENCE_SOLUTION, STOCH4, 1000, 11)
     digest = hashlib.sha256(json.dumps(report.as_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == REFERENCE_STOCH4_SEED11_REPLAY_DIGEST
-
-
-@pytest.mark.parametrize(
-    "budget, value, least",
-    [("max_ticks", 0, 1), ("max_ticks", -2, 1), ("max_root_failures", -1, 0)],
-)
-def test_replay_rejects_out_of_range_budgets(budget, value, least):
-    with pytest.raises(ValueError, match=f"^{budget} must be >= {least}, got {value}$"):
-        experiments.replay(REFERENCE_SOLUTION, DET, 5, 0, **{budget: value})
 
 
 @pytest.mark.parametrize("episodes", [0, -3])
@@ -694,11 +674,11 @@ def test_cli_resume_refuses_a_v2_checkpoint(tmp_path, capsys):
     assert cli.main(args + ["--checkpoint", str(ckpt), "--checkpoint-every", "2"]) == 0
     capsys.readouterr()
     data = json.loads(ckpt.read_text())
-    for old in ("btgp-checkpoint-v2", "btgp-checkpoint-v3"):
+    for old in ("btgp-checkpoint-v2", "btgp-checkpoint-v3", "btgp-checkpoint-v4"):
         data["format"] = old
         ckpt.write_text(json.dumps(data))
         assert cli.main(args + ["--resume", str(ckpt)]) == 1
-        assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v4 file: {ckpt}\n"
+        assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v5 file: {ckpt}\n"
 
 
 def set_entry(data, path, value):
@@ -741,6 +721,7 @@ NOT_AN_RNG_STATE = "'rng_state' entry is not a random.Random state"
         ),
         (("population", 0, "fitness", 0), math.nan, "population entry 0 has a non-finite fitness"),
         (("population", 3, "fitness", 2), math.inf, "population entry 3 has a non-finite fitness"),
+        (("population", 0, "fitness", 0), 1e6, "population entry 0 has a j its terms do not give"),
         (("history", 1, 1), -math.inf, "history row 1 has a non-finite best_j/mean_j"),
         (("history", 2, 2), math.nan, "history row 2 has a non-finite best_j/mean_j"),
     ],
@@ -760,6 +741,7 @@ NOT_AN_RNG_STATE = "'rng_state' entry is not a random.Random state"
         "history",
         "fitness_nan",
         "fitness_inf",
+        "fitness_j",
         "best_j_inf",
         "mean_j_nan",
     ],

@@ -17,11 +17,11 @@ DET = world.make_profile("det")
 STOCH3 = world.make_profile("stoch3")
 
 
-def make_result(
+def make_state(
     *,
     cube=(0.0, 0.0),
     robot=(0.0, 0.0),
-    est_offset=(0.0, 0.0),
+    est_offset=0.0,
     holding=False,
     picked=False,
     placed=False,
@@ -31,76 +31,76 @@ def make_result(
     st = world.WorldState()
     st.cube_x, st.cube_y = cube
     st.true_x, st.true_y = robot
-    st.est_x, st.est_y = robot[0] + est_offset[0], robot[1] + est_offset[1]
+    st.est_x = robot[0] + est_offset
     st.holding = holding
     st.picked_once = picked
     st.placed = placed
     st.elapsed_time = elapsed
     st.risk_sum = risk
-    return world.EpisodeResult(final_state=st, ticks_used=1, terminated_by=world.ROOT_SUCCESS)
+    return st
 
 
 def test_cost_terminal_success_state():
     # cube at goal, robot 0.5 m from it, small localization error, both rewards
-    result = make_result(
+    final = make_state(
         cube=(-2.0, 0.0),
         robot=(-1.5, 0.0),
-        est_offset=(0.05, 0.0),
+        est_offset=0.05,
         picked=True,
         placed=True,
         elapsed=60.0,
     )
-    fv = fitness.cost(result, 11, fitness.TABLE2)
+    fv = fitness.cost(final, 11, fitness.TABLE2)
     # 10*0 + 2*0.25 + 1*0.0025 + 0.5*11 + 0.1*60 + 0 - 150
     assert fv.cost == pytest.approx(-137.9975, abs=1e-12)
     assert fv.j == pytest.approx(137.9975, abs=1e-12)
 
 
 def test_cost_empty_effect_episode_at_reset():
-    result = make_result(
+    final = make_state(
         cube=(2.0, 0.0),
         robot=(0.0, 0.0),
-        est_offset=(1.0, 0.0),
+        est_offset=1.0,
     )
-    fv = fitness.cost(result, 1, fitness.TABLE2)
+    fv = fitness.cost(final, 1, fitness.TABLE2)
     # 10*16 + 2*4 + 1*1 + 0.5*1 = 169.5
     assert fv.cost == pytest.approx(169.5, abs=1e-12)
     assert fv.j == pytest.approx(-169.5, abs=1e-12)
 
 
 def test_cost_all_zero_state():
-    result = make_result(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
-    fv = fitness.cost(result, 0, fitness.TABLE2)
+    final = make_state(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
+    fv = fitness.cost(final, 0, fitness.TABLE2)
     assert fv.cost == 0.0 and fv.j == 0.0
 
 
 def test_robot_cube_distance_is_zero_while_holding():
-    far = make_result(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
-    # same poses but holding: identical cost regardless of recorded distance
-    held = make_result(cube=(3.0, 3.0), robot=(3.0, 3.0), holding=True)
-    held.final_state.cube_x, held.final_state.cube_y = -2.0, 0.0  # cube pose ignored for alpha2
-    assert fitness.cost(held, 0, fitness.TABLE2).distance_term == pytest.approx(
-        fitness.cost(far, 0, fitness.TABLE2).distance_term
-    )
+    at_goal = make_state(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
+    # a held cube is where the robot is: its stored pose is ignored for both
+    # the cube-goal (alpha1) and the robot-cube (alpha2) distance
+    held = make_state(cube=(3.0, 3.0), robot=(-2.0, 0.0), holding=True)
+    assert fitness.cost(held, 0, fitness.TABLE2) == fitness.cost(at_goal, 0, fitness.TABLE2)
+    away = make_state(cube=(-2.0, 0.0), robot=(-1.0, 0.0), holding=True)
+    assert fitness.cost(away, 0, fitness.TABLE2).distance_term == fitness.ALPHA1  # 1 m off
 
 
 def test_length_monotonicity():
     w = fitness.TABLE2
-    result = make_result(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
-    longer = fitness.cost(result, 5, w).j - fitness.BETA
-    assert fitness.cost(result, 6, w).j == pytest.approx(longer)
+    final = make_state(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
+    longer = fitness.cost(final, 5, w).j - fitness.BETA
+    assert fitness.cost(final, 6, w).j == pytest.approx(longer)
 
 
 def test_delta_sensitivity():
     w = dataclasses.replace(fitness.TABLE2, delta=150.0)
-    a = fitness.cost(make_result(risk=1.0), 0, w)
-    b = fitness.cost(make_result(risk=1.5), 0, w)
+    a = fitness.cost(make_state(risk=1.0), 0, w)
+    b = fitness.cost(make_state(risk=1.5), 0, w)
     assert a.j - b.j == pytest.approx(150.0 * 0.5)
 
 
 def test_delta_zero_ignores_risk():
-    a = fitness.cost(make_result(risk=0.0), 0, fitness.TABLE2)
-    b = fitness.cost(make_result(risk=9.0), 0, fitness.TABLE2)
+    a = fitness.cost(make_state(risk=0.0), 0, fitness.TABLE2)
+    b = fitness.cost(make_state(risk=9.0), 0, fitness.TABLE2)
     assert a.j == b.j
 
 
@@ -109,11 +109,11 @@ def test_breakdown_sums_exactly():
     for _ in range(200):
         cube = (rng.uniform(-4, 4), rng.uniform(-4, 4))
         robot = (rng.uniform(-4, 4), rng.uniform(-4, 4))
-        est_offset = (rng.uniform(0, 2), 0.0)
+        est_offset = rng.uniform(0, 2)
         holding = rng.random() < 0.3
         picked = rng.random() < 0.5
         n_nodes = rng.randrange(0, 64)
-        result = make_result(
+        final = make_state(
             cube=cube,
             robot=robot,
             est_offset=est_offset,
@@ -123,7 +123,7 @@ def test_breakdown_sums_exactly():
             risk=rng.uniform(0, 5),
         )
         weights = dataclasses.replace(fitness.TABLE2, delta=rng.uniform(0, 200))
-        fv = fitness.cost(result, n_nodes, weights)
+        fv = fitness.cost(final, n_nodes, weights)
         total = (
             fv.distance_term + fv.length_term + fv.time_term + fv.risk_term - fv.rewards
         )
@@ -133,17 +133,17 @@ def test_breakdown_sums_exactly():
 def test_reward_dominance_bound():
     w = fitness.TABLE2
     # worst allowed placed episode: capped length, time and risk, sloppy poses
-    worst_placed = make_result(
+    worst_placed = make_state(
         cube=(-2.0, 0.0),
         robot=(-1.4, 0.0),
-        est_offset=(1.0, 0.0),
+        est_offset=1.0,
         picked=True,
         placed=True,
         elapsed=200.0,
         risk=3.0,
     )
     # best possible episode that never moved the cube off the pick table
-    best_untouched = make_result(cube=(2.0, 0.0), robot=(2.0, 0.0))
+    best_untouched = make_state(cube=(2.0, 0.0), robot=(2.0, 0.0))
     assert fitness.cost(worst_placed, 64, w).j > fitness.cost(best_untouched, 0, w).j
 
 

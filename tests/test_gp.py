@@ -1155,6 +1155,16 @@ DET_FINGERPRINT = {
         "REACH_RADIUS": 0.6,
         "SPEED": 0.5,
         "SAFE_TIME_MULTIPLIER": 2.0,
+        "LOC_ERROR_LOCALIZED": 0.05,
+        "LOC_ERROR_LOST": 1.0,
+        "FIXED_TIME_COSTS": {
+            "localise": 5.0,
+            "head_up": 1.0,
+            "head_down": 1.0,
+            "tuck": 2.0,
+            "pick": 5.0,
+            "place": 5.0,
+        },
     },
     "fitness": {
         "ALPHA1": 10.0,
@@ -1181,7 +1191,7 @@ DET_FINGERPRINT = {
 def test_a_checkpoint_stores_the_run_under_the_code_names(tmp_path):
     path = tmp_path / "ckpt.json"
     data = write_checkpoint(path, gp.GpParams(generations=2))
-    assert data["format"] == "btgp-checkpoint-v4"
+    assert data["format"] == "btgp-checkpoint-v5"
     assert json.dumps(data["fingerprint"]) == json.dumps(DET_FINGERPRINT)
 
 
@@ -1196,15 +1206,27 @@ def other_value(value):
     return value + value[:1]
 
 
+def leaf_keys(entries: dict):
+    """The key of each entry that is not a dict; a nested one's as ``outer.inner``."""
+    for key, value in entries.items():
+        if isinstance(value, dict):
+            yield from (f"{key}.{inner}" for inner in leaf_keys(value))
+        else:
+            yield key
+
+
 @pytest.mark.parametrize(
-    "section, key", [(s, k) for s, entries in DET_FINGERPRINT.items() for k in entries]
+    "section, key", [(s, k) for s, entries in DET_FINGERPRINT.items() for k in leaf_keys(entries)]
 )
 def test_resume_binds_every_fingerprint_entry(tmp_path, section, key):
     path = tmp_path / "ckpt.json"
     params = gp.GpParams(generations=4, seed=1, population=6)
     data = write_checkpoint(path, dataclasses.replace(params, generations=2))
+    *outer, last = key.split(".")
     entries = data["fingerprint"][section]
-    entries[key] = other_value(entries[key])
+    for name in outer:
+        entries = entries[name]
+    entries[last] = other_value(entries[last])
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=resume_refusal(path, f"{section}.{key}")):
         gp.run(params, DET, fitness.TABLE2, resume_from=path)

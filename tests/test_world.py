@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -10,7 +11,7 @@ import re
 
 import pytest
 
-from btgp import bt, world
+from btgp import bt, fitness, world
 
 DET = world.make_profile("det")
 STOCH3 = world.make_profile("stoch3")
@@ -32,7 +33,8 @@ def execute(bid, st, profile, rng):
 
 
 def state_tuple(st: world.WorldState):
-    return tuple(getattr(st, f) for f in world.WorldState.__slots__)
+    # ticks_used and terminated_by are unset until the episode ends
+    return tuple(getattr(st, f, None) for f in world.WorldState.__slots__)
 
 
 def ready_state(*, at=world.PICK_POSE, holding=False, head_up=False, tucked=True):
@@ -40,14 +42,21 @@ def ready_state(*, at=world.PICK_POSE, holding=False, head_up=False, tucked=True
     st = world.WorldState()
     st.localized = True
     st.true_x, st.true_y = at
-    st.est_x, st.est_y = st.true_x + world.LOC_ERROR_LOCALIZED, st.true_y
+    st.est_x = st.true_x + world.LOC_ERROR_LOCALIZED
     st.arm_tucked = tucked
     st.head_up = head_up
     if holding:
         st.holding = True
         st.picked_once = True
-        st.cube_x, st.cube_y = st.true_x, st.true_y
     return st
+
+
+def dropped_at_robot(st: world.WorldState) -> world.WorldState:
+    """``st`` with its cube put down where the robot stands."""
+    loose = copy.copy(st)
+    loose.holding = False
+    loose.cube_x, loose.cube_y = st.true_x, st.true_y
+    return loose
 
 
 def test_reset_initial_state():
@@ -119,7 +128,7 @@ def test_safe_move_never_loses_whatever_the_column():
     st = ready_state(holding=True, head_up=True)
     assert execute("move_to_goal_safe", st, prof, random.Random(0)) == bt.SUCCESS
     assert st.holding and st.localized
-    assert (st.cube_x, st.cube_y) == world.GOAL_POSE
+    assert (st.true_x, st.true_y) == world.GOAL_POSE
 
 
 def test_safe_move_costs_double_time():
@@ -151,7 +160,6 @@ def test_pick_succeeds_when_ready():
     rng = random.Random(0)
     assert execute("pick", st, DET, rng) == bt.SUCCESS
     assert st.holding and st.picked_once
-    assert (st.cube_x, st.cube_y) == (st.true_x, st.true_y)
 
 
 def test_pick_while_holding_only_charges_time_and_risk():
@@ -232,9 +240,15 @@ def test_losing_cube_respawns_but_move_succeeds():
 
 
 def test_cube_tracks_robot_while_holding():
+    # a held cube has no pose of its own: the cost measures it from the
+    # robot's true pose, at robot-cube distance 0
     st = ready_state(holding=True, head_up=True)
     execute("move_to_goal", st, DET, random.Random(0))
-    assert (st.cube_x, st.cube_y) == (st.true_x, st.true_y)
+    assert st.holding and (st.true_x, st.true_y) == world.GOAL_POSE
+    held = fitness.cost(st, 10, fitness.TABLE2)
+    assert held == fitness.cost(dropped_at_robot(st), 10, fitness.TABLE2)
+    err = st.loc_error
+    assert held.distance_term == fitness.ALPHA3 * err * err  # cube at the goal
 
 
 def test_unknown_behavior_raises():
@@ -256,19 +270,19 @@ def test_stoch3_pick_failure_rate_calibrated():
 
 
 def test_single_condition_episode_exhausts_failure_budget():
-    result = play_episode(("have_block",), DET, random.Random(0))
-    assert result.terminated_by == world.FAILURE_BUDGET
-    assert result.final_state.root_failures == 6
-    assert result.final_state.elapsed_time == 0.0
-    assert result.ticks_used == 6
-    assert not result.final_state.picked_once and not result.final_state.placed
+    final = play_episode(("have_block",), DET, random.Random(0))
+    assert final.terminated_by == world.FAILURE_BUDGET
+    assert final.root_failures == 6
+    assert final.elapsed_time == 0.0
+    assert final.ticks_used == 6
+    assert not final.picked_once and not final.placed
 
 
 def test_reference_solution_solves_deterministic_profile():
-    result = play_episode(REFERENCE_SOLUTION, DET, random.Random(0))
-    assert result.terminated_by == world.ROOT_SUCCESS
-    assert result.final_state.placed and result.final_state.picked_once
-    assert (result.final_state.cube_x, result.final_state.cube_y) == world.GOAL_POSE
+    final = play_episode(REFERENCE_SOLUTION, DET, random.Random(0))
+    assert final.terminated_by == world.ROOT_SUCCESS
+    assert final.placed and final.picked_once
+    assert (final.cube_x, final.cube_y) == world.GOAL_POSE
 
 
 def test_reference_solution_recovers_from_cube_loss():
@@ -276,14 +290,14 @@ def test_reference_solution_recovers_from_cube_loss():
     placed = 0
     rng = random.Random(9)
     for _ in range(200):
-        placed += play_episode(REFERENCE_SOLUTION, prof, rng).final_state.placed
+        placed += play_episode(REFERENCE_SOLUTION, prof, rng).placed
     assert placed > 150  # reactive structure re-picks after drops
 
 
 def test_episode_deterministic_given_seed():
     r1 = play_episode(REFERENCE_SOLUTION, STOCH3, random.Random(5))
     r2 = play_episode(REFERENCE_SOLUTION, STOCH3, random.Random(5))
-    assert state_tuple(r1.final_state) == state_tuple(r2.final_state)
+    assert state_tuple(r1) == state_tuple(r2)
     assert (r1.ticks_used, r1.terminated_by) == (r2.ticks_used, r2.terminated_by)
 
 
@@ -304,15 +318,16 @@ def test_risk_sum_matches_executed_fail_probs():
     seen = set()
     for seed in range(20):
         executed.clear()
-        result = world.run_compiled(compiled, random.Random(seed))
+        final = world.run_compiled(compiled, random.Random(seed))
         expected = sum(risk.get(bid, 0.0) for bid in executed)
-        assert result.final_state.risk_sum == pytest.approx(expected, abs=1e-12)
+        assert final.risk_sum == pytest.approx(expected, abs=1e-12)
         seen.update(executed)
     assert seen >= set(risk)
 
 
 def test_cube_conservation_under_random_actions():
-    # held cubes track the robot; loose cubes sit on the pick or goal table
+    # a held cube costs as if it lay where the robot stands; loose cubes sit
+    # on the pick or goal table
     prof = world.make_profile("stoch4")
     rng = random.Random(21)
     table = world.build_transition_table(prof)
@@ -321,11 +336,11 @@ def test_cube_conservation_under_random_actions():
         st = world.WorldState()
         for _ in range(60):
             table[pool[rng.randrange(len(pool))]](st, rng)
-            cube = (st.cube_x, st.cube_y)
             if st.holding:
-                assert cube == (st.true_x, st.true_y)
+                held = fitness.cost(st, 10, fitness.TABLE2)
+                assert held == fitness.cost(dropped_at_robot(st), 10, fitness.TABLE2)
             else:
-                assert cube in (world.PICK_POSE, world.GOAL_POSE)
+                assert (st.cube_x, st.cube_y) in (world.PICK_POSE, world.GOAL_POSE)
 
 
 def test_guard_soundness_under_random_states():
@@ -334,7 +349,7 @@ def test_guard_soundness_under_random_states():
     for _ in range(400):
         st = world.WorldState()
         st.true_x, st.true_y = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        st.est_x, st.est_y = st.true_x + rng.uniform(0, 2), st.true_y
+        st.est_x = st.true_x + rng.uniform(0, 2)
         st.localized = rng.random() < 0.5
         st.arm_tucked = rng.random() < 0.5
         st.head_up = rng.random() < 0.5
@@ -359,16 +374,22 @@ def test_tick_budget_termination():
     assert result.ticks_used == 17
 
 
-def test_episode_result_takes_keywords_and_positions():
-    # tests build results by keyword; run_compiled builds them positionally
-    st = world.WorldState()
-    by_keyword = world.EpisodeResult(final_state=st, ticks_used=3, terminated_by=world.TICK_BUDGET)
-    by_position = world.EpisodeResult(st, 3, world.TICK_BUDGET)
-    assert by_keyword == by_position
-    # an episode's outcome is its final state; the benchmark's tracer reads
-    # ticks_used and terminated_by
-    fields = [f.name for f in dataclasses.fields(world.EpisodeResult)]
-    assert fields == ["final_state", "ticks_used", "terminated_by"]
+def test_run_compiled_returns_its_final_state():
+    table = world.build_transition_table(DET)
+    endings = [
+        (REFERENCE_SOLUTION, world.ROOT_SUCCESS, 1),
+        (("have_block",), world.FAILURE_BUDGET, world.MAX_ROOT_FAILURES + 1),
+        (None, world.TICK_BUDGET, world.MAX_TICKS),  # a tree that always runs
+    ]
+    for tokens, terminated_by, ticks in endings:
+        compiled = bt.compile_tree(tokens, table) if tokens else lambda st, rng: bt.RUNNING
+        final = world.run_compiled(compiled, random.Random(0))
+        assert type(final) is world.WorldState
+        assert (final.terminated_by, final.ticks_used) == (terminated_by, ticks)
+        assert final.placed == (terminated_by == world.ROOT_SUCCESS)
+    # the episode's end sets both, so a state that has not ended has neither
+    with pytest.raises(AttributeError):
+        world.WorldState().terminated_by
 
 
 def test_aux_pool_targets_are_outside_reach():
@@ -384,7 +405,7 @@ def test_deterministic_profile_episode_is_pure():
     # rng must not have been consumed at all on the deterministic profile
     assert rng.random() == random.Random(0).random()
     r2 = play_episode(REFERENCE_SOLUTION, DET, random.Random(99))
-    assert state_tuple(r1.final_state) == state_tuple(r2.final_state)
+    assert state_tuple(r1) == state_tuple(r2)
 
 
 def test_draws_nothing_only_on_all_zero_probabilities():
