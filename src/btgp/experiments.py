@@ -6,10 +6,8 @@ import csv
 import math
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 
 from . import bt
@@ -39,6 +37,8 @@ class CurvePoint:
 def _sample_stdev(values) -> float:
     """Sample standard deviation, exact and rounded once, as Python 3.11+'s
     ``statistics.stdev`` gives it (3.10's differs in the last digit)."""
+    from fractions import Fraction  # imported here: only curves need it
+
     xs = [Fraction(v) for v in values]
     mean = sum(xs) / len(xs)
     var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
@@ -190,6 +190,8 @@ class ExperimentConfig:
             raise ValueError("seeds must not be empty")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        if self.params.early_stop_window > 0:  # a curve needs equal-length histories
+            raise ValueError("an experiment cannot stop early: early_stop_window must be 0")
 
 
 def experiment_variants(config: ExperimentConfig) -> list[tuple[str, Profile, FitnessWeights]]:
@@ -223,7 +225,8 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     and best-genotype files under <out_dir>/<experiment>/.
 
     Each job's files are written when it returns and a variant's curve after
-    its last seed; the returned paths are in that order.
+    its last seed; the returned paths are in that order. The process pool's
+    module, with ``multiprocessing``, is imported only when a pool is made.
     """
     out_root = Path(config.out_dir) / config.experiment
     jobs = [
@@ -235,7 +238,13 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     histories: list[list[GenerationStats]] = []
     # a process pool forks all its workers at once, so it gets no more than there are jobs
     workers = min(config.workers, len(jobs))
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool_context = ProcessPoolExecutor(workers)
+    else:
+        pool_context = nullcontext()
+    with pool_context as pool:
         for variant, seed, history, best in (pool.map if pool else map)(_run_job, jobs):
             run_csv = out_root / variant / f"seed{seed}.csv"
             write_history_csv(run_csv, history)

@@ -16,7 +16,7 @@ from .world import Profile, build_transition_table, check_budgets, draws_nothing
 
 # A change that would make an existing checkpoint resume into a run it did
 # not come from bumps the format; it adds no marker key to the fingerprint.
-CHECKPOINT_FORMAT = "btgp-checkpoint-v5"
+CHECKPOINT_FORMAT = "btgp-checkpoint-v6"
 
 
 class SlotsExceedCandidates(ValueError):
@@ -610,7 +610,7 @@ _GP_CONSTANTS = (
 )
 _WORLD_CONSTANTS = (
     "START", "PICK_POSE", "GOAL_POSE", "REACH_RADIUS", "SPEED", "SAFE_TIME_MULTIPLIER",
-    "LOC_ERROR_LOCALIZED", "LOC_ERROR_LOST", "FIXED_TIME_COSTS",
+    "LOC_ERROR_LOCALIZED", "LOC_ERROR_LOST", "FIXED_TIME_COSTS", "AUX_POSES",
 )
 _FITNESS_CONSTANTS = ("ALPHA1", "ALPHA2", "ALPHA3", "BETA", "GAMMA", "PICK_REWARD", "PLACE_REWARD")
 

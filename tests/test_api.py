@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import btgp
@@ -49,3 +52,23 @@ def test_the_benchmark_finds_every_name_it_traces(monkeypatch):
     table = ctx.world.build_transition_table(ctx.profiles["det"])
     final = ctx.world.run_compiled(ctx.bt.compile_tree(ctx.reference, table), random.Random(0))
     assert (final.ticks_used, final.terminated_by) == (1, ctx.world.ROOT_SUCCESS)
+
+
+# Modules only some commands need: the process pool of a multi-worker
+# experiment and the exact arithmetic of a curve's standard deviation.
+LAZY_MODULES = ("multiprocessing", "concurrent.futures.process", "fractions")
+
+
+def test_importing_the_cli_loads_no_lazy_module():
+    # a fresh interpreter, since this one has imported them for other tests
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, btgp, btgp.cli; "
+        f"print(' '.join(m for m in {LAZY_MODULES!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

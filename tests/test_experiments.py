@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -337,7 +338,8 @@ def test_experiment_pool_gets_no_more_workers_than_jobs(tmp_path, monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    # run_experiment imports the pool class from its package when it makes a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for workers in (64, 3, 1):  # exp3 on two seeds is four jobs
         config = tiny_config(tmp_path / str(workers), "exp3", seeds=(0, 1), workers=workers)
         experiments.run_experiment(config)
@@ -674,11 +676,11 @@ def test_cli_resume_refuses_a_v2_checkpoint(tmp_path, capsys):
     assert cli.main(args + ["--checkpoint", str(ckpt), "--checkpoint-every", "2"]) == 0
     capsys.readouterr()
     data = json.loads(ckpt.read_text())
-    for old in ("btgp-checkpoint-v2", "btgp-checkpoint-v3", "btgp-checkpoint-v4"):
-        data["format"] = old
+    for version in (2, 3, 4, 5):
+        data["format"] = f"btgp-checkpoint-v{version}"
         ckpt.write_text(json.dumps(data))
         assert cli.main(args + ["--resume", str(ckpt)]) == 1
-        assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v5 file: {ckpt}\n"
+        assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v6 file: {ckpt}\n"
 
 
 def set_entry(data, path, value):
@@ -769,3 +771,12 @@ def test_cli_resume_rejects_a_malformed_checkpoint(tmp_path, capsys, path, value
 def test_experiment_config_rejects_repeated_or_empty_seeds(tmp_path, seeds, message):
     with pytest.raises(ValueError, match=message):
         experiments.ExperimentConfig("exp3", str(tmp_path), seeds=seeds)
+
+
+def test_experiment_config_refuses_early_stopping(tmp_path):
+    # seeds stopped at different generations give histories of unequal length,
+    # which no curve aggregates, so the config is refused before any seed runs
+    params = dataclasses.replace(experiments.ExperimentConfig.params, early_stop_window=3)
+    message = "^an experiment cannot stop early: early_stop_window must be 0$"
+    with pytest.raises(ValueError, match=message):
+        experiments.ExperimentConfig("exp3", str(tmp_path), params=params)

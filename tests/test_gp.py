@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import hashlib
@@ -9,6 +10,7 @@ import json
 import random
 import re
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -1165,6 +1167,13 @@ DET_FINGERPRINT = {
             "pick": 5.0,
             "place": 5.0,
         },
+        "AUX_POSES": [
+            [-3.0, -0.5], [-3.0, 0.5], [3.0, -0.5], [3.0, 0.5], [-0.6, -0.5], [-0.6, 0.5],
+            [0.6, -0.5], [0.6, 0.5], [-1.8, -1.5], [-1.8, 1.5], [1.8, -1.5], [1.8, 1.5],
+            [-3.0, -1.5], [-3.0, 1.5], [3.0, -1.5], [3.0, 1.5], [-0.6, -1.5], [-0.6, 1.5],
+            [0.6, -1.5], [0.6, 1.5], [-1.8, -2.5], [-1.8, 2.5], [1.8, -2.5], [1.8, 2.5],
+            [-3.0, -2.5], [-3.0, 2.5], [3.0, -2.5], [3.0, 2.5], [-0.6, -2.5], [-0.6, 2.5],
+        ],
     },
     "fitness": {
         "ALPHA1": 10.0,
@@ -1191,7 +1200,7 @@ DET_FINGERPRINT = {
 def test_a_checkpoint_stores_the_run_under_the_code_names(tmp_path):
     path = tmp_path / "ckpt.json"
     data = write_checkpoint(path, gp.GpParams(generations=2))
-    assert data["format"] == "btgp-checkpoint-v5"
+    assert data["format"] == "btgp-checkpoint-v6"
     assert json.dumps(data["fingerprint"]) == json.dumps(DET_FINGERPRINT)
 
 
@@ -1230,6 +1239,51 @@ def test_resume_binds_every_fingerprint_entry(tmp_path, section, key):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=resume_refusal(path, f"{section}.{key}")):
         gp.run(params, DET, fitness.TABLE2, resume_from=path)
+
+
+# The upper-case constants of world, fitness and gp that the fingerprint's
+# sections of those names do not bind, each with the reason a checkpoint
+# needs no entry for it.
+UNBOUND_CONSTANTS = (
+    ("world", "ROOT_SUCCESS", "a label for how an episode ended"),
+    ("world", "FAILURE_BUDGET", "a label for how an episode ended"),
+    ("world", "TICK_BUDGET", "a label for how an episode ended"),
+    ("world", "MAX_ROOT_FAILURES", "a GpParams default; the params section binds the value"),
+    ("world", "MAX_TICKS", "a GpParams default; the params section binds the value"),
+    ("world", "PROBABILITY_COLUMNS", "copied into the Profile the profile section binds"),
+    ("world", "CORE9", "behavior ids; the profile section binds the pool"),
+    ("world", "AUX_IDS", "behavior ids; the profile section binds the pool"),
+    ("world", "POOLS", "behavior ids; the profile section binds the pool"),
+    ("world", "SCENARIOS", "the pool names the CLI offers"),
+    ("fitness", "TABLE2", "a FitnessWeights; the weights section binds the run's"),
+    ("gp", "CHECKPOINT_FORMAT", "the file's format key, checked before the fingerprint"),
+    ("gp", "_RESUMABLE_PARAMS", "the fingerprint's own layout"),
+    ("gp", "_GP_CONSTANTS", "the fingerprint's own layout"),
+    ("gp", "_WORLD_CONSTANTS", "the fingerprint's own layout"),
+    ("gp", "_FITNESS_CONSTANTS", "the fingerprint's own layout"),
+    ("gp", "_CHECKPOINT_KEYS", "the checkpoint file's layout"),
+    ("gp", "_ENTRY_KEYS", "the checkpoint file's layout"),
+)
+
+
+def module_constants(module) -> set[str]:
+    """The upper-case names a module's source assigns at its top level."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+    return names
+
+
+def test_every_module_constant_is_bound_or_named_unbound():
+    # a new constant fails here until it joins the fingerprint or UNBOUND_CONSTANTS
+    fingerprint = gp._run_fingerprint(gp.GpParams(), DET, fitness.TABLE2)
+    modules = {"world": world, "fitness": fitness, "gp": gp}
+    defined = {(s, name) for s, module in modules.items() for name in module_constants(module)}
+    bound = {(s, name) for s in modules for name in fingerprint[s]}
+    unbound = {(s, name) for s, name, _ in UNBOUND_CONSTANTS}
+    assert not bound & unbound
+    assert sorted(defined) == sorted(bound | unbound)
 
 
 @pytest.mark.parametrize(
