@@ -32,10 +32,6 @@ class MalformedGenotype(ValueError):
     """Token sequence is not a single balanced tree over known leaves."""
 
 
-class PoolEmpty(ValueError):
-    pass
-
-
 def is_control_open(token: str) -> bool:
     return token == SEQUENCE_OPEN or token == FALLBACK_OPEN
 
@@ -253,8 +249,6 @@ def random_genotype(kinds: LeafKinds, length: int, rng) -> Genotype:
     or more nodes still fits. Invalid draws are resampled up to 100 times,
     after which the last draw is repaired by deleting violating nodes.
     """
-    if not kinds:
-        raise PoolEmpty("behavior pool is empty")
     if length < 1:
         raise ValueError("length must be >= 1")
     leaves = sorted(kinds)

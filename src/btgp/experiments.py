@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 import random
 from collections import Counter
 from contextlib import nullcontext
@@ -34,26 +33,10 @@ class CurvePoint:
     per_seed: tuple[float, ...]
 
 
-def _sample_stdev(values) -> float:
-    """Sample standard deviation, exact and rounded once, as Python 3.11+'s
-    ``statistics.stdev`` gives it (3.10's differs in the last digit)."""
-    from fractions import Fraction  # imported here: only curves need it
-
-    xs = [Fraction(v) for v in values]
-    mean = sum(xs) / len(xs)
-    var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-    # an integer square root of 55-56 bits rounded to odd, so that the one
-    # rounding to a float is correct (the method of 3.11's statistics)
-    n, m = var.numerator, var.denominator
-    q = (n.bit_length() - m.bit_length() - 109) // 2
-    n, m = (n, m << 2 * q) if q >= 0 else (n << -2 * q, m)
-    root = math.isqrt(n // m)
-    root |= root * root * m != n
-    return float(root << q) if q >= 0 else root / (1 << -q)
-
-
 def aggregate(histories: list[list[GenerationStats]]) -> list[CurvePoint]:
     """Per-generation mean and sample std of best fitness across runs."""
+    from statistics import stdev  # imported here: only curves need it
+
     if not histories:
         raise ValueError("no histories to aggregate")
     length = len(histories[0])
@@ -64,7 +47,7 @@ def aggregate(histories: list[list[GenerationStats]]) -> list[CurvePoint]:
     for g in range(length):
         values = tuple(h[g].best_j for h in histories)
         mean = mean_left_to_right(values)
-        std = _sample_stdev(values) if len(values) > 1 else 0.0
+        std = stdev(values) if len(values) > 1 else 0.0
         curve.append(CurvePoint(histories[0][g].generation, mean, std, values))
     return curve
 

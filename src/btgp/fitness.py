@@ -64,10 +64,6 @@ class FitnessValue:
     risk_term: float
     rewards: float
 
-    @property
-    def cost(self) -> float:
-        return -self.j
-
 
 def _from_terms(distance, length, time, risk, rewards) -> FitnessValue:
     total = distance + length + time + risk - rewards

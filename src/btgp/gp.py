@@ -30,7 +30,7 @@ def round_half_up(x: float) -> int:
 def _below(bits, n: int) -> int:
     """Uniform int in [0, n) from ``bits = rng.getrandbits``.
 
-    The same draws as CPython's ``_randbelow_with_getrandbits`` (3.10-3.13),
+    The same draws as CPython's ``_randbelow_with_getrandbits`` (3.11-3.13),
     so the value and the rng state after it equal ``rng.randrange(n)``'s,
     at one Python frame instead of two.
     """

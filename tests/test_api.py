@@ -55,8 +55,9 @@ def test_the_benchmark_finds_every_name_it_traces(monkeypatch):
 
 
 # Modules only some commands need: the process pool of a multi-worker
-# experiment and the exact arithmetic of a curve's standard deviation.
-LAZY_MODULES = ("multiprocessing", "concurrent.futures.process", "fractions")
+# experiment and the statistics (with the fractions it imports) of a curve's
+# standard deviation.
+LAZY_MODULES = ("multiprocessing", "concurrent.futures.process", "fractions", "statistics")
 
 
 def test_importing_the_cli_loads_no_lazy_module():

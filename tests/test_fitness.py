@@ -52,7 +52,7 @@ def test_cost_terminal_success_state():
     )
     fv = fitness.cost(final, 11, fitness.TABLE2)
     # 10*0 + 2*0.25 + 1*0.0025 + 0.5*11 + 0.1*60 + 0 - 150
-    assert fv.cost == pytest.approx(-137.9975, abs=1e-12)
+    assert -fv.j == pytest.approx(-137.9975, abs=1e-12)
     assert fv.j == pytest.approx(137.9975, abs=1e-12)
 
 
@@ -64,14 +64,14 @@ def test_cost_empty_effect_episode_at_reset():
     )
     fv = fitness.cost(final, 1, fitness.TABLE2)
     # 10*16 + 2*4 + 1*1 + 0.5*1 = 169.5
-    assert fv.cost == pytest.approx(169.5, abs=1e-12)
+    assert -fv.j == pytest.approx(169.5, abs=1e-12)
     assert fv.j == pytest.approx(-169.5, abs=1e-12)
 
 
 def test_cost_all_zero_state():
     final = make_state(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
     fv = fitness.cost(final, 0, fitness.TABLE2)
-    assert fv.cost == 0.0 and fv.j == 0.0
+    assert fv.j == 0.0
 
 
 def test_robot_cube_distance_is_zero_while_holding():
@@ -376,6 +376,6 @@ def test_weight_sets_table2_defaults():
 def test_fitness_value_is_slotted_and_pickles():
     fv = fitness.FitnessValue(-1.5, 1.0, 0.5, 0.25, 0.0, 0.25)
     assert not hasattr(fv, "__dict__")
-    assert fv.cost == 1.5
+    assert -fv.j == 1.5
     again = pickle.loads(pickle.dumps(fv))
-    assert again == fv and again.cost == fv.cost
+    assert again == fv

@@ -868,7 +868,7 @@ def history_digest(history) -> str:
 
 # SHA-256 of the history rows of fixed runs. A change to any row's best_j,
 # mean_j, best genotype or episode count breaks them; CI checks them on
-# Python 3.10-3.13.
+# Python 3.11-3.13.
 DET_SEED0_100_DIGEST = "c7125f6a6b9c444292bffba4a6219506c87b62384a8c1f1dca076c5583f039a1"
 STOCH3_SEED0_40_DIGEST = "983078529748151bd4b946eb53b85095dedfec96b5af32d3404760cd06984e33"
 # stoch1's only draws are move localization losses, so many of its trees
