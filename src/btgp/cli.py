@@ -20,7 +20,7 @@ from .experiments import (
 )
 from .fitness import FitnessWeights
 from .gp import GpParams, run
-from .world import PROBABILITY_COLUMNS, SCENARIOS, UnknownScenario, make_profile
+from .world import PROBABILITY_COLUMNS, SCENARIOS, make_profile
 
 OUT_ENV_VAR = "BTGP_OUT"
 
@@ -85,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--checkpoint", default=None, help="checkpoint file path")
     run_p.add_argument("--resume", default=None, help="resume from a checkpoint file")
     _add_common(run_p, reevaluate_elites=False)
+    run_p.set_defaults(handler=_cmd_run)
 
     for name, help_text in (
         ("exp1", "failure-probability robustness across the five profiles"),
@@ -100,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="run this many (variant, seed) jobs at once in parallel processes",
         )
         _add_common(exp_p, reevaluate_elites=True)
+        exp_p.set_defaults(handler=_cmd_experiment)
 
     replay_p = sub.add_parser("replay", help="Monte Carlo replay of a genotype file")
     replay_p.add_argument("--tree", required=True, help="genotype text file")
@@ -107,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p.add_argument("--pool", default="core9", choices=SCENARIOS)
     replay_p.add_argument("--episodes", type=int, default=1000)
     replay_p.add_argument("--seed", type=int, default=0)
+    replay_p.set_defaults(handler=_cmd_replay)
     return parser
 
 
@@ -115,10 +118,11 @@ def _cmd_run(args) -> int:
     weights = FitnessWeights(delta=args.delta)
     profile = make_profile(args.profile, args.pool)
     params = _gp_params(args, seed=args.seed, early_stop_window=args.early_stop_window)
+    stem = f"run_{profile.name}_seed{args.seed}"
     checkpoint = args.checkpoint
     if args.checkpoint_every > 0:
         if checkpoint is None:
-            checkpoint = out_dir / f"run_{profile.name}_seed{args.seed}.checkpoint.json"
+            checkpoint = out_dir / f"{stem}.checkpoint.json"
         Path(checkpoint).parent.mkdir(parents=True, exist_ok=True)
     history, best = run(
         params,
@@ -128,7 +132,6 @@ def _cmd_run(args) -> int:
         checkpoint_every=args.checkpoint_every,
         resume_from=args.resume,
     )
-    stem = f"run_{profile.name}_seed{args.seed}"
     csv_path = out_dir / f"{stem}.csv"
     best_path = out_dir / f"{stem}_best.txt"
     write_history_csv(csv_path, history)
@@ -166,20 +169,12 @@ def _cmd_replay(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command in ("exp1", "exp2", "exp3"):
-            return _cmd_experiment(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        parser.error(f"unknown command {args.command}")
-    except (bt.MalformedGenotype, UnknownScenario, ValueError, OSError) as exc:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .world import Profile, build_transition_table, check_budgets, draws_nothing
 
 # A change that would make an existing checkpoint resume into a run it did
 # not come from bumps the format; it adds no marker key to the fingerprint.
-CHECKPOINT_FORMAT = "btgp-checkpoint-v6"
+CHECKPOINT_FORMAT = "btgp-checkpoint-v7"
 
 
 class SlotsExceedCandidates(ValueError):

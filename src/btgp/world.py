@@ -1,10 +1,9 @@
 """Fast state-machine world model for the mobile pick-and-place task.
 
-The simulator tracks robot pose (true and estimated), localization, arm and
-head configuration, and the cube, and executes behaviors with probabilistic
-outcomes drawn from a scenario profile. It deliberately models no kinematics
-or sensing: one behavior execution is one atomic transition plus time and
-risk bookkeeping.
+The simulator tracks robot pose, localization, arm and head configuration,
+and the cube, and executes behaviors with probabilistic outcomes drawn from
+a scenario profile. It deliberately models no kinematics or sensing: one
+behavior execution is one atomic transition plus time and risk bookkeeping.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ SPEED = 0.5
 # A safe move variant detours: this many times the direct travel time.
 SAFE_TIME_MULTIPLIER = 2.0
 
-# Estimated-pose offsets along +x: fresh localization vs lost/unlocalized.
+# Localization error while localized vs lost/unlocalized (WorldState.loc_error).
 LOC_ERROR_LOCALIZED = 0.05
 LOC_ERROR_LOST = 1.0
 
@@ -185,14 +184,9 @@ def make_profile(column: str, pool: str = "core9") -> Profile:
         raise UnknownScenario(f"unknown probability column {column!r}")
     if pool not in POOLS:
         raise UnknownScenario(f"unknown scenario {pool!r}")
-    probs = PROBABILITY_COLUMNS[column]
     return Profile(
         name=column if pool == "core9" else f"{column}_{pool}",
-        loc_failure=probs["loc_failure"],
-        pick_failure=probs["pick_failure"],
-        place_failure=probs["place_failure"],
-        losing_cube=probs["losing_cube"],
-        losing_localization=probs["losing_localization"],
+        **PROBABILITY_COLUMNS[column],
         pool=POOLS[pool],
     )
 
@@ -206,17 +200,16 @@ class WorldState:
     """Mutable episode state; a new one is the episode's start state, and
     ``run_compiled`` returns the final one.
 
-    Each fact is stored once. The estimated pose is off the true pose only
-    along x, so there is no estimated y. A held cube is where the robot is,
-    so ``cube_x`` / ``cube_y`` say where an unheld cube lies and are stale
-    while ``holding``. ``ticks_used`` and ``terminated_by`` are set once,
-    when the episode ends.
+    Each fact is stored once. The localization error follows from
+    ``localized`` (``loc_error``), so no estimated pose is stored. A held
+    cube is where the robot is, so ``cube_x`` / ``cube_y`` say where an
+    unheld cube lies and are stale while ``holding``. ``ticks_used`` and
+    ``terminated_by`` are set once, when the episode ends.
     """
 
     __slots__ = (
         "true_x",
         "true_y",
-        "est_x",
         "localized",
         "arm_tucked",
         "head_up",
@@ -234,7 +227,6 @@ class WorldState:
 
     def __init__(self):
         self.true_x, self.true_y = START
-        self.est_x = self.true_x + LOC_ERROR_LOST
         self.localized = False
         self.arm_tucked = False
         self.head_up = True
@@ -248,7 +240,7 @@ class WorldState:
 
     @property
     def loc_error(self) -> float:
-        return abs(self.true_x - self.est_x)
+        return LOC_ERROR_LOCALIZED if self.localized else LOC_ERROR_LOST
 
 
 TransitionFn = Callable[[WorldState, object], int]
@@ -265,7 +257,6 @@ def _make_fixed(behavior_id: str, profile: Profile) -> TransitionFn:
             if fail_prob > 0.0 and rng.random() < fail_prob:
                 return FAILURE
             st.localized = True
-            st.est_x = st.true_x + LOC_ERROR_LOCALIZED
             return SUCCESS
         return localise
     if behavior_id == "head_up":
@@ -312,12 +303,9 @@ def _make_move(
             st.true_x += dx * 0.5
             st.true_y += dy * 0.5
             st.localized = False
-            st.est_x = st.true_x + LOC_ERROR_LOST
             return FAILURE
-        off_x = st.est_x - st.true_x
         st.elapsed_time += planned
         st.true_x, st.true_y = tx, ty
-        st.est_x = tx + off_x
         if st.holding and losing_cube > 0.0 and rng.random() < losing_cube:
             st.holding = False
             st.cube_x, st.cube_y = rx, ry

@@ -21,7 +21,7 @@ def make_state(
     *,
     cube=(0.0, 0.0),
     robot=(0.0, 0.0),
-    est_offset=0.0,
+    localized=False,
     holding=False,
     picked=False,
     placed=False,
@@ -31,7 +31,7 @@ def make_state(
     st = world.WorldState()
     st.cube_x, st.cube_y = cube
     st.true_x, st.true_y = robot
-    st.est_x = robot[0] + est_offset
+    st.localized = localized
     st.holding = holding
     st.picked_once = picked
     st.placed = placed
@@ -45,7 +45,7 @@ def test_cost_terminal_success_state():
     final = make_state(
         cube=(-2.0, 0.0),
         robot=(-1.5, 0.0),
-        est_offset=0.05,
+        localized=True,
         picked=True,
         placed=True,
         elapsed=60.0,
@@ -60,7 +60,6 @@ def test_cost_empty_effect_episode_at_reset():
     final = make_state(
         cube=(2.0, 0.0),
         robot=(0.0, 0.0),
-        est_offset=1.0,
     )
     fv = fitness.cost(final, 1, fitness.TABLE2)
     # 10*16 + 2*4 + 1*1 + 0.5*1 = 169.5
@@ -69,9 +68,11 @@ def test_cost_empty_effect_episode_at_reset():
 
 
 def test_cost_all_zero_state():
-    final = make_state(cube=(-2.0, 0.0), robot=(-2.0, 0.0))
+    # every term but the localization error is zero; a localized robot still
+    # carries LOC_ERROR_LOCALIZED, the least error the world has
+    final = make_state(cube=(-2.0, 0.0), robot=(-2.0, 0.0), localized=True)
     fv = fitness.cost(final, 0, fitness.TABLE2)
-    assert fv.j == 0.0
+    assert fv.j == -fitness.ALPHA3 * world.LOC_ERROR_LOCALIZED * world.LOC_ERROR_LOCALIZED
 
 
 def test_robot_cube_distance_is_zero_while_holding():
@@ -81,7 +82,9 @@ def test_robot_cube_distance_is_zero_while_holding():
     held = make_state(cube=(3.0, 3.0), robot=(-2.0, 0.0), holding=True)
     assert fitness.cost(held, 0, fitness.TABLE2) == fitness.cost(at_goal, 0, fitness.TABLE2)
     away = make_state(cube=(-2.0, 0.0), robot=(-1.0, 0.0), holding=True)
-    assert fitness.cost(away, 0, fitness.TABLE2).distance_term == fitness.ALPHA1  # 1 m off
+    # 1 m off, plus the unlocalized robot's error
+    lost = fitness.ALPHA3 * world.LOC_ERROR_LOST * world.LOC_ERROR_LOST
+    assert fitness.cost(away, 0, fitness.TABLE2).distance_term == fitness.ALPHA1 + lost
 
 
 def test_length_monotonicity():
@@ -109,14 +112,14 @@ def test_breakdown_sums_exactly():
     for _ in range(200):
         cube = (rng.uniform(-4, 4), rng.uniform(-4, 4))
         robot = (rng.uniform(-4, 4), rng.uniform(-4, 4))
-        est_offset = rng.uniform(0, 2)
+        localized = rng.random() < 0.5
         holding = rng.random() < 0.3
         picked = rng.random() < 0.5
         n_nodes = rng.randrange(0, 64)
         final = make_state(
             cube=cube,
             robot=robot,
-            est_offset=est_offset,
+            localized=localized,
             holding=holding,
             picked=picked,
             elapsed=rng.uniform(0, 300),
@@ -136,7 +139,6 @@ def test_reward_dominance_bound():
     worst_placed = make_state(
         cube=(-2.0, 0.0),
         robot=(-1.4, 0.0),
-        est_offset=1.0,
         picked=True,
         placed=True,
         elapsed=200.0,

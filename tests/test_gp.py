@@ -1200,7 +1200,7 @@ DET_FINGERPRINT = {
 def test_a_checkpoint_stores_the_run_under_the_code_names(tmp_path):
     path = tmp_path / "ckpt.json"
     data = write_checkpoint(path, gp.GpParams(generations=2))
-    assert data["format"] == "btgp-checkpoint-v6"
+    assert data["format"] == "btgp-checkpoint-v7"
     assert json.dumps(data["fingerprint"]) == json.dumps(DET_FINGERPRINT)
 
 

@@ -10,6 +10,8 @@ import random
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from btgp import bt, fitness, world
 
@@ -42,7 +44,6 @@ def ready_state(*, at=world.PICK_POSE, holding=False, head_up=False, tucked=True
     st = world.WorldState()
     st.localized = True
     st.true_x, st.true_y = at
-    st.est_x = st.true_x + world.LOC_ERROR_LOCALIZED
     st.arm_tucked = tucked
     st.head_up = head_up
     if holding:
@@ -216,8 +217,36 @@ def test_move_success_reaches_target_and_keeps_loc_error():
     err = st.loc_error
     assert execute("move_to_pick", st, DET, random.Random(0)) == bt.SUCCESS
     assert (st.true_x, st.true_y) == world.PICK_POSE
-    assert st.loc_error == pytest.approx(err)
+    assert st.loc_error == err
     assert st.elapsed_time == pytest.approx(2.0 / world.SPEED)
+
+
+def test_localized_error_is_exact_after_moves():
+    st = world.WorldState()
+    for bid in ("localise", "tuck", "move_to_pick", "move_to_goal"):
+        assert execute(bid, st, DET, random.Random(0)) == bt.SUCCESS
+        assert st.loc_error == world.LOC_ERROR_LOCALIZED
+    assert (st.true_x, st.true_y) == world.GOAL_POSE
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    column=hst.sampled_from(["stoch3", "stoch4"]),
+    length=hst.integers(1, 24),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_final_loc_error_is_the_localization_fact(column, length, seed):
+    # the random tree runs after localise and tuck, so its moves can succeed
+    profile = world.make_profile(column)
+    kinds = world.leaf_kinds(profile)
+    rng = random.Random(seed)
+    genotype = ("s(", "localise", "tuck", *bt.random_genotype(kinds, length, rng), ")")
+    assume(not bt.validate(genotype, kinds))
+    compiled = bt.compile_tree(genotype, world.build_transition_table(profile))
+    for _ in range(10):
+        st = world.run_compiled(compiled, rng)
+        expected = world.LOC_ERROR_LOCALIZED if st.localized else world.LOC_ERROR_LOST
+        assert st.loc_error == expected
 
 
 def test_losing_localization_strands_at_midpoint():
@@ -349,7 +378,6 @@ def test_guard_soundness_under_random_states():
     for _ in range(400):
         st = world.WorldState()
         st.true_x, st.true_y = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        st.est_x = st.true_x + rng.uniform(0, 2)
         st.localized = rng.random() < 0.5
         st.arm_tucked = rng.random() < 0.5
         st.head_up = rng.random() < 0.5
