@@ -343,7 +343,7 @@ def canonical(tokens: Genotype) -> Genotype:
             stack.append([i, 0])
     if not drop:
         return tokens
-    return tuple(tok for i, tok in enumerate(tokens) if i not in drop)
+    return tuple([tok for i, tok in enumerate(tokens) if i not in drop])
 
 
 def to_text(tokens: Genotype) -> str:

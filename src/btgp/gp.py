@@ -153,46 +153,56 @@ def tournament(candidates, slots: int, rng) -> list:
 
     Each round draws two distinct candidates uniformly at random and drops
     the less fit one (ties resolved uniformly), until ``slots`` remain.
-    Whenever fitness values are not all equal, the top-scoring candidate is
-    guaranteed to survive and the bottom-scoring one to be eliminated.
+    ``slots == len(candidates)`` returns everyone and ``slots <= 0`` nobody.
+    Between the two, whenever fitness values are not all equal, the
+    top-scoring candidate is guaranteed to survive and the bottom-scoring
+    one to be eliminated.
     """
-    cands = list(candidates)
-    if slots > len(cands):
-        raise SlotsExceedCandidates(f"{slots} slots for {len(cands)} candidates")
+    pool = list(candidates)
+    if slots > len(pool):
+        raise SlotsExceedCandidates(f"{slots} slots for {len(pool)} candidates")
     if slots <= 0:
         return []
-    if slots == len(cands):
-        return cands
-    for c in cands:
+    if slots == len(pool):
+        return pool
+    for c in pool:
         if c.fitness is None:
             raise ValueError("tournament requires evaluated candidates")
-    js = [c.fitness.j for c in cands]
-    first = js[0]
-    if all(j == first for j in js):
+    js = [c.fitness.j for c in pool]
+    top, bottom = max(js), min(js)
+    if top == bottom:
         winners: list = []
-        pool = cands
         need = slots
     else:
-        best_i = max(range(len(cands)), key=lambda i: js[i])
-        worst_i = min(range(len(cands)), key=lambda i: js[i])
-        winners = [cands[best_i]]
-        pool = [c for i, c in enumerate(cands) if i != best_i and i != worst_i]
+        # index() finds the first maximum and minimum, as max() and min() do
+        best_i, worst_i = js.index(top), js.index(bottom)
+        winners = [pool[best_i]]
+        if slots == 1:
+            return winners  # every other candidate would lose
+        del pool[max(best_i, worst_i)]
+        del pool[min(best_i, worst_i)]
         need = slots - 1
-        if need == 0:
-            return winners  # every candidate left in the pool would lose
     # One duel per round between two random candidates; everyone else gets a
     # bye. Minimal pressure per round keeps genetic content from weak
     # individuals around, which the search relies on.
     bits = rng.getrandbits
     while len(pool) > need:
-        i = _below(bits, len(pool))
-        j = _below(bits, len(pool) - 1)
+        # _below(bits, n) and _below(bits, n - 1), inlined
+        n = len(pool)
+        k = n.bit_length()
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        k = (n - 1).bit_length()
+        j = bits(k)
+        while j >= n - 1:
+            j = bits(k)
         if j >= i:
             j += 1
-        a, b = pool[i], pool[j]
-        if a.fitness.j > b.fitness.j:
+        a, b = pool[i].fitness.j, pool[j].fitness.j
+        if a > b:
             loser = j
-        elif b.fitness.j > a.fitness.j:
+        elif b > a:
             loser = i
         else:
             loser = i if rng.random() < 0.5 else j
@@ -238,14 +248,22 @@ def crossover(
     plain = p1.key is g1 and p2.key is g2
     tried: set[tuple[int, int]] = set()
     bits = rng.getrandbits
+    b1, b2 = n1.bit_length(), n2.bit_length()
     for _ in range(MAX_ATTEMPTS):
         if len(tried) == n1 * n2:
             break  # every span pair rejected: no further draw can succeed
-        pair = (_below(bits, n1), _below(bits, n2))
+        # (_below(bits, n1), _below(bits, n2)), inlined
+        i = bits(b1)
+        while i >= n1:
+            i = bits(b1)
+        j = bits(b2)
+        while j >= n2:
+            j = bits(b2)
+        pair = (i, j)
         if pair in tried:
             continue
         tried.add(pair)
-        row1, row2 = facts1[pair[0]], facts2[pair[1]]
+        row1, row2 = facts1[i], facts2[j]
         s1, e1, k1, _, _ = row1
         s2, e2, k2, _, _ = row2
         # each child's node count: its parent's, less the subtree given, plus the one taken
@@ -324,7 +342,7 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
         # control with m children are its (x, y) child boundary pairs,
         # 0 <= x < y <= m, numbered x-major, controls in token order.
         tok = _random_control(rng)
-        n_runs = sum(m * (m + 1) // 2 for *_, m in facts)
+        n_runs = sum([row[4] * (row[4] + 1) // 2 for row in facts])
         if not n_runs:  # bare leaf: wrap the root, which becomes the last child (V2)
             return (tok,) + g + (bt.CLOSE,), not _is_condition(kinds, g[0]), g
         r = _below(bits, n_runs)
@@ -421,17 +439,23 @@ def mutate(
     g = parent.genotype
     facts = parent.facts
     canonical_parent = parent.key is g
+    # A candidate has at most two nodes more than its parent (a new leaf
+    # bundled with a node under a new control), so below that the cap
+    # cannot bind and no candidate is counted.
+    capped = len(facts) + 2 > node_cap
+    p_mutation = P_NODE_MUTATION
+    p_addition = p_mutation + P_NODE_ADDITION
     valid_dup = None
     dup_key = None
     for _ in range(MAX_ATTEMPTS):
         r = rng.random()
-        if r < P_NODE_MUTATION:
+        if r < p_mutation:
             cand, ok, key = _op_node_mutation(g, facts, ids, kinds, rng)
-        elif r < P_NODE_MUTATION + P_NODE_ADDITION:
+        elif r < p_addition:
             cand, ok, key = _op_node_addition(g, facts, ids, kinds, rng)
         else:
             cand, ok, key = _op_node_deletion(g, facts, kinds, rng)
-        if cand is None or not ok or bt.node_count(cand) > node_cap:
+        if cand is None or not ok or (capped and bt.node_count(cand) > node_cap):
             continue
         if key is None or not canonical_parent:
             key = bt.canonical(cand)
@@ -566,7 +590,7 @@ def evolve_generation(
     # because below-median individuals then never win parent duels, the
     # search stalls permanently.
     combined = population + offspring
-    order = sorted(range(len(combined)), key=lambda i: -combined[i].fitness.j)
+    order = sorted(range(len(combined)), key=[-ind.fitness.j for ind in combined].__getitem__)
     elites: list[Individual] = []
     seen: set[Genotype] = set()
     distinct_rest: list[Individual] = []
@@ -593,9 +617,14 @@ def evolve_generation(
         survivors = survivors + leftover[: n_rest - len(survivors)]
     new_population = elites + survivors
 
-    best = max(new_population, key=lambda ind: ind.fitness.j)
+    js = [ind.fitness.j for ind in new_population]
+    best_j = max(js)
     stats = GenerationStats(
-        generation, best.fitness.j, _mean_j(new_population), best.genotype, episodes
+        generation,
+        best_j,
+        mean_left_to_right(js),
+        new_population[js.index(best_j)].genotype,  # the first of equal bests
+        episodes,
     )
     return new_population, stats
 

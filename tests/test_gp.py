@@ -162,6 +162,71 @@ def test_tournament_best_always_survives_worst_never():
         assert worst not in winners
 
 
+def tournament_with_key_functions(candidates, slots, rng):
+    """``gp.tournament`` as it was before its draws were inlined: best and
+    worst found by ``max`` / ``min`` with a key, duel indices from
+    ``rng.randrange``, which ``gp._below`` draws like."""
+    cands = list(candidates)
+    if slots > len(cands):
+        raise gp.SlotsExceedCandidates(f"{slots} slots for {len(cands)} candidates")
+    if slots <= 0:
+        return []
+    if slots == len(cands):
+        return cands
+    js = [c.fitness.j for c in cands]
+    first = js[0]
+    if all(j == first for j in js):
+        winners = []
+        pool = cands
+        need = slots
+    else:
+        best_i = max(range(len(cands)), key=lambda i: js[i])
+        worst_i = min(range(len(cands)), key=lambda i: js[i])
+        winners = [cands[best_i]]
+        pool = [c for i, c in enumerate(cands) if i != best_i and i != worst_i]
+        need = slots - 1
+        if need == 0:
+            return winners
+    while len(pool) > need:
+        i = rng.randrange(len(pool))
+        j = rng.randrange(len(pool) - 1)
+        if j >= i:
+            j += 1
+        a, b = pool[i], pool[j]
+        if a.fitness.j > b.fitness.j:
+            loser = j
+        elif b.fitness.j > a.fitness.j:
+            loser = i
+        else:
+            loser = i if rng.random() < 0.5 else j
+        pool[loser] = pool[-1]
+        pool.pop()
+    return winners + pool
+
+
+# few distinct values, so that ties are common, and 0.0 next to -0.0, which
+# compare equal: which of two equal values counts as the best or worst is
+# decided by position alone
+TIED_J = st.sampled_from([0.0, -0.0, 1.0, -1.0, 139.6975, -169.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    values=st.lists(TIED_J | st.floats(allow_nan=False), min_size=1, max_size=40),
+)
+@example(seed=0, values=[0.0, -0.0])
+@example(seed=0, values=[-0.0, 0.0, 1.0, 1.0, -0.0])
+def test_tournament_matches_key_function_oracle(seed, values):
+    cands = evaluated(values)
+    for slots in range(len(cands) + 1):
+        rng_a, rng_b = random.Random(seed), random.Random(seed)
+        got = gp.tournament(cands, slots, rng_a)
+        want = tournament_with_key_functions(cands, slots, rng_b)
+        assert [id(c) for c in got] == [id(c) for c in want], slots
+        assert rng_a.getstate() == rng_b.getstate()
+
+
 def test_crossover_of_two_leaves_swaps_them():
     p1, p2 = ind("localise"), ind("tuck")
     c1, c2 = gp.crossover(p1, p2, KINDS, random.Random(0))
@@ -520,6 +585,44 @@ def test_local_verdicts_match_validate(seed, kinds, p_control):
         for s, e, *_ in bt.node_facts(other):
             child = g[: row[0]] + other[s:e] + g[row[1] :]
             assert bt.fits(g, row, other[s], kinds) == (not bt.validate(child, kinds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.sampled_from([KINDS, TWO_CONDITIONS]),
+    p_control=st.floats(0.0, 1.0),
+)
+def test_mutation_candidates_have_at_most_two_nodes_more(seed, kinds, p_control):
+    """``mutate`` counts a candidate's nodes only when its parent's count
+    plus two passes the node cap, so no operator may add more than two."""
+    rng = random.Random(seed)
+    ids = sorted(kinds)
+    g = bt.random_genotype(kinds, rng.randint(1, 12), rng)
+    facts = bt.node_facts(g)
+    bound = bt.node_count(g) + 2
+    with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
+        for _ in range(20):
+            for cand, _, _ in (
+                gp._op_node_mutation(g, facts, ids, kinds, rng),
+                gp._op_node_addition(g, facts, ids, kinds, rng),
+                gp._op_node_deletion(g, facts, kinds, rng),
+            ):
+                if cand is not None:
+                    assert bt.node_count(cand) <= bound, (g, cand)
+
+
+def test_a_new_leaf_bundled_under_a_new_control_adds_two_nodes(monkeypatch):
+    # the bound above is reached: a new leaf goes in as a sibling (+1) or
+    # bundled with an existing node under a new control (+2)
+    monkeypatch.setattr(gp, "P_CONTROL_NODE", 0.0)  # a new leaf, not a new control
+    g = bt.from_text("s( localise tuck )")
+    facts, ids = bt.node_facts(g), sorted(KINDS)
+    grown = {
+        bt.node_count(gp._op_node_addition(g, facts, ids, KINDS, random.Random(seed))[0])
+        for seed in range(50)
+    }
+    assert grown == {bt.node_count(g) + 1, bt.node_count(g) + 2}
 
 
 @settings(max_examples=300, deadline=None)
