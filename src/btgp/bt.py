@@ -119,24 +119,35 @@ def compile_tree(
 
     One stack pass over the tokens, no tree: a leaf is ``table[behavior_id]``
     itself, and a control's closure is built at its ``)`` over its
-    children's. Raises MalformedGenotype for a sequence that is not one
-    balanced tree over the table's leaves; V1-V4 are ``parse``'s to check,
-    and childless controls compile. A tick is reactive and memoryless: a
-    Sequence returns its first non-Success child status (Success if all
-    succeed), a Fallback its first non-Failure child status (Failure if all
-    fail), left to right, each visited leaf executed exactly once.
+    children's. A control with exactly one child returns that child's status
+    unchanged, so it compiles to the child's policy itself: a genotype ticks
+    as its ``canonical`` form. Raises MalformedGenotype for a sequence that
+    is not one balanced tree over the table's leaves; V1-V4 are ``parse``'s
+    to check, and childless controls compile. A tick is reactive and
+    memoryless: a Sequence returns its first non-Success child status
+    (Success if all succeed), a Fallback its first non-Failure child status
+    (Failure if all fail), left to right, each visited leaf executed exactly
+    once.
     """
     stack: list[tuple[bool, list]] = []  # (is_sequence, child policies) per open control
     root = None
     for i, tok in enumerate(tokens):
         if root is not None:
             raise MalformedGenotype(f"trailing tokens after position {i}")
-        if tok == CLOSE:
+        fn = table.get(tok)  # looked up first: most tokens are leaves
+        if fn is None:
+            if tok == SEQUENCE_OPEN or tok == FALLBACK_OPEN:
+                stack.append((tok == SEQUENCE_OPEN, []))
+                continue
+            if tok != CLOSE:
+                raise MalformedGenotype(f"unknown leaf id {tok!r}")
             if not stack:
                 raise MalformedGenotype(f"unmatched close at token {i}")
             is_sequence, children = stack.pop()
             fns = tuple(children)
-            if is_sequence:
+            if len(fns) == 1:
+                fn = fns[0]
+            elif is_sequence:
                 def run_sequence(state, rng, _fns=fns):
                     for f in _fns:
                         status = f(state, rng)
@@ -152,13 +163,6 @@ def compile_tree(
                             return status
                     return FAILURE
                 fn = run_fallback
-        elif tok == SEQUENCE_OPEN or tok == FALLBACK_OPEN:
-            stack.append((tok == SEQUENCE_OPEN, []))
-            continue
-        else:
-            fn = table.get(tok)
-            if fn is None:
-                raise MalformedGenotype(f"unknown leaf id {tok!r}")
         if stack:
             stack[-1][1].append(fn)
         else:

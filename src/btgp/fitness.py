@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bt import Genotype, compile_tree, node_count
 from .world import (
@@ -48,8 +49,7 @@ class FitnessWeights:
 TABLE2 = FitnessWeights()
 
 
-@dataclass(frozen=True, slots=True)
-class FitnessValue:
+class FitnessValue(NamedTuple):
     """Fitness J = -cost, with the cost broken down by term.
 
     The breakdown sums to the cost exactly: cost is computed as

@@ -6,7 +6,7 @@ import json
 import math
 import os
 import random
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import bt, fitness, world
@@ -106,20 +106,16 @@ class GpParams:
 
 
 class Individual:
-    __slots__ = ("genotype", "fitness", "_key", "_facts")
+    """A genotype, its fitness once evaluated, and its canonical form ``key``,
+    set at birth: by ``bt.canonical`` only when the caller passes none."""
+
+    __slots__ = ("genotype", "fitness", "key", "_facts")
 
     def __init__(self, genotype: Genotype, fitness=None, key=None):
         self.genotype = tuple(genotype)
         self.fitness: FitnessValue | None = fitness
-        self._key: Genotype | None = key  # canonical(genotype), once asked for
+        self.key: Genotype = bt.canonical(self.genotype) if key is None else key
         self._facts: list | None = None  # node_facts(genotype), once asked for
-
-    @property
-    def key(self) -> Genotype:
-        """Canonical form of the genotype, computed at most once."""
-        if self._key is None:
-            self._key = bt.canonical(self.genotype)
-        return self._key
 
     @property
     def facts(self) -> list:
@@ -130,7 +126,7 @@ class Individual:
         return self._facts
 
     def clone(self) -> "Individual":
-        twin = Individual(self.genotype, self.fitness, self._key)
+        twin = Individual(self.genotype, self.fitness, self.key)
         twin._facts = self._facts  # shared: breeding only reads the table
         return twin
 
@@ -242,7 +238,7 @@ def crossover(
     g1, g2 = p1.genotype, p2.genotype
     if g1 == g2 and len(g1) == 1:
         # identical single-leaf parents can never yield distinct offspring
-        return (Individual(g1), Individual(g2))
+        return (Individual(g1, key=p1.key), Individual(g2, key=p2.key))
     facts1, facts2 = p1.facts, p2.facts
     n1, n2 = len(facts1), len(facts2)
     plain = p1.key is g1 and p2.key is g2
@@ -282,17 +278,18 @@ def crossover(
         if key2 in exclude:
             continue
         return (Individual(c1, key=key1), Individual(c2, key=key2))
-    return (Individual(g1, key=p1._key), Individual(g2, key=p2._key))
+    return (Individual(g1, key=p1.key), Individual(g2, key=p2.key))
 
 
 # The mutation operators below each return (candidate, valid, key) for a
 # valid genotype ``g`` with rows ``facts = bt.node_facts(g)``. ``valid``
 # equals ``not bt.validate(candidate)``: an edit can break V1-V4 only where it
 # touches the tree, so each operator checks just the nodes next to its edit.
-# ``key`` is the candidate's canonical form if ``g`` is canonical, or None
-# when only ``bt.canonical`` can tell: an edit that leaves no control with a
-# single child is its own key, and one that wraps a single node in a new
-# control is keyed as ``g``, since splicing that control gives ``g`` back.
+# ``key`` is the candidate's canonical form if ``g`` is canonical: an edit
+# that leaves no control with a single child is its own key, one that wraps
+# a single node in a new control is keyed as ``g`` (splicing that control
+# gives ``g`` back), and one that leaves the edited control one child is
+# keyed by splicing that control's open and close out of the candidate.
 
 
 def _is_condition(kinds, tok: str) -> bool:
@@ -368,7 +365,10 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
         cand = g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:]
         if r == 0:  # a wrap of one child
             return cand, ok, g
-        return cand, ok, cand if m - r >= 2 else None
+        if m - r >= 2:
+            return cand, ok, cand
+        c = row[1] + 1  # all m wrapped: the control above keeps one child, its close moved
+        return cand, ok, cand[: row[0]] + cand[row[0] + 1 : c] + cand[c + 1 :]
     # New leaf, either as a sibling in an existing child list or at a new
     # level (bundled with an existing node under a fresh control).
     leaf = ids[_below(bits, len(ids))]
@@ -412,7 +412,10 @@ def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
     while facts[k][0] != parent:
         k -= 1
     cand = g[:s] + g[e:]
-    return cand, ok, cand if facts[k][4] > 2 else None
+    if facts[k][4] != 2:
+        return cand, ok, cand
+    c = facts[k][1] - 1 - (e - s)  # the parent's close, moved left by the deletion
+    return cand, ok, cand[:parent] + cand[parent + 1 : c] + cand[c + 1 :]
 
 
 def mutate(
@@ -432,8 +435,8 @@ def mutate(
 
     The parent must be valid: each operator then decides its candidate's
     validity from the parent's ``node_facts`` at the edit, without
-    ``bt.validate``. A canonical parent's candidate skips ``bt.canonical``
-    when its operator knows the candidate's key.
+    ``bt.validate``. Its operator keys a canonical parent's candidate, so
+    ``bt.canonical`` runs only for a parent that is not canonical.
     """
     ids = sorted(kinds)
     g = parent.genotype
@@ -457,7 +460,7 @@ def mutate(
             cand, ok, key = _op_node_deletion(g, facts, kinds, rng)
         if cand is None or not ok or (capped and bt.node_count(cand) > node_cap):
             continue
-        if key is None or not canonical_parent:
+        if not canonical_parent:
             key = bt.canonical(cand)
         if key in exclude:
             valid_dup, dup_key = cand, key  # acceptable if nothing novel shows up
@@ -465,7 +468,7 @@ def mutate(
         return Individual(cand, key=key)
     if valid_dup is not None:
         return Individual(valid_dup, key=dup_key)
-    return Individual(g, key=parent._key)
+    return Individual(g, key=parent.key)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -690,7 +693,7 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
         "population": [
             {
                 "genotype": bt.to_text(ind.genotype),
-                "fitness": list(astuple(ind.fitness)),
+                "fitness": list(ind.fitness),
             }
             for ind in population
         ],

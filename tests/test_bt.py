@@ -231,6 +231,12 @@ def test_compile_tree_leaf_is_the_table_entry():
     assert bt.compile_tree(("a",), table) is table["a"]
 
 
+def test_compile_tree_single_child_control_is_its_child():
+    # a single-child control passes its child's status through unchanged
+    table = scripted_table({"a": bt.SUCCESS}, [])
+    assert bt.compile_tree(("s(", "f(", "a", ")", ")"), table) is table["a"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -221,7 +221,7 @@ def test_weights_hold_only_delta():
 
 
 def float_bits(fv: fitness.FitnessValue) -> list[str]:
-    return [getattr(fv, f.name).hex() for f in dataclasses.fields(fv)]
+    return [getattr(fv, name).hex() for name in fv._fields]
 
 
 @settings(max_examples=300, deadline=None)
@@ -377,7 +377,48 @@ def test_weight_sets_table2_defaults():
 
 def test_fitness_value_is_slotted_and_pickles():
     fv = fitness.FitnessValue(-1.5, 1.0, 0.5, 0.25, 0.0, 0.25)
+    # checkpoints store the fields in this order
+    assert fv._fields == (
+        "j", "distance_term", "length_term", "time_term", "risk_term", "rewards"
+    )
     assert not hasattr(fv, "__dict__")
+    with pytest.raises(AttributeError):
+        fv.j = 0.0
     assert -fv.j == 1.5
     again = pickle.loads(pickle.dumps(fv))
     assert again == fv
+
+
+def wrapped_in_single_child_controls(tokens, rng):
+    """``tokens`` with one to three single-child controls put around random
+    nodes; its canonical form is canonical(tokens)."""
+    for _ in range(rng.randint(1, 3)):
+        start, stop, *_ = rng.choice(bt.node_facts(tokens))
+        tok = rng.choice((bt.SEQUENCE_OPEN, bt.FALLBACK_OPEN))
+        tokens = tokens[:start] + (tok,) + tokens[start:stop] + (bt.CLOSE,) + tokens[stop:]
+    return tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    column=st.sampled_from(["stoch3", "stoch4"]),
+    length=st.integers(1, 16),
+    episodes=st.integers(1, 5),
+)
+def test_single_child_controls_tick_as_their_child(seed, column, length, episodes):
+    # a single-child control passes its child's status through unchanged, so
+    # a genotype and its canonical form play the same episodes: only the
+    # length term, which counts the wrappers, may differ
+    profile = world.make_profile(column)
+    weights = dataclasses.replace(fitness.TABLE2, delta=150.0)
+    rng = random.Random(seed)
+    canonical = bt.canonical(bt.random_genotype(world.leaf_kinds(profile), length, rng))
+    wrapped = wrapped_in_single_child_controls(canonical, rng)
+    assert bt.canonical(wrapped) == canonical != wrapped
+    rng_w, rng_c = random.Random(seed), random.Random(seed)
+    got = fitness.evaluate(wrapped, profile, weights, episodes, rng_w)
+    want = fitness.evaluate(canonical, profile, weights, episodes, rng_c)
+    same = ("distance_term", "time_term", "risk_term", "rewards")
+    assert [getattr(got, t).hex() for t in same] == [getattr(want, t).hex() for t in same]
+    assert rng_w.getstate() == rng_c.getstate()

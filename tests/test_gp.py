@@ -309,7 +309,7 @@ def crossover_retrying_every_pair(p1, p2, kinds, rng, *, node_cap, max_attempts,
         if bt.validate(c1, kinds) or bt.validate(c2, kinds):
             continue
         return (gp.Individual(c1, key=key1), gp.Individual(c2, key=key2))
-    return (gp.Individual(g1, key=p1._key), gp.Individual(g2, key=p2._key))
+    return (gp.Individual(g1, key=p1.key), gp.Individual(g2, key=p2.key))
 
 
 @settings(max_examples=300, deadline=None)
@@ -516,7 +516,7 @@ def mutate_validating_every_candidate(parent, kinds, rng, *, node_cap, max_attem
         return gp.Individual(cand, key=key)
     if valid_dup is not None:
         return gp.Individual(valid_dup, key=dup_key)
-    return gp.Individual(g, key=parent._key)
+    return gp.Individual(g, key=parent.key)
 
 
 # DET's leaves plus a second condition, so that V4 can tell two condition ids apart
@@ -626,34 +626,56 @@ def test_a_new_leaf_bundled_under_a_new_control_adds_two_nodes(monkeypatch):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    kinds=st.sampled_from([KINDS, TWO_CONDITIONS]),
-    p_control=st.floats(0.0, 1.0),
-)
-def test_plain_edits_of_canonical_genotypes_are_canonical(seed, kinds, p_control):
-    """A key an operator gives its candidate is the candidate's canonical
-    form, and every crossover splice of two canonical genotypes is its own
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.sampled_from([KINDS, TWO_CONDITIONS]))
+def test_plain_edits_of_canonical_genotypes_are_canonical(seed, kinds):
+    """Every crossover splice of two canonical genotypes is its own
     canonical form. The genotypes are canonical forms of random ones, whose
     single-child wrappers have been spliced out."""
     rng = random.Random(seed)
-    ids = sorted(kinds)
     g = bt.canonical(bt.random_genotype(kinds, rng.randint(1, 12), rng))
     other = bt.canonical(bt.random_genotype(kinds, rng.randint(1, 12), rng))
     facts = bt.node_facts(g)
-    with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
-        for _ in range(20):
-            for cand, _, key in (
-                gp._op_node_mutation(g, facts, ids, kinds, rng),
-                gp._op_node_addition(g, facts, ids, kinds, rng),
-                gp._op_node_deletion(g, facts, kinds, rng),
-            ):
-                if key is not None:
-                    assert bt.canonical(cand) == key, (g, cand)
     for row in facts:
         for s, e, *_ in bt.node_facts(other):
             child = g[: row[0]] + other[s:e] + g[row[1] :]
             assert bt.canonical(child) == child
+
+
+def test_operator_keys_of_canonical_genotypes_are_their_canonical_forms():
+    """Every candidate an operator builds from a canonical genotype, valid or
+    not, carries its canonical form as its key, so ``mutate`` needs
+    ``bt.canonical`` only for a parent that is not canonical. Both edits
+    whose key is spliced are reached: a deletion that leaves its parent one
+    child, and a new control over every child of a control."""
+    spliced = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.sampled_from([KINDS, TWO_CONDITIONS]),
+        p_control=st.floats(0.0, 1.0),
+    )
+    @example(seed=0, kinds=KINDS, p_control=0.5)  # reaches both splices
+    def check(seed, kinds, p_control):
+        rng = random.Random(seed)
+        ids = sorted(kinds)
+        g = bt.canonical(bt.random_genotype(kinds, rng.randint(1, 12), rng))
+        facts = bt.node_facts(g)
+        with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
+            for _ in range(20):
+                for op, (cand, _, key) in (
+                    ("mutation", gp._op_node_mutation(g, facts, ids, kinds, rng)),
+                    ("addition", gp._op_node_addition(g, facts, ids, kinds, rng)),
+                    ("deletion", gp._op_node_deletion(g, facts, kinds, rng)),
+                ):
+                    if cand is None:
+                        continue
+                    assert key == bt.canonical(cand), (g, cand)
+                    if key is not cand and key is not g:
+                        spliced.add(op)
+
+    check()
+    assert spliced == {"addition", "deletion"}
 
 
 def test_canonical_parents_breed_without_canonical_calls(monkeypatch):
@@ -673,6 +695,25 @@ def test_canonical_parents_breed_without_canonical_calls(monkeypatch):
         child = gp.mutate(p1, KINDS, random.Random(seed))
         assert child.key is child.genotype
     assert calls == []
+
+
+def test_mutate_calls_canonical_only_for_a_parent_that_is_not_canonical(monkeypatch):
+    # every operator keys a canonical parent's candidates itself, those that
+    # leave a control one child included
+    texts = ("localise", "s( localise tuck )", "f( s( localise tuck ) head_up pick )")
+    parents = [ind(text) for text in texts]
+    wrapped = ind("s( f( localise tuck ) )")
+    assert all(p.key is p.genotype for p in parents) and wrapped.key != wrapped.genotype
+    calls = []
+    canonical = bt.canonical
+    monkeypatch.setattr(bt, "canonical", lambda g: calls.append(g) or canonical(g))
+    bred = [(p, gp.mutate(p, KINDS, random.Random(seed))) for p in parents for seed in range(50)]
+    assert calls == []
+    assert all(child.key == canonical(child.genotype) for _, child in bred)
+    # spliced keys: neither the child's genotype nor its parent's
+    assert any(child.key not in (child.genotype, p.genotype) for p, child in bred)
+    gp.mutate(wrapped, KINDS, random.Random(0))
+    assert calls
 
 
 @pytest.mark.parametrize(
@@ -979,6 +1020,11 @@ STOCH3_SEED0_40_DIGEST = "983078529748151bd4b946eb53b85095dedfec96b5af32d3404760
 STOCH1_SEED0_40_DIGEST = "0f92b1ebef54ae450edcfddc1d7f2a5022894b531cc72af36d85de71e7a2247a"
 # exp3 with delta = 150 is the one pinned run whose risk term is not zero.
 EXP3_DELTA150_SEED0_40_DIGEST = "fd43d4f1e2abadf2035caf3652d3394d5f545b7b75f4a92de69a20fc37b2eb66"
+# SHA-256 of the whole checkpoint file (fingerprint, rng state, population
+# with fitness, history) a stoch3 run writes at generation 10.
+STOCH3_SEED0_CHECKPOINT10_DIGEST = (
+    "72c1efed64bc9b31540baf680e26fe0ab61d907633c95b9175c9e11f82a0f443"
+)
 
 
 def test_det_history_digest_is_pinned():
@@ -1004,6 +1050,19 @@ def test_exp3_risk_weighted_history_digest_is_pinned():
     weights = dataclasses.replace(fitness.TABLE2, delta=150.0)
     history, _ = gp.run(params, world.make_profile("exp3", "safe_paths"), weights)
     assert history_digest(history) == EXP3_DELTA150_SEED0_40_DIGEST
+
+
+def test_stoch3_checkpoint_bytes_are_pinned(tmp_path):
+    params = gp.GpParams(generations=10, seed=0, episodes_per_eval=5, reevaluate_elites=True)
+    path = tmp_path / "run.checkpoint.json"
+    gp.run(
+        params,
+        world.make_profile("stoch3"),
+        fitness.TABLE2,
+        checkpoint_path=path,
+        checkpoint_every=10,
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STOCH3_SEED0_CHECKPOINT10_DIGEST
 
 
 def test_det_five_episode_history_is_the_pinned_one_episode_history():
