@@ -21,10 +21,6 @@ EXP3_DELTAS = (0.0, 150.0)
 RUN_CSV_HEADER = ["generation", "best_j", "mean_j", "episodes", "best_genotype"]
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     generation: int
@@ -42,7 +38,7 @@ def aggregate(histories: list[list[GenerationStats]]) -> list[CurvePoint]:
     length = len(histories[0])
     for h in histories[1:]:
         if len(h) != length:
-            raise LengthMismatch("histories differ in length")
+            raise ValueError("histories differ in length")
     curve = []
     for g in range(length):
         values = tuple(h[g].best_j for h in histories)

@@ -16,11 +16,7 @@ from .world import Profile, build_transition_table, check_budgets, draws_nothing
 
 # A change that would make an existing checkpoint resume into a run it did
 # not come from bumps the format; it adds no marker key to the fingerprint.
-CHECKPOINT_FORMAT = "btgp-checkpoint-v7"
-
-
-class SlotsExceedCandidates(ValueError):
-    pass
+CHECKPOINT_FORMAT = "btgp-checkpoint-v8"
 
 
 def round_half_up(x: float) -> int:
@@ -51,10 +47,6 @@ def mean_left_to_right(values) -> float:
     for v in values:
         total += v
     return total / len(values)
-
-
-def _mean_j(individuals) -> float:
-    return mean_left_to_right([ind.fitness.j for ind in individuals])
 
 
 # The search's fixed rates: each generation breeds from crossover and
@@ -107,7 +99,10 @@ class GpParams:
 
 class Individual:
     """A genotype, its fitness once evaluated, and its canonical form ``key``,
-    set at birth: by ``bt.canonical`` only when the caller passes none."""
+    set at birth: by ``bt.canonical`` only when the caller passes none.
+
+    ``fitness`` is the individual's one score: a re-evaluated elite gets its
+    new score in place and stays the same object, facts table included."""
 
     __slots__ = ("genotype", "fitness", "key", "_facts")
 
@@ -124,11 +119,6 @@ class Individual:
         if self._facts is None:
             self._facts = bt.node_facts(self.genotype)
         return self._facts
-
-    def clone(self) -> "Individual":
-        twin = Individual(self.genotype, self.fitness, self.key)
-        twin._facts = self._facts  # shared: breeding only reads the table
-        return twin
 
     def __repr__(self):
         j = None if self.fitness is None else round(self.fitness.j, 3)
@@ -156,7 +146,7 @@ def tournament(candidates, slots: int, rng) -> list:
     """
     pool = list(candidates)
     if slots > len(pool):
-        raise SlotsExceedCandidates(f"{slots} slots for {len(pool)} candidates")
+        raise ValueError(f"{slots} slots for {len(pool)} candidates")
     if slots <= 0:
         return []
     if slots == len(pool):
@@ -550,7 +540,12 @@ def evolve_generation(
     parents from another (two offspring each): 2N offspring, or 2N - 2 when
     round(CROSSOVER_FRACTION * N) is odd (N = 7, 8 and 13 breed 12, 14, 24).
     The next population is the elite fraction plus a tournament over parents
-    and offspring combined. The run's settings are ``evaluator.params``.
+    and offspring combined, one per canonical form (its fittest instance).
+    With ``reevaluate_elites`` the elites are re-scored in place, so each
+    keeps one fitness, the fresh one. When fewer distinct genotypes than
+    places remain, the fittest duplicates fill the rest: no individual
+    enters the next population twice. The run's settings are
+    ``evaluator.params``.
     """
     params = evaluator.params
     n = params.population
@@ -597,10 +592,12 @@ def evolve_generation(
     elites: list[Individual] = []
     seen: set[Genotype] = set()
     distinct_rest: list[Individual] = []
+    duplicates: list[Individual] = []
     for i in order:
         ind = combined[i]
         key = ind.key
         if key in seen:
+            duplicates.append(ind)
             continue
         seen.add(key)
         if len(elites) < n_elite:
@@ -608,16 +605,13 @@ def evolve_generation(
         else:
             distinct_rest.append(ind)
     if params.reevaluate_elites:
-        elites = [e.clone() for e in elites]
         episodes += evaluator.eval_batch(elites, f"g{generation}:elite")
     n_rest = n - len(elites)
     if len(distinct_rest) >= n_rest:
         survivors = tournament(distinct_rest, n_rest, rng)
     else:
-        # not enough distinct genotypes; pad with the fittest duplicates
-        survivors = distinct_rest
-        leftover = [combined[i] for i in order if combined[i] not in survivors]
-        survivors = survivors + leftover[: n_rest - len(survivors)]
+        # too few distinct genotypes: pad with the fittest duplicates
+        survivors = distinct_rest + duplicates[: n_rest - len(distinct_rest)]
     new_population = elites + survivors
 
     js = [ind.fitness.j for ind in new_population]
@@ -674,13 +668,14 @@ def _differing(stored, current, name: str = "") -> list[str]:
 
 
 def save_checkpoint(path, fingerprint: dict, generation: int, population, history, rng) -> None:
-    """Resumable snapshot: population with fitness cache, rng cursor, history.
+    """Resumable snapshot: population with cost terms, rng cursor, history.
 
     One JSON object: ``format``, ``fingerprint`` (sections ``params``, ``gp``,
     ``world``, ``fitness``, ``profile`` and ``weights``), ``generation``,
-    ``rng_state``, ``population`` (a ``genotype`` text and the six
-    ``FitnessValue`` fields in their declared order each) and
-    ``history`` rows [generation, best_j, mean_j, genotype, episodes].
+    ``rng_state``, ``population`` entries ``{"genotype": text, "terms":
+    [distance, length, time, risk, rewards]}``, the five cost terms of each
+    fitness without the j they give, and ``history`` rows
+    [generation, best_j, mean_j, genotype, episodes].
     Written to a temporary file next to ``path`` and moved over it, so a
     crash mid-write leaves the previous checkpoint intact.
     """
@@ -691,10 +686,7 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
         "generation": generation,
         "rng_state": [state[0], list(state[1]), state[2]],
         "population": [
-            {
-                "genotype": bt.to_text(ind.genotype),
-                "fitness": list(ind.fitness),
-            }
+            {"genotype": bt.to_text(ind.genotype), "terms": list(ind.fitness[1:])}
             for ind in population
         ],
         "history": [
@@ -715,7 +707,7 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
 _CHECKPOINT_KEYS = {
     "fingerprint": dict, "generation": int, "rng_state": list, "population": list, "history": list
 }
-_ENTRY_KEYS = ("genotype", "fitness")
+_ENTRY_KEYS = ("genotype", "terms")
 
 
 def _item_types(value) -> list | None:
@@ -738,8 +730,9 @@ def _is_rng_state(rs: list) -> bool:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint; a file that is not JSON, or a missing or mistyped
-    entry, is a one-line ValueError naming the checkpoint (and the entry)."""
+    """Read a checkpoint in ``save_checkpoint``'s layout; a file that is not
+    JSON, or a missing or mistyped entry, or terms that give a non-finite
+    fitness, is a one-line ValueError naming the checkpoint (and the entry)."""
     try:
         data = json.loads(Path(path).read_text())
     except ValueError as exc:  # bad JSON or bad UTF-8
@@ -757,18 +750,14 @@ def load_checkpoint(path) -> dict:
         for key in _ENTRY_KEYS:
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"checkpoint {path}: population entry {i} has no {key!r}")
-        if type(entry["genotype"]) is not str or _item_types(entry["fitness"]) != [float] * 6:
+        if type(entry["genotype"]) is not str or _item_types(entry["terms"]) != [float] * 5:
             raise ValueError(
                 f"checkpoint {path}: population entry {i} needs a genotype string "
-                "and 6 fitness floats"
+                "and 5 cost-term floats"
             )
-        if not all(map(math.isfinite, entry["fitness"])):  # json reads NaN and Infinity
+        # json reads NaN and Infinity, and finite terms can sum to an infinite j
+        if not all(map(math.isfinite, fitness._from_terms(*entry["terms"]))):
             raise ValueError(f"checkpoint {path}: population entry {i} has a non-finite fitness")
-        j, *terms = entry["fitness"]
-        if fitness._from_terms(*terms).j != j:  # exact: JSON round-trips every float
-            raise ValueError(
-                f"checkpoint {path}: population entry {i} has a j its terms do not give"
-            )
     for i, row in enumerate(data["history"]):
         if _item_types(row) != [int, float, float, str, int]:
             raise ValueError(
@@ -847,7 +836,7 @@ def run(
         population = [
             Individual(
                 _loaded_genotype(e["genotype"], kinds, cap, f"{where} population genotype"),
-                FitnessValue(*e["fitness"]),
+                fitness._from_terms(*e["terms"]),
             )
             for e in data["population"]
         ]
@@ -865,9 +854,8 @@ def run(
         ]
         episodes = evaluator.eval_batch(population, "init")
         best0 = max(population, key=lambda ind: ind.fitness.j)
-        history = [
-            GenerationStats(0, best0.fitness.j, _mean_j(population), best0.genotype, episodes)
-        ]
+        mean0 = mean_left_to_right([ind.fitness.j for ind in population])
+        history = [GenerationStats(0, best0.fitness.j, mean0, best0.genotype, episodes)]
         start_generation = 1
 
     for g in range(start_generation, params.generations + 1):

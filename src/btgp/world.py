@@ -116,13 +116,6 @@ CORE9 = (
     "have_block",
 )
 
-class UnknownBehavior(KeyError):
-    pass
-
-
-class UnknownScenario(ValueError):
-    pass
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -181,9 +174,9 @@ SCENARIOS = tuple(POOLS)
 def make_profile(column: str, pool: str = "core9") -> Profile:
     """Assemble a profile from a probability column and a scenario's pool."""
     if column not in PROBABILITY_COLUMNS:
-        raise UnknownScenario(f"unknown probability column {column!r}")
+        raise ValueError(f"unknown probability column {column!r}")
     if pool not in POOLS:
-        raise UnknownScenario(f"unknown scenario {pool!r}")
+        raise ValueError(f"unknown scenario {pool!r}")
     return Profile(
         name=column if pool == "core9" else f"{column}_{pool}",
         **PROBABILITY_COLUMNS[column],
@@ -277,7 +270,7 @@ def _make_fixed(behavior_id: str, profile: Profile) -> TransitionFn:
             st.arm_tucked = True
             return SUCCESS
         return tuck
-    raise UnknownBehavior(behavior_id)
+    raise ValueError(f"unknown behavior {behavior_id!r}")
 
 
 def _make_move(
@@ -366,7 +359,7 @@ def build_transition_table(profile: Profile) -> dict[str, TransitionFn]:
     """Transition function per pool behavior, with the profile's time, failure
     probability and risk bound in; the one place that defines a behavior.
 
-    Raises UnknownBehavior for any pool id this world cannot execute.
+    Raises ValueError for any pool id this world cannot execute.
     """
     targets = {
         "move_to_pick": PICK_POSE,

@@ -74,8 +74,13 @@ def test_aggregate_std_best_is_the_exact_value_correctly_rounded(values):
 
 
 def test_aggregate_rejects_unequal_lengths():
-    with pytest.raises(experiments.LengthMismatch):
+    with pytest.raises(ValueError, match="^histories differ in length$"):
         experiments.aggregate([fake_history([1.0]), fake_history([1.0, 2.0])])
+
+
+def test_aggregate_rejects_no_histories():
+    with pytest.raises(ValueError, match="^no histories to aggregate$"):
+        experiments.aggregate([])
 
 
 def test_replay_reference_solution_on_det():
@@ -251,6 +256,11 @@ def test_exp1_writes_all_variant_files(tmp_path):
         assert f"exp1/{variant}/seed0.csv" in names
         assert f"exp1/{variant}/best_seed0.txt" in names
         assert f"exp1/{variant}_curve.csv" in names
+
+
+def test_experiment_variants_rejects_an_unknown_experiment(tmp_path):
+    with pytest.raises(ValueError, match="^unknown experiment 'exp4'$"):
+        experiments.experiment_variants(tiny_config(tmp_path, "exp4"))
 
 
 def test_exp2_uses_stoch3_with_noise_pools(tmp_path):
@@ -583,6 +593,16 @@ def test_cli_run_creates_the_directory_of_a_checkpoint_path(tmp_path):
     assert json.loads(ckpt.read_text())["generation"] == 2
 
 
+def test_cli_run_checkpoints_to_the_output_directory_without_a_path(tmp_path, capsys):
+    args = ["run", "--population", "6", "--out", str(tmp_path)]
+    assert cli.main(args + ["--generations", "2", "--checkpoint-every", "1"]) == 0
+    ckpt = tmp_path / "run_det_seed0.checkpoint.json"
+    assert json.loads(ckpt.read_text())["generation"] == 2
+    capsys.readouterr()
+    assert cli.main(args + ["--generations", "4", "--resume", str(ckpt)]) == 0
+    assert capsys.readouterr().out.startswith("generations: 4\n")
+
+
 def test_cli_run_rejects_checkpoint_without_interval(tmp_path, capsys):
     ckpt = tmp_path / "x.json"
     rc = cli.main(
@@ -672,11 +692,11 @@ def test_cli_resume_refuses_a_v2_checkpoint(tmp_path, capsys):
     assert cli.main(args + ["--checkpoint", str(ckpt), "--checkpoint-every", "2"]) == 0
     capsys.readouterr()
     data = json.loads(ckpt.read_text())
-    for version in (2, 3, 4, 5, 6):
+    for version in (2, 3, 4, 5, 6, 7):
         data["format"] = f"btgp-checkpoint-v{version}"
         ckpt.write_text(json.dumps(data))
         assert cli.main(args + ["--resume", str(ckpt)]) == 1
-        assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v7 file: {ckpt}\n"
+        assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v8 file: {ckpt}\n"
 
 
 def set_entry(data, path, value):
@@ -703,23 +723,24 @@ NOT_AN_RNG_STATE = "'rng_state' entry is not a random.Random state"
         (("population",), 5, "'population' entry is not of type list"),
         (("population", 2), 5, "population entry 2 has no 'genotype'"),
         (
-            ("population", 0, "fitness"),
+            ("population", 0, "terms"),
             [1.0, 2.0],
-            "population entry 0 needs a genotype string and 6 fitness floats",
+            "population entry 0 needs a genotype string and 5 cost-term floats",
         ),
         (
             ("population", 1, "genotype"),
             7,
-            "population entry 1 needs a genotype string and 6 fitness floats",
+            "population entry 1 needs a genotype string and 5 cost-term floats",
         ),
         (
             ("history", 1, 3),
             7,
             "history row 1 is not [generation, best_j, mean_j, genotype, episodes]",
         ),
-        (("population", 0, "fitness", 0), math.nan, "population entry 0 has a non-finite fitness"),
-        (("population", 3, "fitness", 2), math.inf, "population entry 3 has a non-finite fitness"),
-        (("population", 0, "fitness", 0), 1e6, "population entry 0 has a j its terms do not give"),
+        (("population", 0, "terms", 0), math.nan, "population entry 0 has a non-finite fitness"),
+        (("population", 3, "terms", 2), math.inf, "population entry 3 has a non-finite fitness"),
+        # each term finite, their sum not: the rebuilt j is checked too
+        (("population", 2, "terms"), [1e308] * 5, "population entry 2 has a non-finite fitness"),
         (("history", 1, 1), -math.inf, "history row 1 has a non-finite best_j/mean_j"),
         (("history", 2, 2), math.nan, "history row 2 has a non-finite best_j/mean_j"),
     ],
@@ -739,7 +760,7 @@ NOT_AN_RNG_STATE = "'rng_state' entry is not a random.Random state"
         "history",
         "fitness_nan",
         "fitness_inf",
-        "fitness_j",
+        "j_inf",
         "best_j_inf",
         "mean_j_nan",
     ],

@@ -130,8 +130,14 @@ def test_below_rejects_an_empty_range(n):
 
 
 def test_tournament_rejects_oversized_slots():
-    with pytest.raises(gp.SlotsExceedCandidates):
+    with pytest.raises(ValueError, match="^3 slots for 2 candidates$"):
         gp.tournament(evaluated([1.0, 2.0]), 3, random.Random(0))
+
+
+def test_tournament_rejects_unevaluated_candidates():
+    cands = evaluated([1.0, 2.0]) + [ind("tuck")]
+    with pytest.raises(ValueError, match="^tournament requires evaluated candidates$"):
+        gp.tournament(cands, 2, random.Random(0))
 
 
 def test_tournament_all_slots_returns_everyone():
@@ -168,7 +174,7 @@ def tournament_with_key_functions(candidates, slots, rng):
     ``rng.randrange``, which ``gp._below`` draws like."""
     cands = list(candidates)
     if slots > len(cands):
-        raise gp.SlotsExceedCandidates(f"{slots} slots for {len(cands)} candidates")
+        raise ValueError(f"{slots} slots for {len(cands)} candidates")
     if slots <= 0:
         return []
     if slots == len(cands):
@@ -232,6 +238,15 @@ def test_crossover_of_two_leaves_swaps_them():
     c1, c2 = gp.crossover(p1, p2, KINDS, random.Random(0))
     assert c1.genotype == ("tuck",)
     assert c2.genotype == ("localise",)
+
+
+def test_crossover_of_a_parent_with_itself_never_returns_equal_offspring():
+    # swapping a subtree for itself gives two copies of the parent, an equal
+    # pair that crossover redraws; two different actions swap into a new pair
+    p = ind("s( localise tuck head_up )")
+    for seed in range(20):
+        c1, c2 = gp.crossover(p, p, KINDS, random.Random(seed))
+        assert c1.genotype != c2.genotype, seed
 
 
 def test_crossover_identical_single_leaf_parents_returned_unchanged():
@@ -793,6 +808,39 @@ def test_evolve_generation_reevaluates_elites_when_asked():
     assert stats.episodes == 63  # 60 offspring + 3 elites
 
 
+def test_evolve_generation_rejects_a_population_of_another_size():
+    evaluator = gp.Evaluator(DET, fitness.TABLE2, gp.GpParams(seed=0, population=6))
+    population = make_population(5)
+    evaluator.eval_batch(population, "init")
+    with pytest.raises(ValueError, match="^population size 5 != 6$"):
+        gp.evolve_generation(population, evaluator, random.Random(1), 1)
+
+
+@pytest.mark.parametrize("reevaluate_elites", [False, True])
+def test_padding_from_duplicates_puts_no_individual_in_twice(monkeypatch, reevaluate_elites):
+    # Six copies of one tree whose every offspring is a parent copy leave a
+    # single distinct genotype, so five of the six places are padded.
+    def copy_parents(p1, p2, *args, **kwargs):
+        return gp.Individual(p1.genotype, key=p1.key), gp.Individual(p2.genotype, key=p2.key)
+
+    def copy_parent(parent, *args, **kwargs):
+        return gp.Individual(parent.genotype, key=parent.key)
+
+    monkeypatch.setattr(gp, "crossover", copy_parents)
+    monkeypatch.setattr(gp, "mutate", copy_parent)
+    params = gp.GpParams(seed=0, population=6, reevaluate_elites=reevaluate_elites)
+    evaluator = gp.Evaluator(DET, fitness.TABLE2, params)
+    population = [ind("s( localise tuck )") for _ in range(6)]
+    evaluator.eval_batch(population, "init")
+    new_pop, _ = gp.evolve_generation(population, evaluator, random.Random(1), 1)
+    assert len(new_pop) == 6
+    assert len({id(individual) for individual in new_pop}) == 6
+    # one elite (round(0.1 * 6)): the first of the equally fit, kept once
+    elite = population[0]
+    assert new_pop[0] is elite
+    assert sum(individual is elite for individual in new_pop) == 1
+
+
 def test_breeding_takes_no_per_call_settings():
     # a run's settings are the evaluator's GpParams, the retry bound is MAX_ATTEMPTS
     params = gp.GpParams(seed=0)
@@ -981,25 +1029,44 @@ def test_resume_rejects_checkpoint_past_generations(tmp_path):
         gp.run(shorter, DET, fitness.TABLE2, resume_from=path)
 
 
-def test_individual_repr_and_clone():
+def test_individual_repr():
     individual = ind("s( localise tuck )", 3.5)
-    clone = individual.clone()
-    assert clone.genotype == individual.genotype
-    assert clone.fitness == individual.fitness
-    assert "localise" in repr(individual)
+    assert repr(individual) == "Individual('s( localise tuck )', j=3.5)"
+    assert repr(ind("tuck")) == "Individual('tuck', j=None)"
 
 
-def test_breeding_from_a_clone_reuses_the_facts_table(monkeypatch):
-    # a re-evaluated elite is a clone; breeding from it reads the table its
-    # original already built
-    p1 = ind("s( localise f( have_block tuck ) move_to_pick )")
-    p2 = ind("f( s( localise tuck ) head_up )")
-    assert p1.facts and p2.facts
-    c1, c2 = p1.clone(), p2.clone()
+def test_a_reevaluated_elite_is_the_same_object_and_keeps_its_facts(monkeypatch):
+    # re-evaluation replaces an elite's one fitness in place; breeding from it
+    # next generation reads the facts table it already built
+    params = gp.GpParams(seed=0, population=10, reevaluate_elites=True)
+    evaluator = gp.Evaluator(world.make_profile("stoch3"), fitness.TABLE2, params)
+    # a tree that picks and places outscores random trees and their offspring
+    reference = ind(
+        "s( f( have_block s( localise tuck head_up move_to_pick head_down pick ) ) "
+        "head_up move_to_goal head_down place )"
+    )
+    population = [reference] + make_population(9)
+    evaluator.eval_batch(population, "init")
+    for individual in population:
+        assert individual.facts
+    facts = {id(individual): individual.facts for individual in population}
+    scores = {id(individual): individual.fitness for individual in population}
+    rescored = []
+    eval_batch = evaluator.eval_batch
+
+    def recording_eval_batch(individuals, tag):
+        if tag.endswith(":elite"):
+            rescored.extend(individuals)
+        return eval_batch(individuals, tag)
+
+    evaluator.eval_batch = recording_eval_batch
+    new_pop, _ = gp.evolve_generation(population, evaluator, random.Random(1), 1)
+    (elite,) = rescored  # round(0.1 * 10) elites
+    assert elite is new_pop[0] is reference
+    assert elite.fitness is not scores[id(elite)]  # scored anew, in place
     monkeypatch.setattr(bt, "node_facts", mock.Mock(side_effect=AssertionError("rebuilt")))
-    gp.crossover(c1, c2, KINDS, random.Random(0))
-    gp.mutate(c1, KINDS, random.Random(0))
-    assert c1.facts is p1.facts
+    assert elite.facts is facts[id(elite)]
+    gp.mutate(elite, KINDS, random.Random(0))
 
 
 def history_digest(history) -> str:
@@ -1021,9 +1088,9 @@ STOCH1_SEED0_40_DIGEST = "0f92b1ebef54ae450edcfddc1d7f2a5022894b531cc72af36d85de
 # exp3 with delta = 150 is the one pinned run whose risk term is not zero.
 EXP3_DELTA150_SEED0_40_DIGEST = "fd43d4f1e2abadf2035caf3652d3394d5f545b7b75f4a92de69a20fc37b2eb66"
 # SHA-256 of the whole checkpoint file (fingerprint, rng state, population
-# with fitness, history) a stoch3 run writes at generation 10.
+# with cost terms, history) a stoch3 run writes at generation 10.
 STOCH3_SEED0_CHECKPOINT10_DIGEST = (
-    "72c1efed64bc9b31540baf680e26fe0ab61d907633c95b9175c9e11f82a0f443"
+    "6d678640e8168abe8562768ce4ddcf25361c5b0f3b7e04d93f65c4113eaeaddd"
 )
 
 
@@ -1076,8 +1143,7 @@ def test_det_five_episode_history_is_the_pinned_one_episode_history():
 
 def test_mean_j_sums_left_to_right():
     # a compensated sum (Python 3.12's sum of floats) would give 1.0 / 3
-    population = evaluated([1e16, 1.0, -1e16])
-    assert gp._mean_j(population) == 0.0
+    assert gp.mean_left_to_right([1e16, 1.0, -1e16]) == 0.0
 
 
 def count_evaluations(monkeypatch, profile, params):
@@ -1243,7 +1309,7 @@ def test_resume_names_a_missing_key(tmp_path, drop):
         gp.run(params, DET, fitness.TABLE2, resume_from=path)
 
 
-@pytest.mark.parametrize("drop", ["genotype", "fitness"])
+@pytest.mark.parametrize("drop", ["genotype", "terms"])
 def test_resume_names_a_missing_population_key(tmp_path, drop):
     path = tmp_path / "ckpt.json"
     params = gp.GpParams(generations=2, seed=1, population=6)
@@ -1362,7 +1428,7 @@ DET_FINGERPRINT = {
 def test_a_checkpoint_stores_the_run_under_the_code_names(tmp_path):
     path = tmp_path / "ckpt.json"
     data = write_checkpoint(path, gp.GpParams(generations=2))
-    assert data["format"] == "btgp-checkpoint-v7"
+    assert data["format"] == "btgp-checkpoint-v8"
     assert json.dumps(data["fingerprint"]) == json.dumps(DET_FINGERPRINT)
 
 

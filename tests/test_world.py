@@ -85,8 +85,10 @@ def test_behavior_pool_sizes():
         profile = world.make_profile("det", scenario)
         assert len(profile.pool) == size
         assert list(world.build_transition_table(profile)) == list(profile.pool)
-    with pytest.raises(world.UnknownScenario):
+    with pytest.raises(ValueError, match="^unknown scenario 'nope'$"):
         world.make_profile("det", "nope")
+    with pytest.raises(ValueError, match="^unknown probability column 'stoch9'$"):
+        world.make_profile("stoch9")
 
 
 def test_profile_is_a_column_and_a_pool():
@@ -282,7 +284,7 @@ def test_cube_tracks_robot_while_holding():
 
 def test_unknown_behavior_raises():
     for bid in ("fly", "move_to_nowhere", "move_to_aux_99", "tuck_safe"):
-        with pytest.raises(world.UnknownBehavior):
+        with pytest.raises(ValueError, match=f"^unknown behavior '{bid}'$"):
             world.build_transition_table(dataclasses.replace(DET, pool=("localise", bid)))
 
 
