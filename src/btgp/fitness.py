@@ -15,7 +15,6 @@ from .world import (
     WorldState,
     build_transition_table,
     check_budgets,
-    draws_nothing,
     run_compiled,
 )
 
@@ -104,7 +103,9 @@ def cost(st: WorldState, n_nodes: int, weights: FitnessWeights) -> FitnessValue:
 
 
 class _DrawWatch:
-    """Stands in for an rng during one episode and notes whether it drew."""
+    """Stands in for an rng during an evaluation's first episode and notes
+    whether it drew: one that did not leaves the rng where it was, so every
+    later episode would repeat it."""
 
     __slots__ = ("rng", "drew")
 
@@ -120,7 +121,6 @@ class _DrawWatch:
 def evaluate_compiled(
     compiled,
     n_nodes: int,
-    profile: Profile,
     weights: FitnessWeights,
     episodes: int,
     rng,
@@ -130,34 +130,33 @@ def evaluate_compiled(
 ) -> FitnessValue:
     """Mean fitness over independent episodes of an already-compiled tree.
 
-    Each episode's cost terms are added straight into five running sums, in
-    the order ``cost`` lists them, and one FitnessValue is built from their
-    means at the end, with j re-derived so the breakdown sums to the cost
-    exactly. When the profile draws nothing every episode repeats the first,
-    so only that one is run: the value is its fitness, whatever ``episodes``.
+    An episode that draws nothing from ``rng`` leaves it where it was, so
+    every later episode would repeat it: when the first episode draws
+    nothing, the value is that episode's fitness, whatever ``episodes``,
+    and no further episode is simulated. Every episode on a profile that
+    draws nothing (``world.draws_nothing``) is such an episode, so ``rng``
+    may be None there.
 
-    On a profile that draws, an episode that happens to draw nothing leaves
-    ``rng`` where it was, so every later episode would repeat it: when the
-    first episode draws nothing, its terms are added ``episodes`` times and
-    no further episode is simulated. The value and the rng state afterwards
-    are those of simulating every episode, bit for bit.
+    Otherwise every episode is simulated, its cost terms added onto the
+    first's in episode order and in the order ``cost`` lists them, and one
+    FitnessValue is built from their means, with j re-derived so the
+    breakdown sums to the cost exactly. Either way ``rng`` ends where
+    simulating every episode would leave it.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     check_budgets(max_root_failures, max_ticks)
-    if draws_nothing(profile):
-        episodes = 1
     watch = _DrawWatch(rng) if episodes > 1 else rng
-    distance = length = time = risk = rewards = 0.0
-    for i in range(episodes):
-        if i == 0 or watch.drew:  # else the draw-free first episode repeats
-            final = run_compiled(
-                compiled,
-                watch if i == 0 else rng,
-                max_root_failures=max_root_failures,
-                max_ticks=max_ticks,
-            )
-            d, n, t, r, w = _terms(final, n_nodes, weights)
+    final = run_compiled(compiled, watch, max_root_failures=max_root_failures, max_ticks=max_ticks)
+    terms = _terms(final, n_nodes, weights)
+    if episodes == 1 or not watch.drew:
+        return _from_terms(*terms)
+    distance, length, time, risk, rewards = terms
+    for _ in range(episodes - 1):
+        final = run_compiled(
+            compiled, rng, max_root_failures=max_root_failures, max_ticks=max_ticks
+        )
+        d, n, t, r, w = _terms(final, n_nodes, weights)
         distance += d
         length += n
         time += t
@@ -177,11 +176,11 @@ def evaluate(
     max_root_failures: int = MAX_ROOT_FAILURES,
     max_ticks: int = MAX_TICKS,
 ) -> FitnessValue:
-    """Mean fitness of a genotype over ``episodes`` independent episodes."""
+    """Mean fitness of a genotype over ``episodes`` independent episodes on
+    ``profile``, by ``evaluate_compiled``'s rule."""
     return evaluate_compiled(
         compile_tree(genotype, build_transition_table(profile)),
         node_count(genotype),
-        profile,
         weights,
         episodes,
         rng,

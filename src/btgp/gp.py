@@ -16,7 +16,7 @@ from .world import Profile, build_transition_table, check_budgets, draws_nothing
 
 # A change that would make an existing checkpoint resume into a run it did
 # not come from bumps the format; it adds no marker key to the fingerprint.
-CHECKPOINT_FORMAT = "btgp-checkpoint-v8"
+CHECKPOINT_FORMAT = "btgp-checkpoint-v9"
 
 
 def round_half_up(x: float) -> int:
@@ -85,7 +85,7 @@ class GpParams:
 
     def __post_init__(self):
         if self.population < 2:
-            raise ValueError("population must be >= 2")
+            raise ValueError(f"population must be >= 2, got {self.population}")
         if self.node_cap < START_LENGTH:
             raise ValueError(f"node_cap must be >= {START_LENGTH}, got {self.node_cap}")
         if self.generations < 0:
@@ -132,6 +132,15 @@ class GenerationStats:
     mean_j: float
     best_genotype: Genotype
     episodes: int
+
+
+def _stats(generation: int, population, episodes: int) -> GenerationStats:
+    """A history row: the population's best j and the genotype of its first
+    individual with that j, its mean j, and the episodes the generation spent."""
+    js = [ind.fitness.j for ind in population]
+    best_j = max(js)
+    best = population[js.index(best_j)]
+    return GenerationStats(generation, best_j, mean_left_to_right(js), best.genotype, episodes)
 
 
 def tournament(candidates, slots: int, rng) -> list:
@@ -473,20 +482,19 @@ class Evaluator:
     stream its predecessors in the batch left it: its fitness depends on
     its genotype and on the genotypes evaluated before it in that batch.
     Seeding once per batch, not once per individual, saves a Mersenne
-    Twister initialisation per evaluation. No fitness is cached, but a tree
-    whose first episode draws nothing is simulated once, since each later
-    episode would repeat it (``fitness.evaluate_compiled``).
+    Twister initialisation per evaluation. No fitness is cached there.
 
-    When the profile draws nothing (``world.draws_nothing``), an episode is
-    a pure function of the genotype, so ``eval_batch`` keeps a genotype ->
-    fitness dict for the evaluator's lifetime and simulates each distinct
-    genotype once, in one episode whatever ``episodes_per_eval``: det runs at
-    different episode counts differ only in their histories' episodes column.
-    Such an evaluation gets ``rng=None``, so a draw would raise.
+    On every profile, an evaluation whose first episode draws nothing is
+    that episode's fitness (``fitness.evaluate_compiled``). When the profile
+    draws nothing (``world.draws_nothing``), every episode is such an
+    episode, a pure function of the genotype, so ``eval_batch`` keeps a
+    genotype -> fitness dict for the evaluator's lifetime and simulates each
+    distinct genotype once: det runs at different episode counts differ only
+    in their histories' episodes column. Such an evaluation gets
+    ``rng=None``, so a draw would raise.
     """
 
     def __init__(self, profile: Profile, weights: FitnessWeights, params: GpParams):
-        self.profile = profile
         self.weights = weights
         self.params = params
         self.kinds = leaf_kinds(profile)
@@ -500,9 +508,9 @@ class Evaluator:
         ``f"{params.seed}:{tag}"``: ``fitness.evaluate`` called on each
         individual in order with that one rng gives the same fitness
         values, and an individual whose first episode draws nothing is
-        simulated once whatever ``episodes_per_eval``. The tag must differ
-        between the batches of a run. On a profile that draws nothing, each
-        genotype not yet cached is evaluated with ``rng=None``.
+        scored by that one episode. The tag must differ between the batches
+        of a run. On a profile that draws nothing, each genotype not yet
+        cached is evaluated with ``rng=None``.
 
         Every individual counts ``episodes_per_eval`` episodes, whether it
         was simulated or its fitness came from the cache.
@@ -517,7 +525,6 @@ class Evaluator:
                 fv = evaluate_compiled(
                     bt.compile_tree(g, self.table),
                     bt.node_count(g),
-                    self.profile,
                     self.weights,
                     p.episodes_per_eval,
                     rng,
@@ -613,17 +620,7 @@ def evolve_generation(
         # too few distinct genotypes: pad with the fittest duplicates
         survivors = distinct_rest + duplicates[: n_rest - len(distinct_rest)]
     new_population = elites + survivors
-
-    js = [ind.fitness.j for ind in new_population]
-    best_j = max(js)
-    stats = GenerationStats(
-        generation,
-        best_j,
-        mean_left_to_right(js),
-        new_population[js.index(best_j)].genotype,  # the first of equal bests
-        episodes,
-    )
-    return new_population, stats
+    return new_population, _stats(generation, new_population, episodes)
 
 
 # GpParams fields a resumed run may change: they decide only when a run
@@ -853,9 +850,7 @@ def run(
             for _ in range(params.population)
         ]
         episodes = evaluator.eval_batch(population, "init")
-        best0 = max(population, key=lambda ind: ind.fitness.j)
-        mean0 = mean_left_to_right([ind.fitness.j for ind in population])
-        history = [GenerationStats(0, best0.fitness.j, mean0, best0.genotype, episodes)]
+        history = [_stats(0, population, episodes)]
         start_generation = 1
 
     for g in range(start_generation, params.generations + 1):

@@ -692,11 +692,11 @@ def test_cli_resume_refuses_a_v2_checkpoint(tmp_path, capsys):
     assert cli.main(args + ["--checkpoint", str(ckpt), "--checkpoint-every", "2"]) == 0
     capsys.readouterr()
     data = json.loads(ckpt.read_text())
-    for version in (2, 3, 4, 5, 6, 7):
+    for version in (2, 3, 4, 5, 6, 7, 8):
         data["format"] = f"btgp-checkpoint-v{version}"
         ckpt.write_text(json.dumps(data))
         assert cli.main(args + ["--resume", str(ckpt)]) == 1
-        assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v8 file: {ckpt}\n"
+        assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v9 file: {ckpt}\n"
 
 
 def set_entry(data, path, value):

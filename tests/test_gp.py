@@ -40,11 +40,6 @@ def test_round_half_up():
     assert gp.round_half_up(2.4) == 2
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        gp.GpParams(population=1)
-
-
 def test_params_hold_no_rates():
     names = [f.name for f in dataclasses.fields(gp.GpParams)]
     assert names == [
@@ -65,6 +60,7 @@ def test_params_hold_no_rates():
 @pytest.mark.parametrize(
     "field, value",
     [
+        ("population", 1),
         ("generations", -1),
         ("episodes_per_eval", 0),
         ("early_stop_window", -1),
@@ -1083,14 +1079,14 @@ def history_digest(history) -> str:
 DET_SEED0_100_DIGEST = "c7125f6a6b9c444292bffba4a6219506c87b62384a8c1f1dca076c5583f039a1"
 STOCH3_SEED0_40_DIGEST = "983078529748151bd4b946eb53b85095dedfec96b5af32d3404760cd06984e33"
 # stoch1's only draws are move localization losses, so many of its trees
-# never draw and are scored from one simulated episode (stoch2 reads the same).
-STOCH1_SEED0_40_DIGEST = "0f92b1ebef54ae450edcfddc1d7f2a5022894b531cc72af36d85de71e7a2247a"
+# never draw and are scored as their one simulated episode (stoch2 reads the same).
+STOCH1_SEED0_40_DIGEST = "c1e701afb9b2c01491bdc05a4887055ea28848eaba7de7ecdda7d41a439cca38"
 # exp3 with delta = 150 is the one pinned run whose risk term is not zero.
-EXP3_DELTA150_SEED0_40_DIGEST = "fd43d4f1e2abadf2035caf3652d3394d5f545b7b75f4a92de69a20fc37b2eb66"
+EXP3_DELTA150_SEED0_40_DIGEST = "50713957519aed9429aba00b9a3b23d6189c2ed4210981b2bb2b60efb0516c09"
 # SHA-256 of the whole checkpoint file (fingerprint, rng state, population
 # with cost terms, history) a stoch3 run writes at generation 10.
 STOCH3_SEED0_CHECKPOINT10_DIGEST = (
-    "6d678640e8168abe8562768ce4ddcf25361c5b0f3b7e04d93f65c4113eaeaddd"
+    "37a990d75d132c1722531a4770984ea0b779d1154fd7bc4e251010545bf2f89b"
 )
 
 
@@ -1200,9 +1196,9 @@ def test_det_run_evaluates_with_no_rng(monkeypatch):
     rngs = []
     evaluate_compiled = gp.evaluate_compiled
 
-    def recording_evaluate_compiled(compiled, n_nodes, profile, weights, episodes, rng, **kw):
+    def recording_evaluate_compiled(compiled, n_nodes, weights, episodes, rng, **kw):
         rngs.append(rng)
-        return evaluate_compiled(compiled, n_nodes, profile, weights, episodes, rng, **kw)
+        return evaluate_compiled(compiled, n_nodes, weights, episodes, rng, **kw)
 
     monkeypatch.setattr(gp, "evaluate_compiled", recording_evaluate_compiled)
     params = gp.GpParams(generations=30, seed=0, reevaluate_elites=True)
@@ -1428,7 +1424,7 @@ DET_FINGERPRINT = {
 def test_a_checkpoint_stores_the_run_under_the_code_names(tmp_path):
     path = tmp_path / "ckpt.json"
     data = write_checkpoint(path, gp.GpParams(generations=2))
-    assert data["format"] == "btgp-checkpoint-v8"
+    assert data["format"] == "btgp-checkpoint-v9"
     assert json.dumps(data["fingerprint"]) == json.dumps(DET_FINGERPRINT)
 
 
