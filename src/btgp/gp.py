@@ -27,8 +27,9 @@ def _below(bits, n: int) -> int:
     """Uniform int in [0, n) from ``bits = rng.getrandbits``.
 
     The same draws as CPython's ``_randbelow_with_getrandbits`` (3.11-3.13),
-    so the value and the rng state after it equal ``rng.randrange(n)``'s,
-    at one Python frame instead of two.
+    so the value and the rng state after it equal ``rng.randrange(n)``'s.
+    The breeding loops inline this loop, with no Python frame per draw;
+    this function is the reference the tests hold it to.
     """
     if n < 1:
         raise ValueError(f"empty range for _below({n})")  # getrandbits(0) is always 0
@@ -280,55 +281,62 @@ def crossover(
     return (Individual(g1, key=p1.key), Individual(g2, key=p2.key))
 
 
-# The mutation operators below each return (candidate, valid, key) for a
-# valid genotype ``g`` with rows ``facts = bt.node_facts(g)``. ``valid``
-# equals ``not bt.validate(candidate)``: an edit can break V1-V4 only where it
-# touches the tree, so each operator checks just the nodes next to its edit.
-# ``key`` is the candidate's canonical form if ``g`` is canonical: an edit
-# that leaves no control with a single child is its own key, one that wraps
-# a single node in a new control is keyed as ``g`` (splicing that control
-# gives ``g`` back), and one that leaves the edited control one child is
-# keyed by splicing that control's open and close out of the candidate.
-
-
-def _is_condition(kinds, tok: str) -> bool:
-    return kinds.get(tok) == bt.CONDITION  # open and close tokens are not in kinds
-
-
-def _child_starts(facts: list, k: int) -> list[int]:
-    """Start token of each child of control row ``k``, then its close."""
-    starts = []
-    j = k + 1
-    for _ in range(facts[k][4]):
-        starts.append(facts[j][0])
-        j += facts[j][2]
-    starts.append(facts[k][1] - 1)
-    return starts
-
-
-def _random_control(rng) -> str:
-    return bt.SEQUENCE_OPEN if rng.random() < 0.5 else bt.FALLBACK_OPEN
+# The mutation operators below each draw one edit of a valid genotype ``g``
+# with rows ``facts = bt.node_facts(g)`` (``_below``'s loop inlined), then
+# decide V1-V4 at the nodes next to the edit, the only ones it can break,
+# before building anything. They return (candidate, True, key), or
+# (None, False, None) for an inapplicable or invalid edit. An edit that
+# rewrites a token to itself (a leaf to the same leaf, a control to its own
+# kind) returns ``g`` itself. ``key`` is the candidate's canonical form if
+# ``g`` is canonical: an edit that leaves no control with a single child is
+# its own key, one that wraps a single node in a new control is keyed as
+# ``g`` (splicing that control gives ``g`` back), and one that leaves the
+# edited control one child is keyed by splicing that control's open and
+# close out of the candidate.
 
 
 def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng):
     bits = rng.getrandbits
-    k = _below(bits, len(facts))
+    n = len(facts)
+    b = n.bit_length()
+    k = bits(b)
+    while k >= n:
+        k = bits(b)
     i, e, _, parent, _ = facts[k]
+    node = g[i]
     if rng.random() < P_CONTROL_NODE:
-        tok = _random_control(rng)
+        tok = bt.SEQUENCE_OPEN if rng.random() < 0.5 else bt.FALLBACK_OPEN
+        if node == tok:
+            return g, True, g
         # V1 against the parent, which is the only check when the node is the root
-        ok = parent < 0 or g[parent] != tok
-        if bt.is_control_open(g[i]):
-            # kind flip: V1 against every control child as well
-            ok = ok and all(g[j] != tok for j in _child_starts(facts, k))
+        if parent >= 0 and g[parent] == tok:
+            return None, False, None
+        if bt.is_control_open(node):
+            # kind flip: V1 against every control child as well; the first
+            # child is row k + 1, and each next one starts its size in rows later
+            j = k + 1
+            for _ in range(facts[k][4]):
+                if g[facts[j][0]] == tok:
+                    return None, False, None
+                j += facts[j][2]
             cand = g[:i] + (tok,) + g[i + 1 :]
-            return cand, ok, cand
+            return cand, True, cand
         # leaf -> control: the leaf becomes the new control's only child (V2)
-        ok = ok and not _is_condition(kinds, g[i])
-        return g[:i] + (tok, g[i], bt.CLOSE) + g[i + 1 :], ok, g
-    leaf = ids[_below(bits, len(ids))]
+        if kinds[node] == bt.CONDITION:
+            return None, False, None
+        return g[:i] + (tok, node, bt.CLOSE) + g[i + 1 :], True, g
+    n = len(ids)
+    b = n.bit_length()
+    r = bits(b)
+    while r >= n:
+        r = bits(b)
+    leaf = ids[r]
+    if leaf == node:
+        return g, True, g
+    if not bt.fits(g, facts[k], leaf, kinds):
+        return None, False, None
     cand = g[:i] + (leaf,) + g[e:]
-    return cand, bt.fits(g, facts[k], leaf, kinds), cand
+    return cand, True, cand
 
 
 def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
@@ -337,11 +345,16 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
         # New control node over a contiguous run of siblings: the runs of a
         # control with m children are its (x, y) child boundary pairs,
         # 0 <= x < y <= m, numbered x-major, controls in token order.
-        tok = _random_control(rng)
+        tok = bt.SEQUENCE_OPEN if rng.random() < 0.5 else bt.FALLBACK_OPEN
         n_runs = sum([row[4] * (row[4] + 1) // 2 for row in facts])
         if not n_runs:  # bare leaf: wrap the root, which becomes the last child (V2)
-            return (tok,) + g + (bt.CLOSE,), not _is_condition(kinds, g[0]), g
-        r = _below(bits, n_runs)
+            if kinds[g[0]] == bt.CONDITION:
+                return None, False, None
+            return (tok,) + g + (bt.CLOSE,), True, g
+        b = n_runs.bit_length()
+        r = bits(b)
+        while r >= n_runs:
+            r = bits(b)
         for k, row in enumerate(facts):
             m = row[4]
             if r < m * (m + 1) // 2:
@@ -351,70 +364,102 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
         while r >= m - x:
             r -= m - x
             x += 1
-        bounds = _child_starts(facts, k)
-        lo, hi = bounds[x], bounds[x + 1 + r]
-        # V1 against the control above and every wrapped child; V2 for the
-        # last wrapped child, read off the token before the run's end
-        ok = (
-            g[row[0]] != tok
-            and all(g[j] != tok for j in bounds[x : x + 1 + r])
-            and not _is_condition(kinds, g[hi - 1])
-        )
+        if g[row[0]] == tok:
+            return None, False, None  # V1 against the control above
+        j = k + 1  # row of the control's first child
+        for _ in range(x):
+            j += facts[j][2]
+        lo = facts[j][0]
+        for _ in range(r + 1):
+            # V1 against every wrapped child
+            start, hi, size, _, _ = facts[j]
+            if g[start] == tok:
+                return None, False, None
+            j += size
+        # V2 for the last wrapped child, read off the token before the run's end
+        if kinds.get(g[hi - 1]) == bt.CONDITION:
+            return None, False, None
         # the new control gets r + 1 children, the one above keeps m - r
         cand = g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:]
         if r == 0:  # a wrap of one child
-            return cand, ok, g
+            return cand, True, g
         if m - r >= 2:
-            return cand, ok, cand
+            return cand, True, cand
         c = row[1] + 1  # all m wrapped: the control above keeps one child, its close moved
-        return cand, ok, cand[: row[0]] + cand[row[0] + 1 : c] + cand[c + 1 :]
+        return cand, True, cand[: row[0]] + cand[row[0] + 1 : c] + cand[c + 1 :]
     # New leaf, either as a sibling in an existing child list or at a new
     # level (bundled with an existing node under a fresh control).
-    leaf = ids[_below(bits, len(ids))]
-    cond = _is_condition(kinds, leaf)
+    n = len(ids)
+    b = n.bit_length()
+    r = bits(b)
+    while r >= n:
+        r = bits(b)
+    leaf = ids[r]
+    cond = kinds[leaf] == bt.CONDITION
     # every position inside the root control is a child slot of the
     # innermost control around it; a bare leaf has none
     if len(g) > 1 and rng.random() < 0.5:
-        j = 1 + _below(bits, len(g) - 1)
+        n = len(g) - 1
+        b = n.bit_length()
+        j = bits(b)
+        while j >= n:
+            j = bits(b)
+        j += 1
         # V2 as the last child, V4 next to an equal leaf
-        ok = not cond or (g[j] != bt.CLOSE and g[j] != leaf and g[j - 1] != leaf)
+        if cond and (g[j] == bt.CLOSE or g[j] == leaf or g[j - 1] == leaf):
+            return None, False, None
         cand = g[:j] + (leaf,) + g[j:]
-        return cand, ok, cand
-    r = _below(bits, 2 * len(facts))
+        return cand, True, cand
+    n = 2 * len(facts)
+    b = n.bit_length()
+    r = bits(b)
+    while r >= n:
+        r = bits(b)
     s, e, _, parent, _ = facts[r // 2]
-    tok = _random_control(rng)
+    tok = bt.SEQUENCE_OPEN if rng.random() < 0.5 else bt.FALLBACK_OPEN
     # V1 against the parent and the bundled node; V2 for whichever is last
     # (a V4 pair of equal conditions always puts a condition last)
-    ok = (parent < 0 or g[parent] != tok) and g[s] != tok
+    if (parent >= 0 and g[parent] == tok) or g[s] == tok:
+        return None, False, None
     if r % 2 == 0:
+        if kinds.get(g[s]) == bt.CONDITION:
+            return None, False, None
         cand = g[:s] + (tok, leaf) + g[s:e] + (bt.CLOSE,) + g[e:]
-        return cand, ok and not _is_condition(kinds, g[s]), cand
-    cand = g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:]
-    return cand, ok and not cond, cand
+    else:
+        if cond:
+            return None, False, None
+        cand = g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:]
+    return cand, True, cand
 
 
 def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
-    if len(facts) <= 1:
+    n = len(facts) - 1
+    if not n:
         return None, False, None  # deleting the only node would empty the tree
-    k = _below(rng.getrandbits, len(facts) - 1) + 1  # never the root
+    bits = rng.getrandbits
+    b = n.bit_length()
+    k = bits(b)
+    while k >= n:
+        k = bits(b)
+    k += 1  # never the root
     s, e, _, parent, _ = facts[k]
     before, after = g[s - 1], g[e]
     if after == bt.CLOSE:
         # the node was the last child: V3 if it was the only one, else V2
         # for the left sibling that becomes last
-        ok = not bt.is_control_open(before) and not _is_condition(kinds, before)
-    else:
-        # V4 for the siblings that become neighbours
-        ok = before != after or not _is_condition(kinds, before)
+        if bt.is_control_open(before) or kinds.get(before) == bt.CONDITION:
+            return None, False, None
+    elif before == after and kinds.get(before) == bt.CONDITION:
+        return None, False, None  # V4 for the siblings that become neighbours
     # the parent loses a child, which may leave it with one; its row is the
     # nearest one before k that starts at its open
     while facts[k][0] != parent:
         k -= 1
     cand = g[:s] + g[e:]
     if facts[k][4] != 2:
-        return cand, ok, cand
+        return cand, True, cand
     c = facts[k][1] - 1 - (e - s)  # the parent's close, moved left by the deletion
-    return cand, ok, cand[:parent] + cand[parent + 1 : c] + cand[c + 1 :]
+    return cand, True, cand[:parent] + cand[parent + 1 : c] + cand[c + 1 :]
 
 
 def mutate(
@@ -428,12 +473,14 @@ def mutate(
     """Apply one of node mutation / addition / deletion, drawn with
     probabilities P_NODE_MUTATION / P_NODE_ADDITION / the rest.
 
-    Inapplicable or invalid outcomes (and genotypes in ``exclude``) re-draw
-    the operator; after ``MAX_ATTEMPTS`` the last valid candidate found in
-    ``exclude`` is kept, and failing that the parent is copied unchanged.
+    Inapplicable or invalid edits, over-cap candidates and candidates in
+    ``exclude`` re-draw the operator; after ``MAX_ATTEMPTS`` the last valid
+    candidate found in ``exclude`` is kept, and failing that the parent is
+    copied unchanged. An edit that rewrites a token to itself is the parent,
+    a valid candidate whose key the population already holds.
 
-    The parent must be valid: each operator then decides its candidate's
-    validity from the parent's ``node_facts`` at the edit, without
+    The parent must be valid: each operator then rejects an invalid edit
+    from the parent's ``node_facts`` before it builds anything, without
     ``bt.validate``. Its operator keys a canonical parent's candidate, so
     ``bt.canonical`` runs only for a parent that is not canonical.
     """
@@ -457,7 +504,7 @@ def mutate(
             cand, ok, key = _op_node_addition(g, facts, ids, kinds, rng)
         else:
             cand, ok, key = _op_node_deletion(g, facts, kinds, rng)
-        if cand is None or not ok or (capped and bt.node_count(cand) > node_cap):
+        if not ok or (capped and bt.node_count(cand) > node_cap):
             continue
         if not canonical_parent:
             key = bt.canonical(cand)
@@ -570,7 +617,15 @@ def evolve_generation(
     taken: set[Genotype] = {ind.key for ind in population}
     offspring: list[Individual] = []
     cx_parents = tournament(population, n_cx, rng)
-    rng.shuffle(cx_parents)
+    # rng.shuffle(cx_parents), inlined: CPython's Fisher-Yates, each swap
+    # index drawn as _below(bits, i + 1)
+    bits = rng.getrandbits
+    for i in range(len(cx_parents) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        cx_parents[i], cx_parents[j] = cx_parents[j], cx_parents[i]
     for k in range(len(cx_parents) // 2):
         a, b = cx_parents[2 * k], cx_parents[2 * k + 1]
         for _ in range(2):

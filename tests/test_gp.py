@@ -532,24 +532,30 @@ def mutate_validating_every_candidate(parent, kinds, rng, *, node_cap, max_attem
 
 # DET's leaves plus a second condition, so that V4 can tell two condition ids apart
 TWO_CONDITIONS = {**KINDS, "path_clear": bt.CONDITION}
+# 39 leaf ids, not a power of two: a leaf draw rejects some getrandbits values
+HIGH_NOISE = world.leaf_kinds(world.make_profile("det", "high_noise"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kinds=st.sampled_from([KINDS, TWO_CONDITIONS]),
+    kinds=st.sampled_from([KINDS, TWO_CONDITIONS, HIGH_NOISE]),
+    size=st.integers(1, gp.GpParams.node_cap),
     slack=st.integers(0, 6),
     max_attempts=st.integers(1, 100),
     p_control=st.floats(0.0, 1.0),
     p_exclude=st.floats(0.0, 1.0),
 )
+# an attempt deletes the node between two equal conditions, which breaks V4
+@example(seed=173, kinds=KINDS, size=8, slack=6, max_attempts=100, p_control=0.5, p_exclude=0.5)
 def test_mutate_matches_validating_oracle(
-    seed, kinds, slack, max_attempts, p_control, p_exclude
+    seed, kinds, size, slack, max_attempts, p_control, p_exclude
 ):
     setup = random.Random(seed)
-    parent = gp.Individual(bt.random_genotype(kinds, setup.randint(1, 12), setup))
-    # a cap the parent meets, so that copying it is within the cap too
-    cap = bt.node_count(parent.genotype) + slack
+    parent = gp.Individual(bt.random_genotype(kinds, size, setup))
+    # a cap the parent meets, so that copying it is within the cap too, and
+    # at most the run's: it binds when the parent is within two nodes of it
+    cap = min(bt.node_count(parent.genotype) + slack, gp.GpParams.node_cap)
     with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
         # exclude a random share of the canonical forms mutation reaches, the parent's included
         reachable = {parent.key} | {
@@ -575,8 +581,9 @@ def test_mutate_matches_validating_oracle(
     p_control=st.floats(0.0, 1.0),
 )
 def test_local_verdicts_match_validate(seed, kinds, p_control):
-    """Every candidate an operator builds, invalid ones included, gets the
-    verdict ``bt.validate`` gives it."""
+    """Every candidate an operator returns is valid: an operator builds no
+    candidate for an edit that breaks V1-V4 (``test_mutate_matches_validating_oracle``
+    checks those verdicts against ``bt.validate`` end to end)."""
     rng = random.Random(seed)
     ids = sorted(kinds)
     g = bt.random_genotype(kinds, rng.randint(1, 12), rng)
@@ -589,8 +596,9 @@ def test_local_verdicts_match_validate(seed, kinds, p_control):
                 gp._op_node_addition(g, facts, ids, kinds, rng),
                 gp._op_node_deletion(g, facts, kinds, rng),
             ):
+                assert ok == (cand is not None)
                 if cand is not None:
-                    assert ok == (not bt.validate(cand, kinds)), (g, cand)
+                    assert not bt.validate(cand, kinds), (g, cand)
     # every subtree swap crossover can make from g and other
     for row in facts:
         for s, e, *_ in bt.node_facts(other):
@@ -625,14 +633,15 @@ def test_mutation_candidates_have_at_most_two_nodes_more(seed, kinds, p_control)
 
 def test_a_new_leaf_bundled_under_a_new_control_adds_two_nodes(monkeypatch):
     # the bound above is reached: a new leaf goes in as a sibling (+1) or
-    # bundled with an existing node under a new control (+2)
+    # bundled with an existing node under a new control (+2); an edit the
+    # operator rejects builds no candidate
     monkeypatch.setattr(gp, "P_CONTROL_NODE", 0.0)  # a new leaf, not a new control
     g = bt.from_text("s( localise tuck )")
     facts, ids = bt.node_facts(g), sorted(KINDS)
-    grown = {
-        bt.node_count(gp._op_node_addition(g, facts, ids, KINDS, random.Random(seed))[0])
-        for seed in range(50)
-    }
+    candidates = [
+        gp._op_node_addition(g, facts, ids, KINDS, random.Random(seed))[0] for seed in range(50)
+    ]
+    grown = {bt.node_count(cand) for cand in candidates if cand is not None}
     assert grown == {bt.node_count(g) + 1, bt.node_count(g) + 2}
 
 
@@ -653,8 +662,8 @@ def test_plain_edits_of_canonical_genotypes_are_canonical(seed, kinds):
 
 
 def test_operator_keys_of_canonical_genotypes_are_their_canonical_forms():
-    """Every candidate an operator builds from a canonical genotype, valid or
-    not, carries its canonical form as its key, so ``mutate`` needs
+    """Every candidate an operator returns for a canonical genotype carries
+    its canonical form as its key, so ``mutate`` needs
     ``bt.canonical`` only for a parent that is not canonical. Both edits
     whose key is spliced are reached: a deletion that leaves its parent one
     child, and a new control over every child of a control."""
@@ -835,6 +844,41 @@ def test_padding_from_duplicates_puts_no_individual_in_twice(monkeypatch, reeval
     elite = population[0]
     assert new_pop[0] is elite
     assert sum(individual is elite for individual in new_pop) == 1
+
+
+class _Paired(Exception):
+    """Raised by a stub tournament once the crossover parents are bred from."""
+
+
+def test_evolve_generation_shuffles_crossover_parents_as_random_shuffle(monkeypatch):
+    # evolve_generation shuffles its crossover parents with an inline loop,
+    # which must leave the order and the rng state random.Random.shuffle
+    # leaves, at every length and seed
+    parents: list = []
+    states: list = []
+
+    def stub_tournament(candidates, slots, rng):
+        states.append(rng.getstate())
+        if len(states) == 2:  # the mutation tournament: the shuffle is done
+            raise _Paired
+        return parents
+
+    monkeypatch.setattr(gp, "tournament", stub_tournament)
+    monkeypatch.setattr(gp, "crossover", lambda a, b, *args, **kwargs: (a, b))
+    params = gp.GpParams(seed=0, population=4)
+    evaluator = gp.Evaluator(DET, fitness.TABLE2, params)
+    population = make_population(4)
+    for length in range(41):
+        for seed in range(100):
+            parents[:] = [gp.Individual(("localise",)) for _ in range(length)]
+            states.clear()
+            want = list(parents)
+            reference = random.Random(seed)
+            reference.shuffle(want)
+            with pytest.raises(_Paired):
+                gp.evolve_generation(population, evaluator, random.Random(seed), 1)
+            assert [id(p) for p in parents] == [id(p) for p in want], (length, seed)
+            assert states[1] == reference.getstate(), (length, seed)
 
 
 def test_breeding_takes_no_per_call_settings():
@@ -1083,6 +1127,11 @@ STOCH3_SEED0_40_DIGEST = "983078529748151bd4b946eb53b85095dedfec96b5af32d3404760
 STOCH1_SEED0_40_DIGEST = "c1e701afb9b2c01491bdc05a4887055ea28848eaba7de7ecdda7d41a439cca38"
 # exp3 with delta = 150 is the one pinned run whose risk term is not zero.
 EXP3_DELTA150_SEED0_40_DIGEST = "50713957519aed9429aba00b9a3b23d6189c2ed4210981b2bb2b60efb0516c09"
+# high_noise's 39 leaf ids, not a power of two, make leaf draws reject some
+# getrandbits values.
+DET_HIGH_NOISE_SEED0_100_DIGEST = (
+    "a06aa33cc9ed1d61a60c5b9e2ff3bd7a4426dc1a76fc0c664d40b3de9f6e4b97"
+)
 # SHA-256 of the whole checkpoint file (fingerprint, rng state, population
 # with cost terms, history) a stoch3 run writes at generation 10.
 STOCH3_SEED0_CHECKPOINT10_DIGEST = (
@@ -1094,6 +1143,12 @@ def test_det_history_digest_is_pinned():
     params = gp.GpParams(generations=100, seed=0)
     history, _ = gp.run(params, DET, fitness.TABLE2)
     assert history_digest(history) == DET_SEED0_100_DIGEST
+
+
+def test_det_high_noise_history_digest_is_pinned():
+    params = gp.GpParams(generations=100, seed=0)
+    history, _ = gp.run(params, world.make_profile("det", "high_noise"), fitness.TABLE2)
+    assert history_digest(history) == DET_HIGH_NOISE_SEED0_100_DIGEST
 
 
 def test_stoch3_history_digest_is_pinned():
