@@ -127,15 +127,15 @@ def evaluate_compiled(
     *,
     max_root_failures: int = MAX_ROOT_FAILURES,
     max_ticks: int = MAX_TICKS,
-) -> FitnessValue:
-    """Mean fitness over independent episodes of an already-compiled tree.
+) -> tuple[FitnessValue, bool]:
+    """(fitness, drew): the mean fitness over independent episodes of an
+    already-compiled tree, and whether its first episode drew from ``rng``.
 
-    An episode that draws nothing from ``rng`` leaves it where it was, so
-    every later episode would repeat it: when the first episode draws
-    nothing, the value is that episode's fitness, whatever ``episodes``,
-    and no further episode is simulated. Every episode on a profile that
-    draws nothing (``world.draws_nothing``) is such an episode, so ``rng``
-    may be None there.
+    An episode that draws nothing is a pure function of the tree and leaves
+    ``rng`` where it was, so every later episode would repeat it: when the
+    first episode draws nothing, the value is that episode's fitness,
+    whatever ``episodes``, no further episode is simulated, and ``drew`` is
+    False. The same tree then scores the same from any stream.
 
     Otherwise every episode is simulated, its cost terms added onto the
     first's in episode order and in the order ``cost`` lists them, and one
@@ -146,11 +146,11 @@ def evaluate_compiled(
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     check_budgets(max_root_failures, max_ticks)
-    watch = _DrawWatch(rng) if episodes > 1 else rng
+    watch = _DrawWatch(rng)
     final = run_compiled(compiled, watch, max_root_failures=max_root_failures, max_ticks=max_ticks)
     terms = _terms(final, n_nodes, weights)
-    if episodes == 1 or not watch.drew:
-        return _from_terms(*terms)
+    if not watch.drew:
+        return _from_terms(*terms), False
     distance, length, time, risk, rewards = terms
     for _ in range(episodes - 1):
         final = run_compiled(
@@ -163,7 +163,7 @@ def evaluate_compiled(
         risk += r
         rewards += w
     inv = 1.0 / episodes
-    return _from_terms(distance * inv, length * inv, time * inv, risk * inv, rewards * inv)
+    return _from_terms(distance * inv, length * inv, time * inv, risk * inv, rewards * inv), True
 
 
 def evaluate(
@@ -177,7 +177,8 @@ def evaluate(
     max_ticks: int = MAX_TICKS,
 ) -> FitnessValue:
     """Mean fitness of a genotype over ``episodes`` independent episodes on
-    ``profile``, by ``evaluate_compiled``'s rule."""
+    ``profile``, from ``rng``: ``evaluate_compiled``'s value, without its
+    ``drew`` flag."""
     return evaluate_compiled(
         compile_tree(genotype, build_transition_table(profile)),
         node_count(genotype),
@@ -186,4 +187,4 @@ def evaluate(
         rng,
         max_root_failures=max_root_failures,
         max_ticks=max_ticks,
-    )
+    )[0]

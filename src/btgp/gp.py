@@ -12,7 +12,7 @@ from pathlib import Path
 from . import bt, fitness, world
 from .bt import Genotype
 from .fitness import FitnessValue, FitnessWeights, TABLE2, evaluate_compiled
-from .world import Profile, build_transition_table, check_budgets, draws_nothing, leaf_kinds
+from .world import Profile, build_transition_table, check_budgets, leaf_kinds
 
 # A change that would make an existing checkpoint resume into a run it did
 # not come from bumps the format; it adds no marker key to the fingerprint.
@@ -77,7 +77,7 @@ class GpParams:
     episodes_per_eval: int = 1
     seed: int = 0
     node_cap: int = 64
-    # With stochastic profiles a cached lucky score can pin a fragile tree at
+    # With stochastic profiles a stored lucky score can pin a fragile tree at
     # the top forever; re-evaluating elites each generation washes that out.
     reevaluate_elites: bool = False
     early_stop_window: int = 0  # 0 disables
@@ -523,22 +523,22 @@ def mutate(
 class Evaluator:
     """Assigns fitness to individuals, a batch at a time, in ``eval_batch``.
 
-    On a profile that draws from the rng, each batch is one rng stream
-    seeded from (master seed, tag), and its individuals are evaluated in
-    order from it, so an individual's episodes are the stretch of the
-    stream its predecessors in the batch left it: its fitness depends on
-    its genotype and on the genotypes evaluated before it in that batch.
-    Seeding once per batch, not once per individual, saves a Mersenne
-    Twister initialisation per evaluation. No fitness is cached there.
+    Each batch is one rng stream seeded from (master seed, tag), and its
+    individuals are evaluated in order from it, so an individual's episodes
+    are the stretch of the stream its predecessors in the batch left it:
+    its fitness depends on its genotype and on the genotypes evaluated
+    before it in that batch. Seeding once per batch, not once per
+    individual, saves a Mersenne Twister initialisation per evaluation.
 
-    On every profile, an evaluation whose first episode draws nothing is
-    that episode's fitness (``fitness.evaluate_compiled``). When the profile
-    draws nothing (``world.draws_nothing``), every episode is such an
-    episode, a pure function of the genotype, so ``eval_batch`` keeps a
-    genotype -> fitness dict for the evaluator's lifetime and simulates each
-    distinct genotype once: det runs at different episode counts differ only
-    in their histories' episodes column. Such an evaluation gets
-    ``rng=None``, so a draw would raise.
+    An evaluation whose first episode draws nothing is that episode's
+    fitness, a pure function of the genotype, and consumes no draw
+    (``fitness.evaluate_compiled``). The evaluator keeps every such fitness
+    in a genotype -> fitness dict for its lifetime and serves a repeat of
+    that genotype from it, on any profile: the value is the one a
+    simulation would give, and the stream is where a simulation would leave
+    it. Every det evaluation is such an evaluation, so a det run simulates
+    each distinct genotype once, and det runs at different episode counts
+    differ only in their histories' episodes column.
     """
 
     def __init__(self, profile: Profile, weights: FitnessWeights, params: GpParams):
@@ -546,30 +546,26 @@ class Evaluator:
         self.params = params
         self.kinds = leaf_kinds(profile)
         self.table = build_transition_table(profile)
-        self._cache: dict[Genotype, FitnessValue] | None = {} if draws_nothing(profile) else None
+        self._cache: dict[Genotype, FitnessValue] = {}
 
     def eval_batch(self, individuals, tag: str) -> int:
-        """Evaluate in order; returns the episode budget spent.
+        """Evaluate in order from one rng stream seeded from
+        ``f"{params.seed}:{tag}"``; returns the episode budget spent.
 
-        On a profile that draws, the batch is one rng stream seeded from
-        ``f"{params.seed}:{tag}"``: ``fitness.evaluate`` called on each
-        individual in order with that one rng gives the same fitness
-        values, and an individual whose first episode draws nothing is
-        scored by that one episode. The tag must differ between the batches
-        of a run. On a profile that draws nothing, each genotype not yet
-        cached is evaluated with ``rng=None``.
-
-        Every individual counts ``episodes_per_eval`` episodes, whether it
-        was simulated or its fitness came from the cache.
+        ``fitness.evaluate`` called on each individual in order with that
+        one rng gives the same fitness values. The tag must differ between
+        the batches of a run. Every individual counts ``episodes_per_eval``
+        episodes, whether it was simulated or its fitness came from the
+        cache.
         """
         p = self.params
         cache = self._cache
-        rng = None if cache is not None else random.Random(f"{p.seed}:{tag}")
+        rng = random.Random(f"{p.seed}:{tag}")
         for ind in individuals:
             g = ind.genotype
-            fv = None if cache is None else cache.get(g)
+            fv = cache.get(g)
             if fv is None:
-                fv = evaluate_compiled(
+                fv, drew = evaluate_compiled(
                     bt.compile_tree(g, self.table),
                     bt.node_count(g),
                     self.weights,
@@ -578,7 +574,7 @@ class Evaluator:
                     max_root_failures=p.max_root_failures,
                     max_ticks=p.max_ticks,
                 )
-                if cache is not None:
+                if not drew:
                     cache[g] = fv
             ind.fitness = fv
         return len(individuals) * p.episodes_per_eval

@@ -389,22 +389,6 @@ def build_transition_table(profile: Profile) -> dict[str, TransitionFn]:
     return table
 
 
-def draws_nothing(profile: Profile) -> bool:
-    """True when no transition in ``build_transition_table(profile)`` can draw
-    from the rng, so an episode is a pure function of the tree.
-
-    Every failure and loss probability must be 0; the column's name does
-    not decide it.
-    """
-    return not (
-        profile.loc_failure
-        or profile.pick_failure
-        or profile.place_failure
-        or profile.losing_cube
-        or profile.losing_localization
-    )
-
-
 def check_budgets(max_root_failures: int, max_ticks: int) -> None:
     """One-line ValueError for an episode budget no episode can run under."""
     if max_ticks < 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import pickle
 import random
@@ -200,9 +201,10 @@ def test_evaluate_compiled_equals_mean_of_per_episode_costs():
     compiled, n_nodes = bt.compile_tree(tokens, table), bt.node_count(tokens)
     weights = dataclasses.replace(fitness.TABLE2, delta=150.0)
     for seed in range(5):
-        got = fitness.evaluate_compiled(compiled, n_nodes, weights, 7, random.Random(seed))
+        got, drew = fitness.evaluate_compiled(compiled, n_nodes, weights, 7, random.Random(seed))
         assert got == every_episode_oracle(compiled, n_nodes, weights, 7, random.Random(seed))
         assert got.risk_term > 0.0
+        assert drew
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(fitness.FitnessWeights)])
@@ -276,12 +278,13 @@ def test_det_evaluation_matches_every_episode_oracle(
     n_nodes = bt.node_count(tokens)
     weights = dataclasses.replace(fitness.TABLE2, delta=rng.choice([0.0, 150.0]))
     budgets = {"max_root_failures": max_root_failures, "max_ticks": max_ticks}
-    got = fitness.evaluate_compiled(
+    got, drew = fitness.evaluate_compiled(
         compiled, n_nodes, weights, episodes, random.Random(seed), **budgets
     )
     # a det episode is a pure function of the tree, so N of them score as one, bit for bit
     episode = world.run_compiled(compiled, random.Random(seed), **budgets)
     assert float_bits(got) == float_bits(fitness.cost(episode, n_nodes, weights))
+    assert not drew
 
 
 STOCHASTIC_COLUMNS = [c for c in world.PROBABILITY_COLUMNS if c != "det"]
@@ -313,12 +316,54 @@ def test_stochastic_evaluation_matches_every_episode_oracle(
     budgets = {"max_root_failures": max_root_failures, "max_ticks": max_ticks}
     first_rng, got_rng, oracle_rng = (random.Random(seed) for _ in range(3))
     first = world.run_compiled(compiled, first_rng, **budgets)
-    got = fitness.evaluate_compiled(compiled, n_nodes, weights, episodes, got_rng, **budgets)
+    got, drew = fitness.evaluate_compiled(
+        compiled, n_nodes, weights, episodes, got_rng, **budgets
+    )
     oracle = every_episode_oracle(compiled, n_nodes, weights, episodes, oracle_rng, **budgets)
-    if first_rng.getstate() == random.Random(seed).getstate():  # it drew nothing
+    assert drew == (first_rng.getstate() != random.Random(seed).getstate())
+    if not drew:
         oracle = fitness.cost(first, n_nodes, weights)
     assert float_bits(got) == float_bits(oracle)
     assert got_rng.getstate() == oracle_rng.getstate()
+
+
+@functools.cache
+def bred_genotypes(column: str, pool: str) -> tuple:
+    """The distinct genotypes of a short run's populations: bred trees reach
+    the behaviors that draw, which most random trees never tick."""
+    seen: dict = {}
+    gp.run(
+        gp.GpParams(generations=15, seed=0),
+        world.make_profile(column, pool),
+        on_generation=lambda _, population: seen.update(
+            dict.fromkeys(ind.genotype for ind in population)
+        ),
+    )
+    return tuple(seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    column=st.sampled_from(list(world.PROBABILITY_COLUMNS)),
+    pool=st.sampled_from(["core9", "safe_paths"]),
+    episodes=st.sampled_from([1, 3]),
+    pick=st.integers(0, 2**16),
+)
+def test_an_evaluation_drew_exactly_when_it_moved_the_rng(seed, column, pool, episodes, pick):
+    # the evaluator's cache rests on this: an evaluation that reports no draw
+    # left the stream where it was, so serving its genotype again from the
+    # cache skips no draw
+    profile = world.make_profile(column, pool)
+    bred = bred_genotypes(column, pool)
+    tokens = bred[pick % len(bred)]
+    compiled = bt.compile_tree(tokens, world.build_transition_table(profile))
+    rng = random.Random(seed)
+    before = rng.getstate()
+    _, drew = fitness.evaluate_compiled(
+        compiled, bt.node_count(tokens), fitness.TABLE2, episodes, rng
+    )
+    assert drew == (rng.getstate() != before)
 
 
 def test_det_run_simulates_one_episode_per_evaluation(monkeypatch):

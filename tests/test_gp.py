@@ -9,7 +9,6 @@ import hashlib
 import json
 import random
 import re
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -1198,8 +1197,9 @@ def test_mean_j_sums_left_to_right():
 
 
 def count_evaluations(monkeypatch, profile, params):
-    """(genotypes simulated by evaluate_compiled, genotypes handed to eval_batch)."""
-    simulated: Counter = Counter()
+    """({genotype: whether each of its simulations drew, in order},
+    genotypes handed to eval_batch)."""
+    simulated: dict = {}
     requested: list = []
     evaluate_compiled = gp.evaluate_compiled
     eval_batch = gp.Evaluator.eval_batch
@@ -1211,16 +1211,17 @@ def count_evaluations(monkeypatch, profile, params):
         genotype_of[compiled] = genotype
         return compiled
 
-    def counting_evaluate_compiled(compiled, *args, **kwargs):
-        simulated[genotype_of[compiled]] += 1
-        return evaluate_compiled(compiled, *args, **kwargs)
+    def recording_evaluate_compiled(compiled, *args, **kwargs):
+        fv, drew = evaluate_compiled(compiled, *args, **kwargs)
+        simulated.setdefault(genotype_of[compiled], []).append(drew)
+        return fv, drew
 
     def recording_eval_batch(self, individuals, tag):
         requested.extend(ind.genotype for ind in individuals)
         return eval_batch(self, individuals, tag)
 
     monkeypatch.setattr(gp.bt, "compile_tree", recording_compile_tree)
-    monkeypatch.setattr(gp, "evaluate_compiled", counting_evaluate_compiled)
+    monkeypatch.setattr(gp, "evaluate_compiled", recording_evaluate_compiled)
     monkeypatch.setattr(gp.Evaluator, "eval_batch", recording_eval_batch)
     history, _ = gp.run(params, profile, fitness.TABLE2)
     assert sum(h.episodes for h in history) == len(requested) * params.episodes_per_eval
@@ -1231,7 +1232,8 @@ def test_det_simulates_each_distinct_genotype_once(monkeypatch):
     params = gp.GpParams(generations=30, seed=0, reevaluate_elites=True)
     simulated, requested = count_evaluations(monkeypatch, DET, params)
     assert set(simulated) == set(requested)
-    assert set(simulated.values()) == {1}
+    # nothing on det draws, so each genotype's one simulation is cached
+    assert all(drews == [False] for drews in simulated.values())
     assert len(requested) > len(simulated)  # repeats were served from the cache
 
 
@@ -1240,26 +1242,14 @@ def test_det_simulates_each_distinct_genotype_once(monkeypatch):
     [world.make_profile("stoch3"), world.make_profile("exp3", "safe_paths")],
     ids=["stoch3", "exp3"],
 )
-def test_stochastic_profiles_simulate_every_evaluation(monkeypatch, profile):
+def test_stochastic_profiles_simulate_again_only_what_drew(monkeypatch, profile):
     params = gp.GpParams(generations=10, seed=0, reevaluate_elites=True)
     simulated, requested = count_evaluations(monkeypatch, profile, params)
-    assert sum(simulated.values()) == len(requested)
-    assert len(requested) > len(set(requested))  # repeats were simulated again
-
-
-def test_det_run_evaluates_with_no_rng(monkeypatch):
-    rngs = []
-    evaluate_compiled = gp.evaluate_compiled
-
-    def recording_evaluate_compiled(compiled, n_nodes, weights, episodes, rng, **kw):
-        rngs.append(rng)
-        return evaluate_compiled(compiled, n_nodes, weights, episodes, rng, **kw)
-
-    monkeypatch.setattr(gp, "evaluate_compiled", recording_evaluate_compiled)
-    params = gp.GpParams(generations=30, seed=0, reevaluate_elites=True)
-    gp.run(params, DET, fitness.TABLE2)
-    # nothing on det draws, so no evaluation needs a stream: a draw would raise
-    assert rngs and all(rng is None for rng in rngs)
+    assert set(simulated) == set(requested)
+    # a genotype is simulated again only if its earlier simulation drew
+    assert all(all(drews[:-1]) for drews in simulated.values())
+    assert any(len(drews) > 1 for drews in simulated.values())
+    assert len(requested) > sum(map(len, simulated.values()))  # draw-free repeats were cached
 
 
 STOCHASTIC_PROFILES = {
@@ -1269,21 +1259,37 @@ STOCHASTIC_PROFILES = {
 
 
 @pytest.mark.parametrize("name", list(STOCHASTIC_PROFILES))
-def test_eval_batch_is_in_order_evaluate_on_one_stream(name):
+def test_eval_batch_is_in_order_evaluate_on_one_stream(monkeypatch, name):
     profile = STOCHASTIC_PROFILES[name]
     # an evolved population: most random start trees never reach a draw
     populations = []
     gp.run(
         gp.GpParams(generations=20, seed=1), profile, on_generation=lambda _, p: populations.append(p)
     )
-    batch = [gp.Individual(p.genotype) for p in populations[-1]]
-    batch += [gp.Individual(p.genotype) for p in batch[:5]]  # repeats sit later in the stream
-    params = gp.GpParams(seed=4, episodes_per_eval=3)
-    evaluator = gp.Evaluator(profile, fitness.TABLE2, params)
-    assert evaluator.eval_batch(batch, "g3:off") == 35 * 3
+    genotypes = [p.genotype for p in populations[-1]]
+    genotypes += genotypes[:5]  # repeats sit later in the stream
     rng = random.Random("4:g3:off")
-    want = [fitness.evaluate(p.genotype, profile, fitness.TABLE2, 3, rng) for p in batch]
-    assert [p.fitness for p in batch] == want
+    want = [fitness.evaluate(g, profile, fitness.TABLE2, 3, rng) for g in genotypes]
+    params = gp.GpParams(seed=4, episodes_per_eval=3)
+    fresh = gp.Evaluator(profile, fitness.TABLE2, params)
+    warm = gp.Evaluator(profile, fitness.TABLE2, params)  # an earlier batch filled its cache
+    warm.eval_batch([gp.Individual(g) for g in genotypes], "g2:off")
+    simulated = []
+    evaluate_compiled = gp.evaluate_compiled
+
+    def counting_evaluate_compiled(compiled, *args, **kwargs):
+        simulated.append(compiled)
+        return evaluate_compiled(compiled, *args, **kwargs)
+
+    monkeypatch.setattr(gp, "evaluate_compiled", counting_evaluate_compiled)
+    counts = []
+    for evaluator in (fresh, warm):
+        simulated.clear()
+        batch = [gp.Individual(g) for g in genotypes]
+        assert evaluator.eval_batch(batch, "g3:off") == 35 * 3
+        assert [p.fitness for p in batch] == want
+        counts.append(len(simulated))
+    assert counts[1] < counts[0]
 
 
 def test_a_stochastic_generation_seeds_one_rng_per_eval_batch(monkeypatch):

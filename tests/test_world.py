@@ -438,10 +438,18 @@ def test_deterministic_profile_episode_is_pure():
     assert state_tuple(r1) == state_tuple(r2)
 
 
-def test_draws_nothing_only_on_all_zero_probabilities():
-    pure = [c for c in world.PROBABILITY_COLUMNS if world.draws_nothing(world.make_profile(c))]
-    assert pure == ["det"]
-    assert world.draws_nothing(world.make_profile("det", "high_noise"))
-    # any one non-zero probability draws, whatever the column's name
+def reference_draws(profile) -> bool:
+    """Whether the reference tree's one-episode evaluation drew from the rng."""
+    compiled = bt.compile_tree(REFERENCE_SOLUTION, world.build_transition_table(profile))
+    n_nodes = bt.node_count(REFERENCE_SOLUTION)
+    return fitness.evaluate_compiled(compiled, n_nodes, fitness.TABLE2, 1, random.Random(0))[1]
+
+
+def test_an_evaluation_draws_only_where_a_probability_is_set():
+    drawing = [c for c in world.PROBABILITY_COLUMNS if reference_draws(world.make_profile(c))]
+    assert drawing == [c for c in world.PROBABILITY_COLUMNS if c != "det"]
+    assert not reference_draws(world.make_profile("det", "high_noise"))
+    # any one non-zero probability draws, whatever the column's name: the
+    # reference tree reaches each of the five behaviors that can fail or lose
     for key in world.PROBABILITY_COLUMNS["det"]:
-        assert not world.draws_nothing(dataclasses.replace(DET, **{key: 0.1}))
+        assert reference_draws(dataclasses.replace(DET, **{key: 0.1}))
