@@ -1237,6 +1237,22 @@ def test_det_simulates_each_distinct_genotype_once(monkeypatch):
     assert len(requested) > len(simulated)  # repeats were served from the cache
 
 
+def test_det_run_evaluates_with_no_rng(monkeypatch):
+    drews = []
+    evaluate_compiled = gp.evaluate_compiled
+
+    def rngless_evaluate_compiled(compiled, n_nodes, weights, episodes, rng, **kw):
+        fv, drew = evaluate_compiled(compiled, n_nodes, weights, episodes, None, **kw)
+        drews.append(drew)
+        return fv, drew
+
+    monkeypatch.setattr(gp, "evaluate_compiled", rngless_evaluate_compiled)
+    params = gp.GpParams(generations=30, seed=0, reevaluate_elites=True)
+    gp.run(params, DET, fitness.TABLE2)
+    # nothing on det draws, so no evaluation needs a stream: a draw would raise
+    assert drews and not any(drews)
+
+
 @pytest.mark.parametrize(
     "profile",
     [world.make_profile("stoch3"), world.make_profile("exp3", "safe_paths")],
