@@ -44,14 +44,16 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _add_common(parser: argparse.ArgumentParser, reevaluate_elites: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, defaults: GpParams) -> None:
     parser.add_argument(
-        "--generations", type=int, default=GpParams.generations, help="generation budget"
+        "--generations", type=int, default=defaults.generations, help="generation budget"
     )
-    parser.add_argument("--population", type=int, default=GpParams.population)
-    parser.add_argument("--episodes-per-eval", type=int, default=GpParams.episodes_per_eval)
+    parser.add_argument("--population", type=int, default=defaults.population)
+    parser.add_argument("--episodes-per-eval", type=int, default=defaults.episodes_per_eval)
     parser.add_argument(
-        "--reevaluate-elites", action=argparse.BooleanOptionalAction, default=reevaluate_elites
+        "--reevaluate-elites",
+        action=argparse.BooleanOptionalAction,
+        default=defaults.reevaluate_elites,
     )
     parser.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV_VAR})")
 
@@ -80,11 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--pool", default="core9", choices=SCENARIOS)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--delta", type=float, default=FitnessWeights.delta, help="risk weight")
-    run_p.add_argument("--early-stop-window", type=int, default=0)
     run_p.add_argument("--checkpoint-every", type=int, default=0)
     run_p.add_argument("--checkpoint", default=None, help="checkpoint file path")
     run_p.add_argument("--resume", default=None, help="resume from a checkpoint file")
-    _add_common(run_p, reevaluate_elites=False)
+    _add_common(run_p, GpParams())
     run_p.set_defaults(handler=_cmd_run)
 
     for name, help_text in (
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=1,
             help="run this many (variant, seed) jobs at once in parallel processes",
         )
-        _add_common(exp_p, reevaluate_elites=True)
+        _add_common(exp_p, ExperimentConfig.params)
         exp_p.set_defaults(handler=_cmd_experiment)
 
     replay_p = sub.add_parser("replay", help="Monte Carlo replay of a genotype file")
@@ -117,7 +118,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out or _default_out())
     weights = FitnessWeights(delta=args.delta)
     profile = make_profile(args.profile, args.pool)
-    params = _gp_params(args, seed=args.seed, early_stop_window=args.early_stop_window)
+    params = _gp_params(args, seed=args.seed)
     stem = f"run_{profile.name}_seed{args.seed}"
     checkpoint = args.checkpoint
     if args.checkpoint_every > 0:

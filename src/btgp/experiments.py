@@ -169,8 +169,6 @@ class ExperimentConfig:
             raise ValueError("seeds must not be empty")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
-        if self.params.early_stop_window > 0:  # a curve needs equal-length histories
-            raise ValueError("an experiment cannot stop early: early_stop_window must be 0")
 
 
 def experiment_variants(config: ExperimentConfig) -> list[tuple[str, Profile, FitnessWeights]]:

@@ -16,6 +16,7 @@ from .world import Profile, build_transition_table, check_budgets, leaf_kinds
 
 # A change that would make an existing checkpoint resume into a run it did
 # not come from bumps the format; it adds no marker key to the fingerprint.
+# tests/test_gp.py resumes a checkpoint an earlier commit wrote to hold this.
 CHECKPOINT_FORMAT = "btgp-checkpoint-v9"
 
 
@@ -80,7 +81,6 @@ class GpParams:
     # With stochastic profiles a stored lucky score can pin a fragile tree at
     # the top forever; re-evaluating elites each generation washes that out.
     reevaluate_elites: bool = False
-    early_stop_window: int = 0  # 0 disables
     max_root_failures: int = world.MAX_ROOT_FAILURES
     max_ticks: int = world.MAX_TICKS
 
@@ -93,8 +93,6 @@ class GpParams:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
         if self.episodes_per_eval < 1:
             raise ValueError(f"episodes_per_eval must be >= 1, got {self.episodes_per_eval}")
-        if self.early_stop_window < 0:
-            raise ValueError(f"early_stop_window must be >= 0, got {self.early_stop_window}")
         check_budgets(self.max_root_failures, self.max_ticks)
 
 
@@ -284,15 +282,14 @@ def crossover(
 # The mutation operators below each draw one edit of a valid genotype ``g``
 # with rows ``facts = bt.node_facts(g)`` (``_below``'s loop inlined), then
 # decide V1-V4 at the nodes next to the edit, the only ones it can break,
-# before building anything. They return (candidate, True, key), or
-# (None, False, None) for an inapplicable or invalid edit. An edit that
-# rewrites a token to itself (a leaf to the same leaf, a control to its own
-# kind) returns ``g`` itself. ``key`` is the candidate's canonical form if
-# ``g`` is canonical: an edit that leaves no control with a single child is
-# its own key, one that wraps a single node in a new control is keyed as
-# ``g`` (splicing that control gives ``g`` back), and one that leaves the
-# edited control one child is keyed by splicing that control's open and
-# close out of the candidate.
+# before building anything. They return (candidate, key), or None for an
+# inapplicable or invalid edit. An edit that rewrites a token to itself (a
+# leaf to the same leaf, a control to its own kind) returns ``g`` itself.
+# ``key`` is the candidate's canonical form if ``g`` is canonical: an edit
+# that leaves no control with a single child is its own key, one that wraps
+# a single node in a new control is keyed as ``g`` (splicing that control
+# gives ``g`` back), and one that leaves the edited control one child is
+# keyed by splicing that control's open and close out of the candidate.
 
 
 def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng):
@@ -307,24 +304,24 @@ def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng):
     if rng.random() < P_CONTROL_NODE:
         tok = bt.SEQUENCE_OPEN if rng.random() < 0.5 else bt.FALLBACK_OPEN
         if node == tok:
-            return g, True, g
+            return g, g
         # V1 against the parent, which is the only check when the node is the root
         if parent >= 0 and g[parent] == tok:
-            return None, False, None
+            return None
         if bt.is_control_open(node):
             # kind flip: V1 against every control child as well; the first
             # child is row k + 1, and each next one starts its size in rows later
             j = k + 1
             for _ in range(facts[k][4]):
                 if g[facts[j][0]] == tok:
-                    return None, False, None
+                    return None
                 j += facts[j][2]
             cand = g[:i] + (tok,) + g[i + 1 :]
-            return cand, True, cand
+            return cand, cand
         # leaf -> control: the leaf becomes the new control's only child (V2)
         if kinds[node] == bt.CONDITION:
-            return None, False, None
-        return g[:i] + (tok, node, bt.CLOSE) + g[i + 1 :], True, g
+            return None
+        return g[:i] + (tok, node, bt.CLOSE) + g[i + 1 :], g
     n = len(ids)
     b = n.bit_length()
     r = bits(b)
@@ -332,11 +329,11 @@ def _op_node_mutation(g: Genotype, facts: list, ids, kinds, rng):
         r = bits(b)
     leaf = ids[r]
     if leaf == node:
-        return g, True, g
+        return g, g
     if not bt.fits(g, facts[k], leaf, kinds):
-        return None, False, None
+        return None
     cand = g[:i] + (leaf,) + g[e:]
-    return cand, True, cand
+    return cand, cand
 
 
 def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
@@ -349,8 +346,8 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
         n_runs = sum([row[4] * (row[4] + 1) // 2 for row in facts])
         if not n_runs:  # bare leaf: wrap the root, which becomes the last child (V2)
             if kinds[g[0]] == bt.CONDITION:
-                return None, False, None
-            return (tok,) + g + (bt.CLOSE,), True, g
+                return None
+            return (tok,) + g + (bt.CLOSE,), g
         b = n_runs.bit_length()
         r = bits(b)
         while r >= n_runs:
@@ -365,7 +362,7 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
             r -= m - x
             x += 1
         if g[row[0]] == tok:
-            return None, False, None  # V1 against the control above
+            return None  # V1 against the control above
         j = k + 1  # row of the control's first child
         for _ in range(x):
             j += facts[j][2]
@@ -374,19 +371,19 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
             # V1 against every wrapped child
             start, hi, size, _, _ = facts[j]
             if g[start] == tok:
-                return None, False, None
+                return None
             j += size
         # V2 for the last wrapped child, read off the token before the run's end
         if kinds.get(g[hi - 1]) == bt.CONDITION:
-            return None, False, None
+            return None
         # the new control gets r + 1 children, the one above keeps m - r
         cand = g[:lo] + (tok,) + g[lo:hi] + (bt.CLOSE,) + g[hi:]
         if r == 0:  # a wrap of one child
-            return cand, True, g
+            return cand, g
         if m - r >= 2:
-            return cand, True, cand
+            return cand, cand
         c = row[1] + 1  # all m wrapped: the control above keeps one child, its close moved
-        return cand, True, cand[: row[0]] + cand[row[0] + 1 : c] + cand[c + 1 :]
+        return cand, cand[: row[0]] + cand[row[0] + 1 : c] + cand[c + 1 :]
     # New leaf, either as a sibling in an existing child list or at a new
     # level (bundled with an existing node under a fresh control).
     n = len(ids)
@@ -407,9 +404,9 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
         j += 1
         # V2 as the last child, V4 next to an equal leaf
         if cond and (g[j] == bt.CLOSE or g[j] == leaf or g[j - 1] == leaf):
-            return None, False, None
+            return None
         cand = g[:j] + (leaf,) + g[j:]
-        return cand, True, cand
+        return cand, cand
     n = 2 * len(facts)
     b = n.bit_length()
     r = bits(b)
@@ -420,22 +417,22 @@ def _op_node_addition(g: Genotype, facts: list, ids, kinds, rng):
     # V1 against the parent and the bundled node; V2 for whichever is last
     # (a V4 pair of equal conditions always puts a condition last)
     if (parent >= 0 and g[parent] == tok) or g[s] == tok:
-        return None, False, None
+        return None
     if r % 2 == 0:
         if kinds.get(g[s]) == bt.CONDITION:
-            return None, False, None
+            return None
         cand = g[:s] + (tok, leaf) + g[s:e] + (bt.CLOSE,) + g[e:]
     else:
         if cond:
-            return None, False, None
+            return None
         cand = g[:s] + (tok,) + g[s:e] + (leaf, bt.CLOSE) + g[e:]
-    return cand, True, cand
+    return cand, cand
 
 
 def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
     n = len(facts) - 1
     if not n:
-        return None, False, None  # deleting the only node would empty the tree
+        return None  # deleting the only node would empty the tree
     bits = rng.getrandbits
     b = n.bit_length()
     k = bits(b)
@@ -448,18 +445,18 @@ def _op_node_deletion(g: Genotype, facts: list, kinds, rng):
         # the node was the last child: V3 if it was the only one, else V2
         # for the left sibling that becomes last
         if bt.is_control_open(before) or kinds.get(before) == bt.CONDITION:
-            return None, False, None
+            return None
     elif before == after and kinds.get(before) == bt.CONDITION:
-        return None, False, None  # V4 for the siblings that become neighbours
+        return None  # V4 for the siblings that become neighbours
     # the parent loses a child, which may leave it with one; its row is the
     # nearest one before k that starts at its open
     while facts[k][0] != parent:
         k -= 1
     cand = g[:s] + g[e:]
     if facts[k][4] != 2:
-        return cand, True, cand
+        return cand, cand
     c = facts[k][1] - 1 - (e - s)  # the parent's close, moved left by the deletion
-    return cand, True, cand[:parent] + cand[parent + 1 : c] + cand[c + 1 :]
+    return cand, cand[:parent] + cand[parent + 1 : c] + cand[c + 1 :]
 
 
 def mutate(
@@ -499,12 +496,15 @@ def mutate(
     for _ in range(MAX_ATTEMPTS):
         r = rng.random()
         if r < p_mutation:
-            cand, ok, key = _op_node_mutation(g, facts, ids, kinds, rng)
+            edit = _op_node_mutation(g, facts, ids, kinds, rng)
         elif r < p_addition:
-            cand, ok, key = _op_node_addition(g, facts, ids, kinds, rng)
+            edit = _op_node_addition(g, facts, ids, kinds, rng)
         else:
-            cand, ok, key = _op_node_deletion(g, facts, kinds, rng)
-        if not ok or (capped and bt.node_count(cand) > node_cap):
+            edit = _op_node_deletion(g, facts, kinds, rng)
+        if edit is None:
+            continue
+        cand, key = edit
+        if capped and bt.node_count(cand) > node_cap:
             continue
         if not canonical_parent:
             key = bt.canonical(cand)
@@ -674,9 +674,9 @@ def evolve_generation(
     return new_population, _stats(generation, new_population, episodes)
 
 
-# GpParams fields a resumed run may change: they decide only when a run
-# stops, never what any generation computes.
-_RESUMABLE_PARAMS = ("generations", "early_stop_window")
+# GpParams fields a resumed run may change: the generation budget decides
+# only when a run stops, never what any generation computes.
+_RESUMABLE_PARAMS = ("generations",)
 # Module constants a run is bound to besides GpParams, stored under these names.
 _GP_CONSTANTS = (
     "START_LENGTH", "CROSSOVER_FRACTION", "MUTATION_FRACTION", "ELITISM_FRACTION",
@@ -845,9 +845,9 @@ def run(
 ) -> tuple[list[GenerationStats], Individual]:
     """Full GP run; returns (history, best individual of the final population).
 
-    ``stop_fn(stats, best)`` may end the run early; ``early_stop_window`` > 0
-    stops after that many generations without best-fitness change. History
-    row 0 describes the initial random population.
+    The run ends after ``params.generations`` generations, or earlier at the
+    first generation for which ``stop_fn(stats, best)`` is true. History row
+    0 describes the initial random population.
     """
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
@@ -914,11 +914,6 @@ def run(
         if stop_fn is not None:
             best = max(population, key=lambda ind: ind.fitness.j)
             if stop_fn(stats, best):
-                break
-        w = params.early_stop_window
-        if w > 0 and len(history) > w:
-            recent = [h.best_j for h in history[-(w + 1) :]]
-            if all(v == recent[0] for v in recent):
                 break
 
     best = max(population, key=lambda ind: ind.fitness.j)

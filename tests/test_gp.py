@@ -48,7 +48,6 @@ def test_params_hold_no_rates():
         "seed",
         "node_cap",
         "reevaluate_elites",
-        "early_stop_window",
         "max_root_failures",
         "max_ticks",
     ]
@@ -62,7 +61,6 @@ def test_params_hold_no_rates():
         ("population", 1),
         ("generations", -1),
         ("episodes_per_eval", 0),
-        ("early_stop_window", -1),
         ("max_ticks", 0),
         ("max_root_failures", -3),
         ("node_cap", 3),  # below the fixed start length of 4
@@ -590,13 +588,13 @@ def test_local_verdicts_match_validate(seed, kinds, p_control):
     facts = bt.node_facts(g)
     with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
         for _ in range(20):
-            for cand, ok, _ in (
+            for edit in (
                 gp._op_node_mutation(g, facts, ids, kinds, rng),
                 gp._op_node_addition(g, facts, ids, kinds, rng),
                 gp._op_node_deletion(g, facts, kinds, rng),
             ):
-                assert ok == (cand is not None)
-                if cand is not None:
+                if edit is not None:
+                    cand, _ = edit
                     assert not bt.validate(cand, kinds), (g, cand)
     # every subtree swap crossover can make from g and other
     for row in facts:
@@ -621,12 +619,13 @@ def test_mutation_candidates_have_at_most_two_nodes_more(seed, kinds, p_control)
     bound = bt.node_count(g) + 2
     with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
         for _ in range(20):
-            for cand, _, _ in (
+            for edit in (
                 gp._op_node_mutation(g, facts, ids, kinds, rng),
                 gp._op_node_addition(g, facts, ids, kinds, rng),
                 gp._op_node_deletion(g, facts, kinds, rng),
             ):
-                if cand is not None:
+                if edit is not None:
+                    cand, _ = edit
                     assert bt.node_count(cand) <= bound, (g, cand)
 
 
@@ -637,10 +636,8 @@ def test_a_new_leaf_bundled_under_a_new_control_adds_two_nodes(monkeypatch):
     monkeypatch.setattr(gp, "P_CONTROL_NODE", 0.0)  # a new leaf, not a new control
     g = bt.from_text("s( localise tuck )")
     facts, ids = bt.node_facts(g), sorted(KINDS)
-    candidates = [
-        gp._op_node_addition(g, facts, ids, KINDS, random.Random(seed))[0] for seed in range(50)
-    ]
-    grown = {bt.node_count(cand) for cand in candidates if cand is not None}
+    edits = [gp._op_node_addition(g, facts, ids, KINDS, random.Random(seed)) for seed in range(50)]
+    grown = {bt.node_count(edit[0]) for edit in edits if edit is not None}
     assert grown == {bt.node_count(g) + 1, bt.node_count(g) + 2}
 
 
@@ -682,13 +679,14 @@ def test_operator_keys_of_canonical_genotypes_are_their_canonical_forms():
         facts = bt.node_facts(g)
         with mock.patch.object(gp, "P_CONTROL_NODE", p_control):
             for _ in range(20):
-                for op, (cand, _, key) in (
+                for op, edit in (
                     ("mutation", gp._op_node_mutation(g, facts, ids, kinds, rng)),
                     ("addition", gp._op_node_addition(g, facts, ids, kinds, rng)),
                     ("deletion", gp._op_node_deletion(g, facts, kinds, rng)),
                 ):
-                    if cand is None:
+                    if edit is None:
                         continue
+                    cand, key = edit
                     assert key == bt.canonical(cand), (g, cand)
                     if key is not cand and key is not g:
                         spliced.add(op)
@@ -924,14 +922,6 @@ def test_population_stats_invariant():
     history, _ = gp.run(params, DET, fitness.TABLE2)
     for h in history:
         assert h.best_j >= h.mean_j
-
-
-def test_early_stop_window():
-    params = gp.GpParams(generations=500, seed=1, early_stop_window=20)
-    history, _ = gp.run(params, DET, fitness.TABLE2)
-    assert history[-1].generation < 500
-    tail = [h.best_j for h in history[-21:]]
-    assert all(v == tail[0] for v in tail)
 
 
 def test_stop_fn_receives_best_and_stops():
@@ -1180,6 +1170,29 @@ def test_stoch3_checkpoint_bytes_are_pinned(tmp_path):
         checkpoint_every=10,
     )
     assert hashlib.sha256(path.read_bytes()).hexdigest() == STOCH3_SEED0_CHECKPOINT10_DIGEST
+
+
+# A stoch3 checkpoint at generation 4, written by an earlier commit of this
+# code. A change that fails this test would resume an existing checkpoint
+# into a run it did not come from: it bumps gp.CHECKPOINT_FORMAT and writes
+# this file again with PINNED_CHECKPOINT_PARAMS stopped at generation 4.
+# At population 10 a change to the evaluation streams' seeds changes
+# history rows 1-4; at population 6 it changes none.
+PINNED_CHECKPOINT = Path(__file__).parent / "data" / "stoch3_seed0_g4.checkpoint.json"
+PINNED_CHECKPOINT_PARAMS = gp.GpParams(
+    population=10, generations=8, episodes_per_eval=3, reevaluate_elites=True, seed=0
+)
+
+
+def test_pinned_checkpoint_resumes_into_the_uninterrupted_run():
+    profile = world.make_profile("stoch3")
+    assert gp.load_checkpoint(PINNED_CHECKPOINT)["generation"] == 4
+    resumed, resumed_best = gp.run(
+        PINNED_CHECKPOINT_PARAMS, profile, fitness.TABLE2, resume_from=PINNED_CHECKPOINT
+    )
+    history, best = gp.run(PINNED_CHECKPOINT_PARAMS, profile, fitness.TABLE2)
+    assert resumed == history
+    assert (resumed_best.genotype, resumed_best.fitness) == (best.genotype, best.fitness)
 
 
 def test_det_five_episode_history_is_the_pinned_one_episode_history():
