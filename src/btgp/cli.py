@@ -58,14 +58,14 @@ def _add_common(parser: argparse.ArgumentParser, defaults: GpParams) -> None:
     parser.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV_VAR})")
 
 
-def _gp_params(args, **run_only) -> GpParams:
-    """The run settings the shared flags give, plus ``run``'s own."""
+def _gp_params(args, seed: int = GpParams.seed) -> GpParams:
+    """The run settings the shared flags give, plus ``run``'s seed."""
     return GpParams(
         population=args.population,
         generations=args.generations,
         episodes_per_eval=args.episodes_per_eval,
         reevaluate_elites=args.reevaluate_elites,
-        **run_only,
+        seed=seed,
     )
 
 
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="single GP run")
     run_p.add_argument("--profile", default="det", choices=sorted(PROBABILITY_COLUMNS))
     run_p.add_argument("--pool", default="core9", choices=SCENARIOS)
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=int, default=GpParams.seed)
     run_p.add_argument("--delta", type=float, default=FitnessWeights.delta, help="risk weight")
     run_p.add_argument("--checkpoint-every", type=int, default=0)
     run_p.add_argument("--checkpoint", default=None, help="checkpoint file path")

@@ -24,23 +24,6 @@ def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def _below(bits, n: int) -> int:
-    """Uniform int in [0, n) from ``bits = rng.getrandbits``.
-
-    The same draws as CPython's ``_randbelow_with_getrandbits`` (3.11-3.13),
-    so the value and the rng state after it equal ``rng.randrange(n)``'s.
-    The breeding loops inline this loop, with no Python frame per draw;
-    this function is the reference the tests hold it to.
-    """
-    if n < 1:
-        raise ValueError(f"empty range for _below({n})")  # getrandbits(0) is always 0
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
 def mean_left_to_right(values) -> float:
     """Mean of a sequence of floats, summed left to right: Python 3.12's
     compensated float ``sum`` would round differently, so history rows and
@@ -181,7 +164,7 @@ def tournament(candidates, slots: int, rng) -> list:
     # individuals around, which the search relies on.
     bits = rng.getrandbits
     while len(pool) > need:
-        # _below(bits, n) and _below(bits, n - 1), inlined
+        # rng.randrange(n)'s and rng.randrange(n - 1)'s draws, inlined
         n = len(pool)
         k = n.bit_length()
         i = bits(k)
@@ -246,7 +229,7 @@ def crossover(
     for _ in range(MAX_ATTEMPTS):
         if len(tried) == n1 * n2:
             break  # every span pair rejected: no further draw can succeed
-        # (_below(bits, n1), _below(bits, n2)), inlined
+        # rng.randrange(n1)'s and rng.randrange(n2)'s draws, inlined
         i = bits(b1)
         while i >= n1:
             i = bits(b1)
@@ -280,8 +263,8 @@ def crossover(
 
 
 # The mutation operators below each draw one edit of a valid genotype ``g``
-# with rows ``facts = bt.node_facts(g)`` (``_below``'s loop inlined), then
-# decide V1-V4 at the nodes next to the edit, the only ones it can break,
+# with rows ``facts = bt.node_facts(g)`` (``rng.randrange(n)``'s draws, inlined),
+# then decide V1-V4 at the nodes next to the edit, the only ones it can break,
 # before building anything. They return (candidate, key), or None for an
 # inapplicable or invalid edit. An edit that rewrites a token to itself (a
 # leaf to the same leaf, a control to its own kind) returns ``g`` itself.
@@ -614,7 +597,7 @@ def evolve_generation(
     offspring: list[Individual] = []
     cx_parents = tournament(population, n_cx, rng)
     # rng.shuffle(cx_parents), inlined: CPython's Fisher-Yates, each swap
-    # index drawn as _below(bits, i + 1)
+    # index drawn as rng.randrange(i + 1) draws it
     bits = rng.getrandbits
     for i in range(len(cx_parents) - 1, 0, -1):
         k = (i + 1).bit_length()

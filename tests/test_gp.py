@@ -107,21 +107,6 @@ def test_run_with_population_three_completes():
     assert best.fitness.j == history[-1].best_j
 
 
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 2**70))
-def test_below_draws_like_randrange(seed, n):
-    a, b = random.Random(seed), random.Random(seed)
-    for bound in (n, n // 3 + 1, 1):
-        assert gp._below(a.getrandbits, bound) == b.randrange(bound)
-        assert a.getstate() == b.getstate()
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_below_rejects_an_empty_range(n):
-    with pytest.raises(ValueError, match="empty range"):
-        gp._below(random.Random(0).getrandbits, n)
-
-
 def test_tournament_rejects_oversized_slots():
     with pytest.raises(ValueError, match="^3 slots for 2 candidates$"):
         gp.tournament(evaluated([1.0, 2.0]), 3, random.Random(0))
@@ -164,7 +149,7 @@ def test_tournament_best_always_survives_worst_never():
 def tournament_with_key_functions(candidates, slots, rng):
     """``gp.tournament`` as it was before its draws were inlined: best and
     worst found by ``max`` / ``min`` with a key, duel indices from
-    ``rng.randrange``, which ``gp._below`` draws like."""
+    ``rng.randrange``."""
     cands = list(candidates)
     if slots > len(cands):
         raise ValueError(f"{slots} slots for {len(cands)} candidates")
