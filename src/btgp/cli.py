@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -20,13 +19,7 @@ from .experiments import (
 )
 from .fitness import FitnessWeights
 from .gp import GpParams, run
-from .world import PROBABILITY_COLUMNS, SCENARIOS, make_profile
-
-OUT_ENV_VAR = "BTGP_OUT"
-
-
-def _default_out() -> str:
-    return os.environ.get(OUT_ENV_VAR, "btgp_out")
+from .world import POOLS, PROBABILITY_COLUMNS, make_profile
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -55,7 +48,7 @@ def _add_common(parser: argparse.ArgumentParser, defaults: GpParams) -> None:
         action=argparse.BooleanOptionalAction,
         default=defaults.reevaluate_elites,
     )
-    parser.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV_VAR})")
+    parser.add_argument("--out", default="btgp_out", help="output directory (default %(default)s)")
 
 
 def _gp_params(args, seed: int = GpParams.seed) -> GpParams:
@@ -79,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="single GP run")
     run_p.add_argument("--profile", default="det", choices=sorted(PROBABILITY_COLUMNS))
-    run_p.add_argument("--pool", default="core9", choices=SCENARIOS)
+    run_p.add_argument("--pool", default="core9", choices=POOLS)
     run_p.add_argument("--seed", type=int, default=GpParams.seed)
     run_p.add_argument("--delta", type=float, default=FitnessWeights.delta, help="risk weight")
     run_p.add_argument("--checkpoint-every", type=int, default=0)
@@ -107,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p = sub.add_parser("replay", help="Monte Carlo replay of a genotype file")
     replay_p.add_argument("--tree", required=True, help="genotype text file")
     replay_p.add_argument("--profile", default="det", choices=sorted(PROBABILITY_COLUMNS))
-    replay_p.add_argument("--pool", default="core9", choices=SCENARIOS)
+    replay_p.add_argument("--pool", default="core9", choices=POOLS)
     replay_p.add_argument("--episodes", type=int, default=1000)
     replay_p.add_argument("--seed", type=int, default=0)
     replay_p.set_defaults(handler=_cmd_replay)
@@ -115,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    out_dir = Path(args.out or _default_out())
+    out_dir = Path(args.out)
     weights = FitnessWeights(delta=args.delta)
     profile = make_profile(args.profile, args.pool)
     params = _gp_params(args, seed=args.seed)
@@ -148,7 +141,7 @@ def _cmd_run(args) -> int:
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig(
         experiment=args.command,
-        out_dir=str(args.out or _default_out()),
+        out_dir=args.out,
         seeds=tuple(args.seeds),
         params=_gp_params(args),
         workers=args.workers,

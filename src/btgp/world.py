@@ -168,7 +168,6 @@ POOLS = {
     "high_noise": CORE9 + AUX_IDS,
     "safe_paths": CORE9 + ("move_to_pick_safe", "move_to_goal_safe"),
 }
-SCENARIOS = tuple(POOLS)
 
 
 def make_profile(column: str, pool: str = "core9") -> Profile:

@@ -501,13 +501,11 @@ def test_cli_run_with_population_three(tmp_path):
     assert (tmp_path / "run_det_seed0.csv").exists()
 
 
-def test_cli_uses_env_var_for_default_out(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "env_out"))
-    rc = cli.main(
-        ["run", "--profile", "det", "--generations", "1", "--population", "6"]
-    )
+def test_cli_writes_to_btgp_out_without_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["run", "--generations", "1", "--population", "6"])
     assert rc == 0
-    assert (tmp_path / "env_out" / "run_det_seed0.csv").exists()
+    assert (tmp_path / "btgp_out" / "run_det_seed0.csv").exists()
 
 
 def test_cli_exp1_tiny(tmp_path):

@@ -262,7 +262,7 @@ def test_evaluation_simulates_one_episode_only_when_nothing_draws(
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    pool=st.sampled_from(world.SCENARIOS),
+    pool=st.sampled_from(tuple(world.POOLS)),
     length=st.integers(1, 16),
     episodes=st.integers(1, 7),
     max_root_failures=st.integers(0, 6),
@@ -294,7 +294,7 @@ STOCHASTIC_COLUMNS = [c for c in world.PROBABILITY_COLUMNS if c != "det"]
 @given(
     seed=st.integers(0, 2**32 - 1),
     column=st.sampled_from(STOCHASTIC_COLUMNS),
-    pool=st.sampled_from(world.SCENARIOS),
+    pool=st.sampled_from(tuple(world.POOLS)),
     length=st.integers(1, 16),
     episodes=st.integers(1, 7),
     max_root_failures=st.integers(0, 6),

@@ -1553,7 +1553,6 @@ UNBOUND_CONSTANTS = (
     ("world", "CORE9", "behavior ids; the profile section binds the pool"),
     ("world", "AUX_IDS", "behavior ids; the profile section binds the pool"),
     ("world", "POOLS", "behavior ids; the profile section binds the pool"),
-    ("world", "SCENARIOS", "the pool names the CLI offers"),
     ("fitness", "TABLE2", "a FitnessWeights; the weights section binds the run's"),
     ("gp", "CHECKPOINT_FORMAT", "the file's format key, checked before the fingerprint"),
     ("gp", "_RESUMABLE_PARAMS", "the fingerprint's own layout"),
