@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Mapping
 
 SUCCESS = 1
 FAILURE = 0
-RUNNING = 2
 
 SEQUENCE_OPEN = "s("
 FALLBACK_OPEN = "f("
@@ -123,11 +122,12 @@ def compile_tree(
     unchanged, so it compiles to the child's policy itself: a genotype ticks
     as its ``canonical`` form. Raises MalformedGenotype for a sequence that
     is not one balanced tree over the table's leaves; V1-V4 are ``parse``'s
-    to check, and childless controls compile. A tick is reactive and
-    memoryless: a Sequence returns its first non-Success child status
-    (Success if all succeed), a Fallback its first non-Failure child status
-    (Failure if all fail), left to right, each visited leaf executed exactly
-    once.
+    to check, and childless controls compile. A leaf returns SUCCESS or
+    FAILURE (each world transition is one atomic step), so every policy
+    does too. A tick is reactive and memoryless: a Sequence returns Failure
+    at its first failing child (Success if all succeed), a Fallback Success
+    at its first succeeding child (Failure if all fail), left to right, each
+    visited leaf executed exactly once.
     """
     stack: list[tuple[bool, list]] = []  # (is_sequence, child policies) per open control
     root = None
@@ -150,17 +150,15 @@ def compile_tree(
             elif is_sequence:
                 def run_sequence(state, rng, _fns=fns):
                     for f in _fns:
-                        status = f(state, rng)
-                        if status != SUCCESS:
-                            return status
+                        if f(state, rng) == FAILURE:
+                            return FAILURE
                     return SUCCESS
                 fn = run_sequence
             else:
                 def run_fallback(state, rng, _fns=fns):
                     for f in _fns:
-                        status = f(state, rng)
-                        if status != FAILURE:
-                            return status
+                        if f(state, rng) == SUCCESS:
+                            return SUCCESS
                     return FAILURE
                 fn = run_fallback
         if stack:

@@ -11,7 +11,6 @@ from . import bt
 from .experiments import (
     DEFAULT_SEEDS,
     ExperimentConfig,
-    read_genotype,
     replay,
     run_experiment,
     write_genotype,
@@ -155,7 +154,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_replay(args) -> int:
     profile = make_profile(args.profile, args.pool)
     try:
-        report = replay(read_genotype(args.tree), profile, args.episodes, args.seed)
+        genotype = bt.from_text(Path(args.tree).read_text())
+        report = replay(genotype, profile, args.episodes, args.seed)
     except (bt.MalformedGenotype, UnicodeDecodeError) as exc:
         raise bt.MalformedGenotype(f"tree file {args.tree}: {exc}") from None
     print(json.dumps(report.as_dict(), indent=1))

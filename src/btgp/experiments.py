@@ -148,10 +148,6 @@ def write_genotype(path, genotype: bt.Genotype) -> None:
     path.write_text(bt.to_text(genotype) + "\n")
 
 
-def read_genotype(path) -> bt.Genotype:
-    return bt.from_text(Path(path).read_text())
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str  # exp1 | exp2 | exp3

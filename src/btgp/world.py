@@ -17,8 +17,9 @@ from .bt import ACTION, CONDITION, FAILURE, SUCCESS
 ROOT_SUCCESS = "root_success"
 FAILURE_BUDGET = "failure_budget"
 TICK_BUDGET = "tick_budget"
-# Default episode budgets: an episode ends at its MAX_TICKS-th tick or at
-# its root's first failure past MAX_ROOT_FAILURES.
+# Default episode budgets. Every tick that is not the root's success is a root
+# failure, so the failure budget ends an episode within MAX_ROOT_FAILURES + 1
+# = 6 ticks; MAX_TICKS ends one first only when max_ticks <= max_root_failures.
 MAX_ROOT_FAILURES = 5
 MAX_TICKS = 100
 
@@ -77,15 +78,16 @@ PROBABILITY_COLUMNS: dict[str, dict[str, float]] = {
         "losing_localization": 0.2,
     },
     # exp3 (with the safe_paths pool): only the short moves can lose the cube
-    # or the localization. Premise: the better of the reference tree and the
-    # 10-node re-pick tree has a higher expected J with move_to_* than with
-    # move_to_*_safe at delta 0, and a lower one at delta 150 (fitness.evaluate,
-    # 3000 episodes, random.Random(1); the safe trees draw nothing):
-    #   losses 0.2 / 0.4:  delta 0 risky 124.4 < safe 138.5 (premise fails)
-    #   losses 0.05 / 0.1: delta 0 risky 139.3 > safe 138.5 (139.21-139.33
-    #   over seeds 1-5); delta 150 risky 104.0 < safe 138.5
-    # at SAFE_TIME_MULTIPLIER 2 (x4 widens the delta 0 margin to 3.2 J). The
-    # values equal stoch2's; the row is exp3's own, so tuning it moves no other.
+    # or the localization. Expected J at delta 0 (fitness.evaluate_compiled,
+    # 40,000 episodes, random.Random(1)), moves to the pick/goal risky/risky,
+    # safe/safe and risky/safe: 103.12, 140.60 and 140.92 for the straight
+    # s( tuck localise move_to_pick head_down pick head_up move_to_goal
+    # head_down place ), 124.61, 138.50 and 138.81 for the reference tree. A
+    # move stranded before the pick is retried; a cube lost on the way to the
+    # goal is not. So the straight risky/safe leads at delta 0, and safe/safe
+    # from delta 0.32 / 0.111 (risky/safe's mean risk) ~ 2.9, by 3.0 J at delta
+    # 30. At losses 0.2 / 0.4 risky/safe falls to 139.37. The values equal
+    # stoch2's; the row is exp3's own, so tuning it moves no other.
     "exp3": {
         "loc_failure": 0.0,
         "pick_failure": 0.0,
@@ -408,22 +410,18 @@ def run_compiled(
     episode: its callers check them once per call (``check_budgets``).
     """
     state = WorldState()
-    ticks = 0
     while True:
-        status = compiled(state, rng)
-        ticks += 1
-        if status == SUCCESS:
+        if compiled(state, rng) == SUCCESS:
             terminated = ROOT_SUCCESS
             break
-        if status == FAILURE:
-            state.root_failures += 1
-            if state.root_failures > max_root_failures:
-                terminated = FAILURE_BUDGET
-                break
-        if ticks >= max_ticks:
+        state.root_failures += 1
+        if state.root_failures > max_root_failures:
+            terminated = FAILURE_BUDGET
+            break
+        if state.root_failures >= max_ticks:
             terminated = TICK_BUDGET
             break
-    state.ticks_used = ticks
+    state.ticks_used = state.root_failures + (terminated is ROOT_SUCCESS)
     state.terminated_by = terminated
     return state
 

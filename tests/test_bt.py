@@ -78,9 +78,9 @@ def parse_tree(tokens):
 
 
 def oracle(node, results, calls):
-    """Status of one tick of a ``parse_tree`` tree: a Sequence's first
-    non-Success child status, else Success; a Fallback's first non-Failure
-    child status, else Failure; children are visited lazily, left to right."""
+    """Status of one tick of a ``parse_tree`` tree: a Sequence's Failure at
+    its first failing child, else Success; a Fallback's Success at its first
+    succeeding child, else Failure; children are visited lazily, left to right."""
     if isinstance(node, str):
         calls.append(node)
         return results[node]
@@ -218,14 +218,6 @@ def test_tick_fallback_runs_pick_sequence_once():
     assert calls == ["have_block", "move_pick", "pick"]
 
 
-def test_tick_propagates_running():
-    results = {"a": bt.SUCCESS, "b": bt.RUNNING, "c": bt.SUCCESS}
-    assert tick(("s(", "a", "b", "c", ")"), results) == (bt.RUNNING, ["a", "b"])
-    assert tick(("f(", "c", "b", ")"), results) == (bt.SUCCESS, ["c"])
-    results["c"] = bt.FAILURE
-    assert tick(("f(", "c", "b", "a", ")"), results) == (bt.RUNNING, ["c", "b"])
-
-
 def test_compile_tree_leaf_is_the_table_entry():
     table = scripted_table({"a": bt.SUCCESS}, [])
     assert bt.compile_tree(("a",), table) is table["a"]
@@ -311,7 +303,7 @@ def test_compile_tree_raises_exactly_when_parse_does(tokens):
 @given(
     tokens=tree_tokens(),
     statuses=st.lists(
-        st.sampled_from((bt.SUCCESS, bt.FAILURE, bt.RUNNING)),
+        st.sampled_from((bt.SUCCESS, bt.FAILURE)),
         min_size=len(KINDS),
         max_size=len(KINDS),
     ),
@@ -458,7 +450,7 @@ def test_canonical_is_idempotent(tokens):
 @given(
     tokens=wrapped_genotypes(),
     statuses=st.lists(
-        st.sampled_from((bt.SUCCESS, bt.FAILURE, bt.RUNNING)),
+        st.sampled_from((bt.SUCCESS, bt.FAILURE)),
         min_size=len(KINDS),
         max_size=len(KINDS),
     ),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from btgp import experiments, world
+from btgp import bt, experiments, world
 
 REPLAY_EPISODES = 2000
 REPLAY_SEED = 7
@@ -27,7 +27,7 @@ def test_exp3_risk_weight_steers_to_safe_paths(tmp_path):
     for delta in experiments.EXP3_DELTAS:
         for seed in config.seeds:
             path = tmp_path / "exp3" / f"delta{delta:g}" / f"best_seed{seed}.txt"
-            genotype = experiments.read_genotype(path)
+            genotype = bt.from_text(path.read_text())
             report = experiments.replay(genotype, profile, REPLAY_EPISODES, REPLAY_SEED)
             risky = sum(report.executed.get(b, 0) for b in RISKY_MOVES) / REPLAY_EPISODES
             safe = sum(report.executed.get(b, 0) for b in SAFE_MOVES) / REPLAY_EPISODES

@@ -236,7 +236,7 @@ def test_curve_csv_schema(tmp_path):
 def test_genotype_file_roundtrip(tmp_path):
     path = tmp_path / "best.txt"
     experiments.write_genotype(path, REFERENCE_SOLUTION)
-    assert experiments.read_genotype(path) == REFERENCE_SOLUTION
+    assert bt.from_text(path.read_text()) == REFERENCE_SOLUTION
 
 
 def tiny_config(tmp_path, experiment, generations=2, **kw):

@@ -397,29 +397,114 @@ def test_guard_soundness_under_random_states():
 
 
 def test_tick_budget_termination():
-    # drive run_compiled directly with a tree that always reports Running
-    compiled = lambda st, rng: bt.RUNNING  # noqa: E731
-    result = world.run_compiled(compiled, random.Random(0), max_ticks=17)
-    assert result.terminated_by == world.TICK_BUDGET
-    assert result.ticks_used == 17
+    # every tick of a tree that always fails is a root failure, so the tick
+    # budget ends its episode only when max_ticks <= max_root_failures
+    compiled = bt.compile_tree(("have_block",), world.build_transition_table(DET))
+    cases = [
+        (20, 17, world.TICK_BUDGET, 17),
+        (17, 17, world.TICK_BUDGET, 17),
+        (16, 17, world.FAILURE_BUDGET, 17),
+        (1, 1, world.TICK_BUDGET, 1),
+        (0, 1, world.FAILURE_BUDGET, 1),
+    ]
+    for max_root_failures, max_ticks, terminated_by, ticks in cases:
+        result = world.run_compiled(
+            compiled, random.Random(0), max_root_failures=max_root_failures, max_ticks=max_ticks
+        )
+        assert result.terminated_by == terminated_by
+        assert result.ticks_used == result.root_failures == ticks
 
 
 def test_run_compiled_returns_its_final_state():
     table = world.build_transition_table(DET)
     endings = [
-        (REFERENCE_SOLUTION, world.ROOT_SUCCESS, 1),
-        (("have_block",), world.FAILURE_BUDGET, world.MAX_ROOT_FAILURES + 1),
-        (None, world.TICK_BUDGET, world.MAX_TICKS),  # a tree that always runs
+        (REFERENCE_SOLUTION, {}, world.ROOT_SUCCESS, 1),
+        (("have_block",), {}, world.FAILURE_BUDGET, world.MAX_ROOT_FAILURES + 1),
+        (("have_block",), {"max_ticks": 3}, world.TICK_BUDGET, 3),
     ]
-    for tokens, terminated_by, ticks in endings:
-        compiled = bt.compile_tree(tokens, table) if tokens else lambda st, rng: bt.RUNNING
-        final = world.run_compiled(compiled, random.Random(0))
+    for tokens, budgets, terminated_by, ticks in endings:
+        compiled = bt.compile_tree(tokens, table)
+        final = world.run_compiled(compiled, random.Random(0), **budgets)
         assert type(final) is world.WorldState
         assert (final.terminated_by, final.ticks_used) == (terminated_by, ticks)
         assert final.placed == (terminated_by == world.ROOT_SUCCESS)
     # the episode's end sets both, so a state that has not ended has neither
     with pytest.raises(AttributeError):
         world.WorldState().terminated_by
+
+
+STRAIGHT_SEQUENCE = bt.from_text(
+    "s( tuck localise move_to_pick head_down pick head_up move_to_goal head_down place )"
+)
+
+
+def test_every_tick_is_success_or_failure():
+    """Each transition is one atomic step, so every transition and every
+    root tick returns SUCCESS or FAILURE, on every column and pool; at the
+    default budgets an episode then ends at its root's success or on the
+    failure budget, within MAX_ROOT_FAILURES + 1 ticks."""
+    seen: set[tuple[str, int]] = set()
+
+    def watched(bid, fn):
+        def transition(st, rng):
+            status = fn(st, rng)
+            assert type(status) is int and status in (bt.SUCCESS, bt.FAILURE), (bid, status)
+            seen.add((bid, status))
+            return status
+        return transition
+
+    endings = set()
+    for column in world.PROBABILITY_COLUMNS:
+        for pool in world.POOLS:
+            profile = world.make_profile(column, pool)
+            kinds = world.leaf_kinds(profile)
+            table = world.build_transition_table(profile)
+            table = {bid: watched(bid, fn) for bid, fn in table.items()}
+            trees = [REFERENCE_SOLUTION, STRAIGHT_SEQUENCE] + [
+                bt.random_genotype(kinds, length, random.Random(seed))
+                for seed, length in enumerate((3, 5, 8, 12, 16, 20) * 2)
+            ]
+            rng = random.Random(7)
+            for tokens in trees:
+                compiled = bt.compile_tree(tokens, table)
+                root_ticks = []
+
+                def root(st, rng, compiled=compiled, root_ticks=root_ticks):
+                    status = compiled(st, rng)
+                    assert type(status) is int and status in (bt.SUCCESS, bt.FAILURE)
+                    root_ticks.append(status)
+                    return status
+
+                for _ in range(20):
+                    root_ticks.clear()
+                    final = world.run_compiled(root, rng)
+                    assert final.terminated_by in (world.ROOT_SUCCESS, world.FAILURE_BUDGET)
+                    assert final.ticks_used == len(root_ticks) <= world.MAX_ROOT_FAILURES + 1
+                    assert root_ticks.count(bt.FAILURE) == final.root_failures
+                    endings.add(final.terminated_by)
+    assert endings == {world.ROOT_SUCCESS, world.FAILURE_BUDGET}
+    # pick, place and both moves were reached with either outcome
+    for bid in ("pick", "place", "move_to_pick", "move_to_goal"):
+        assert {(bid, bt.SUCCESS), (bid, bt.FAILURE)} <= seen, bid
+
+
+def test_exp3_premise_comment_order():
+    """The order the comment on world.PROBABILITY_COLUMNS["exp3"] states for
+    the straight sequence's moves to the pick and to the goal: at delta 0
+    risky/safe > safe/safe > risky/risky, at delta 30 safe/safe > risky/safe."""
+    profile = world.make_profile("exp3", "safe_paths")
+    table = world.build_transition_table(profile)
+    n_nodes = bt.node_count(STRAIGHT_SEQUENCE)
+
+    def j(safe_moves, delta):
+        tokens = tuple(t + "_safe" if t in safe_moves else t for t in STRAIGHT_SEQUENCE)
+        compiled = bt.compile_tree(tokens, table)
+        weights = fitness.FitnessWeights(delta)
+        return fitness.evaluate_compiled(compiled, n_nodes, weights, 40_000, random.Random(1))[0].j
+
+    risky, safe, mixed = (), ("move_to_pick", "move_to_goal"), ("move_to_goal",)
+    assert j(mixed, 0.0) > j(safe, 0.0) > j(risky, 0.0)
+    assert j(safe, 30.0) > j(mixed, 30.0)
 
 
 def test_aux_pool_targets_are_outside_reach():
