@@ -26,14 +26,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        seeds = tuple(range(int(lo), int(hi) + 1))
-        if not seeds:
-            raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
-        return seeds
-    seeds = tuple(int(part) for part in text.split(","))
-    if len(set(seeds)) < len(seeds):
-        raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
-    return seeds
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(part) for part in text.split(","))
 
 
 def _add_common(parser: argparse.ArgumentParser, defaults: GpParams) -> None:
@@ -74,9 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--pool", default="core9", choices=POOLS)
     run_p.add_argument("--seed", type=int, default=GpParams.seed)
     run_p.add_argument("--delta", type=float, default=FitnessWeights.delta, help="risk weight")
-    run_p.add_argument("--checkpoint-every", type=int, default=0)
-    run_p.add_argument("--checkpoint", default=None, help="checkpoint file path")
-    run_p.add_argument("--resume", default=None, help="resume from a checkpoint file")
+    run_p.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=0,
+        metavar="N",
+        help="save the run every N generations to <out>/<stem>.checkpoint.json, "
+        "next to <stem>.csv; rerunning the command continues from it",
+    )
     _add_common(run_p, GpParams())
     run_p.set_defaults(handler=_cmd_run)
 
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         exp_p.add_argument(
             "--workers",
             type=int,
-            default=1,
+            default=ExperimentConfig.workers,
             help="run this many (variant, seed) jobs at once in parallel processes",
         )
         _add_common(exp_p, ExperimentConfig.params)
@@ -112,18 +111,12 @@ def _cmd_run(args) -> int:
     profile = make_profile(args.profile, args.pool)
     params = _gp_params(args, seed=args.seed)
     stem = f"run_{profile.name}_seed{args.seed}"
-    checkpoint = args.checkpoint
+    checkpoint = None
     if args.checkpoint_every > 0:
-        if checkpoint is None:
-            checkpoint = out_dir / f"{stem}.checkpoint.json"
-        Path(checkpoint).parent.mkdir(parents=True, exist_ok=True)
+        checkpoint = out_dir / f"{stem}.checkpoint.json"
+        out_dir.mkdir(parents=True, exist_ok=True)
     history, best = run(
-        params,
-        profile,
-        weights,
-        checkpoint_path=checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume_from=args.resume,
+        params, profile, weights, checkpoint_path=checkpoint, checkpoint_every=args.checkpoint_every
     )
     csv_path = out_dir / f"{stem}.csv"
     best_path = out_dir / f"{stem}_best.txt"
@@ -141,7 +134,7 @@ def _cmd_experiment(args) -> int:
     config = ExperimentConfig(
         experiment=args.command,
         out_dir=args.out,
-        seeds=tuple(args.seeds),
+        seeds=args.seeds,
         params=_gp_params(args),
         workers=args.workers,
     )

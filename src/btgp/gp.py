@@ -824,13 +824,17 @@ def run(
     stop_fn=None,
     checkpoint_path=None,
     checkpoint_every: int = 0,
-    resume_from=None,
 ) -> tuple[list[GenerationStats], Individual]:
     """Full GP run; returns (history, best individual of the final population).
 
     The run ends after ``params.generations`` generations, or earlier at the
     first generation for which ``stop_fn(stats, best)`` is true. History row
     0 describes the initial random population.
+
+    With a ``checkpoint_path`` the run saves itself there every
+    ``checkpoint_every`` generations, and it continues from the file at that
+    path if one exists, ending as the uninterrupted run would. The file is
+    refused if it is from another run or is past ``generations``.
     """
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
@@ -843,27 +847,27 @@ def run(
     rng = random.Random(params.seed)
     kinds = evaluator.kinds
     history: list[GenerationStats]
-    if resume_from is not None:
-        data = load_checkpoint(resume_from)
+    if checkpoint_path is not None and Path(checkpoint_path).exists():
+        data = load_checkpoint(checkpoint_path)
         differ = _differing(data["fingerprint"], fingerprint)
         if differ:
             raise ValueError(
-                f"checkpoint {resume_from} is from another run (different {', '.join(differ)})"
+                f"checkpoint {checkpoint_path} is from another run (different {', '.join(differ)})"
             )
         if data["generation"] > params.generations:
             raise ValueError(
-                f"checkpoint {resume_from} is at generation {data['generation']}, "
+                f"checkpoint {checkpoint_path} is at generation {data['generation']}, "
                 f"past generations={params.generations}"
             )
         if len(data["population"]) != params.population:
             raise ValueError(
-                f"checkpoint {resume_from} holds {len(data['population'])} individuals, "
+                f"checkpoint {checkpoint_path} holds {len(data['population'])} individuals, "
                 f"not population={params.population}"
             )
         rs = data["rng_state"]
         rng.setstate((rs[0], tuple(rs[1]), rs[2]))
         # breeding assumes valid parents, so a checkpoint is held to that too
-        where, cap = f"checkpoint {resume_from}:", params.node_cap
+        where, cap = f"checkpoint {checkpoint_path}:", params.node_cap
         population = [
             Individual(
                 _loaded_genotype(e["genotype"], kinds, cap, f"{where} population genotype"),

@@ -542,18 +542,18 @@ def test_cli_run_rejects_negative_generations(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_rejects_empty_seed_range(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["exp1", "--seeds", "5..3"])
-    assert exc.value.code == 2
-    assert "argument --seeds: empty seed range '5..3'" in capsys.readouterr().err
+def test_cli_rejects_empty_seed_range(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["exp1", "--seeds", "5..3", "--generations", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seeds must not be empty\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_repeated_seed(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["exp3", "--seeds", "0,0", "--generations", "1", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "argument --seeds: repeated seed in '0,0'" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["exp3", "--seeds", "0,0", "--generations", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seeds must be distinct, got (0, 0)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -569,46 +569,42 @@ def test_cli_exp_rejects_workers_below_one(tmp_path, capsys, workers):
 
 # options `btgp run` does not take: argparse refuses each before any run starts
 @pytest.mark.parametrize(
-    "option",
-    [["--workers", "2"], ["--full"], ["--early-stop-window", "3"]],
-    ids=["workers", "full", "early_stop_window"],
+    "option, message",
+    [
+        (["--workers", "2"], "unrecognized arguments: --workers 2"),
+        (["--full"], "unrecognized arguments: --full"),
+        (["--early-stop-window", "3"], "unrecognized arguments: --early-stop-window 3"),
+        (["--resume", "c.json"], "unrecognized arguments: --resume c.json"),
+        # argparse takes an unambiguous prefix for the option it starts
+        (["--checkpoint", "c.json"], "argument --checkpoint-every: invalid int value: 'c.json'"),
+    ],
+    ids=["workers", "full", "early_stop_window", "resume", "checkpoint"],
 )
-def test_cli_run_has_no_removed_option(tmp_path, capsys, option):
+def test_cli_run_has_no_removed_option(tmp_path, capsys, option, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", *option, "--generations", "1", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_run_creates_the_directory_of_a_checkpoint_path(tmp_path):
-    ckpt = tmp_path / "nodir" / "x.json"
+    out = tmp_path / "nodir"
     rc = cli.main(
-        ["run", "--generations", "2", "--population", "6", "--out", str(tmp_path)]
-        + ["--checkpoint", str(ckpt), "--checkpoint-every", "1"]
+        ["run", "--generations", "2", "--population", "6", "--out", str(out)]
+        + ["--checkpoint-every", "1"]
     )
     assert rc == 0
-    assert json.loads(ckpt.read_text())["generation"] == 2
+    assert json.loads((out / "run_det_seed0.checkpoint.json").read_text())["generation"] == 2
 
 
 def test_cli_run_checkpoints_to_the_output_directory_without_a_path(tmp_path, capsys):
-    args = ["run", "--population", "6", "--out", str(tmp_path)]
-    assert cli.main(args + ["--generations", "2", "--checkpoint-every", "1"]) == 0
+    args = ["run", "--population", "6", "--out", str(tmp_path), "--checkpoint-every", "1"]
+    assert cli.main(args + ["--generations", "2"]) == 0
     ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     assert json.loads(ckpt.read_text())["generation"] == 2
     capsys.readouterr()
-    assert cli.main(args + ["--generations", "4", "--resume", str(ckpt)]) == 0
+    assert cli.main(args + ["--generations", "4"]) == 0
     assert capsys.readouterr().out.startswith("generations: 4\n")
-
-
-def test_cli_run_rejects_checkpoint_without_interval(tmp_path, capsys):
-    ckpt = tmp_path / "x.json"
-    rc = cli.main(
-        ["run", "--generations", "2", "--population", "6", "--checkpoint", str(ckpt)]
-        + ["--out", str(tmp_path)]
-    )
-    assert rc == 1
-    assert capsys.readouterr().err == "error: a checkpoint path needs checkpoint_every >= 1\n"
-    assert not ckpt.exists()
 
 
 def test_cli_rejects_unknown_profile():
@@ -617,38 +613,33 @@ def test_cli_rejects_unknown_profile():
 
 
 def test_cli_checkpoint_resume(tmp_path):
-    ckpt = tmp_path / "c.json"
-    rc = cli.main(
-        [
-            "run",
-            "--generations",
-            "4",
-            "--population",
-            "6",
-            "--checkpoint",
-            str(ckpt),
-            "--checkpoint-every",
-            "2",
-            "--out",
-            str(tmp_path),
-        ]
+    ckpt = tmp_path / "run_det_seed0.checkpoint.json"
+    args = ["run", "--population", "6", "--checkpoint-every", "2", "--out", str(tmp_path)]
+    assert cli.main(args + ["--generations", "4"]) == 0 and ckpt.exists()
+    assert cli.main(args + ["--generations", "6"]) == 0
+    rows = (tmp_path / "run_det_seed0.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == [str(g) for g in range(7)]
+
+
+def test_cli_rerun_never_overwrites_another_runs_files(tmp_path, capsys):
+    args = ["run", "--profile", "exp3", "--pool", "safe_paths", "--checkpoint-every", "2"]
+    args += ["--out", str(tmp_path)]
+    assert cli.main(args + ["--generations", "4"]) == 0
+    stem = "run_exp3_safe_paths_seed0"
+    paths = [tmp_path / (stem + end) for end in (".csv", "_best.txt", ".checkpoint.json")]
+    written = [path.read_bytes() for path in paths]
+    capsys.readouterr()
+    assert cli.main(args + ["--generations", "4", "--delta", "150"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {paths[2]} is from another run (different weights.delta)\n"
     )
-    assert rc == 0 and ckpt.exists()
-    rc = cli.main(
-        [
-            "run",
-            "--generations",
-            "6",
-            "--population",
-            "6",
-            "--resume",
-            str(ckpt),
-            "--out",
-            str(tmp_path / "resumed"),
-        ]
-    )
-    assert rc == 0
-    assert (tmp_path / "resumed" / "run_det_seed0.csv").exists()
+    assert [path.read_bytes() for path in paths] == written
+    assert cli.main(args + ["--generations", "3"]) == 1
+    assert "past generations=3\n" in capsys.readouterr().err
+    assert [path.read_bytes() for path in paths] == written
+    # rerunning the finished command continues from its last generation: nothing changes
+    assert cli.main(args + ["--generations", "4"]) == 0
+    assert [path.read_bytes() for path in paths] == written
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
@@ -668,31 +659,32 @@ def test_cli_run_rejects_a_non_finite_weight(tmp_path, capsys, delta):
     ids=["empty", "not_utf8"],
 )
 def test_cli_resume_names_a_checkpoint_that_is_not_json(tmp_path, capsys, data, reason):
-    ckpt = tmp_path / "bad.json"
+    ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     ckpt.write_bytes(data)
-    rc = cli.main(["run", "--generations", "2", "--resume", str(ckpt), "--out", str(tmp_path)])
+    rc = cli.main(["run", "--generations", "2", "--checkpoint-every", "1", "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: checkpoint {ckpt} is not a JSON file: {reason}\n"
 
 
 def test_cli_resume_rejects_a_checkpoint_missing_keys(tmp_path, capsys):
-    ckpt = tmp_path / "c.json"
+    ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     ckpt.write_text(json.dumps({"format": gp.CHECKPOINT_FORMAT}))
-    rc = cli.main(["run", "--generations", "2", "--resume", str(ckpt), "--out", str(tmp_path)])
+    rc = cli.main(["run", "--generations", "2", "--checkpoint-every", "1", "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: checkpoint {ckpt} has no 'fingerprint' entry\n"
 
 
 def test_cli_resume_refuses_a_v2_checkpoint(tmp_path, capsys):
-    ckpt = tmp_path / "c.json"
+    ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     args = ["run", "--generations", "4", "--population", "6", "--out", str(tmp_path)]
-    assert cli.main(args + ["--checkpoint", str(ckpt), "--checkpoint-every", "2"]) == 0
+    args += ["--checkpoint-every", "2"]
+    assert cli.main(args) == 0
     capsys.readouterr()
     data = json.loads(ckpt.read_text())
     for version in (2, 3, 4, 5, 6, 7, 8):
         data["format"] = f"btgp-checkpoint-v{version}"
         ckpt.write_text(json.dumps(data))
-        assert cli.main(args + ["--resume", str(ckpt)]) == 1
+        assert cli.main(args) == 1
         assert capsys.readouterr().err == f"error: not a btgp-checkpoint-v9 file: {ckpt}\n"
 
 
@@ -763,14 +755,15 @@ NOT_AN_RNG_STATE = "'rng_state' entry is not a random.Random state"
     ],
 )
 def test_cli_resume_rejects_a_malformed_checkpoint(tmp_path, capsys, path, value, message):
-    ckpt = tmp_path / "c.json"
+    ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     args = ["run", "--generations", "4", "--population", "6", "--out", str(tmp_path)]
-    assert cli.main(args + ["--checkpoint", str(ckpt), "--checkpoint-every", "2"]) == 0
+    args += ["--checkpoint-every", "2"]
+    assert cli.main(args) == 0
     capsys.readouterr()
     data = json.loads(ckpt.read_text())
     set_entry(data, path, value)
     ckpt.write_text(json.dumps(data))
-    assert cli.main(args + ["--resume", str(ckpt)]) == 1
+    assert cli.main(args) == 1
     assert capsys.readouterr().err == f"error: checkpoint {ckpt}: {message}\n"
 
 

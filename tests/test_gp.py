@@ -9,6 +9,7 @@ import hashlib
 import json
 import random
 import re
+import shutil
 from pathlib import Path
 from unittest import mock
 
@@ -935,7 +936,7 @@ def test_checkpoint_resume_reproduces_run(tmp_path):
         checkpoint_every=6,
     )
     resumed_history, resumed_best = gp.run(
-        params, DET, fitness.TABLE2, resume_from=path
+        params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=6
     )
     assert [(s.generation, s.best_j, s.best_genotype) for s in resumed_history] == [
         (s.generation, s.best_j, s.best_genotype) for s in full_history
@@ -953,7 +954,13 @@ def test_checkpoint_rejects_wrong_seed(tmp_path):
         checkpoint_every=3,
     )
     with pytest.raises(ValueError):
-        gp.run(gp.GpParams(generations=5, seed=2), DET, fitness.TABLE2, resume_from=path)
+        gp.run(
+            gp.GpParams(generations=5, seed=2),
+            DET,
+            fitness.TABLE2,
+            checkpoint_path=path,
+            checkpoint_every=3,
+        )
 
 
 def resume_refusal(path, differs: str) -> str:
@@ -980,7 +987,7 @@ def test_checkpoint_rejects_other_profile_or_weights(tmp_path, profile, weights,
     params = gp.GpParams(generations=2, seed=1, population=6)
     gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
     with pytest.raises(ValueError, match=resume_refusal(path, DIFFERING_ENTRIES[differs])):
-        gp.run(params, profile, weights, resume_from=path)
+        gp.run(params, profile, weights, checkpoint_path=path, checkpoint_every=2)
 
 
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
@@ -1000,7 +1007,6 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
             fitness.TABLE2,
             checkpoint_path=path,
             checkpoint_every=2,
-            resume_from=path,
         )
     assert path.read_bytes() == before
     assert gp.load_checkpoint(path)["generation"] == 2
@@ -1036,11 +1042,11 @@ def test_resume_rejects_checkpoint_past_generations(tmp_path):
     params = gp.GpParams(generations=4, seed=1, population=6)
     gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=4)
     # resuming at the checkpoint's own generation runs nothing more
-    history, _ = gp.run(params, DET, fitness.TABLE2, resume_from=path)
+    history, _ = gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=4)
     assert history[-1].generation == 4
     shorter = gp.GpParams(generations=3, seed=1, population=6)
     with pytest.raises(ValueError, match="at generation 4, past generations=3"):
-        gp.run(shorter, DET, fitness.TABLE2, resume_from=path)
+        gp.run(shorter, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=4)
 
 
 def test_individual_repr():
@@ -1169,11 +1175,14 @@ PINNED_CHECKPOINT_PARAMS = gp.GpParams(
 )
 
 
-def test_pinned_checkpoint_resumes_into_the_uninterrupted_run():
+def test_pinned_checkpoint_resumes_into_the_uninterrupted_run(tmp_path):
     profile = world.make_profile("stoch3")
     assert gp.load_checkpoint(PINNED_CHECKPOINT)["generation"] == 4
+    # a resumed run writes where it read, so it resumes from a copy
+    path = tmp_path / PINNED_CHECKPOINT.name
+    shutil.copyfile(PINNED_CHECKPOINT, path)
     resumed, resumed_best = gp.run(
-        PINNED_CHECKPOINT_PARAMS, profile, fitness.TABLE2, resume_from=PINNED_CHECKPOINT
+        PINNED_CHECKPOINT_PARAMS, profile, fitness.TABLE2, checkpoint_path=path, checkpoint_every=4
     )
     history, best = gp.run(PINNED_CHECKPOINT_PARAMS, profile, fitness.TABLE2)
     assert resumed == history
@@ -1362,7 +1371,7 @@ def test_resume_rejects_invalid_genotypes(tmp_path, text, message, where):
     path.write_text(json.dumps(data))
     pattern = f"^checkpoint {re.escape(str(path))}: {where} genotype .*{message}"
     with pytest.raises(ValueError, match=pattern) as exc:
-        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+        gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
     assert "\n" not in str(exc.value)
 
 
@@ -1377,7 +1386,7 @@ def test_resume_names_a_missing_key(tmp_path, drop):
     path.write_text(json.dumps(data))
     pattern = f"^checkpoint {re.escape(str(path))} has no '{drop}' entry$"
     with pytest.raises(ValueError, match=pattern):
-        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+        gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
 
 
 @pytest.mark.parametrize("drop", ["genotype", "terms"])
@@ -1389,7 +1398,7 @@ def test_resume_names_a_missing_population_key(tmp_path, drop):
     path.write_text(json.dumps(data))
     pattern = f"^checkpoint {re.escape(str(path))}: population entry 3 has no '{drop}'$"
     with pytest.raises(ValueError, match=pattern):
-        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+        gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
 
 
 @pytest.mark.parametrize(
@@ -1411,7 +1420,7 @@ def test_resume_refuses_a_generation_its_history_contradicts(tmp_path, edit, mes
     path.write_text(json.dumps(data))
     pattern = f"^checkpoint {re.escape(str(path))}: {re.escape(message)}$"
     with pytest.raises(ValueError, match=pattern):
-        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+        gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
 
 
 @pytest.mark.parametrize("size", [5, 7])
@@ -1423,7 +1432,7 @@ def test_resume_names_a_checkpoint_whose_population_has_another_size(tmp_path, s
     path.write_text(json.dumps(data))
     pattern = f"^checkpoint {re.escape(str(path))} holds {size} individuals, not population=6$"
     with pytest.raises(ValueError, match=pattern):
-        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+        gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
 
 
 # The fingerprint a checkpoint of a det run at the GpParams defaults stores,
@@ -1537,7 +1546,7 @@ def test_resume_binds_every_fingerprint_entry(tmp_path, section, key):
     entries[last] = other_value(entries[last])
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=resume_refusal(path, f"{section}.{key}")):
-        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+        gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
 
 
 # The upper-case constants of world, fitness and gp that the fingerprint's
@@ -1604,7 +1613,7 @@ def test_resume_refuses_a_fingerprint_with_other_entries(tmp_path, edit, differs
     edit(data["fingerprint"])
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=resume_refusal(path, differs)):
-        gp.run(params, DET, fitness.TABLE2, resume_from=path)
+        gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
 
 
 EPISODE5 = {"episodes_per_eval": 5, "reevaluate_elites": True}
@@ -1637,5 +1646,5 @@ def test_resuming_at_any_generation_reproduces_the_run(tmp_path, name, at):
     path = tmp_path / "ckpt.json"
     stopped = dataclasses.replace(params, generations=at)
     gp.run(stopped, profile, weights, checkpoint_path=path, checkpoint_every=at)
-    history, best = gp.run(params, profile, weights, resume_from=path)
+    history, best = gp.run(params, profile, weights, checkpoint_path=path, checkpoint_every=at)
     assert (history_digest(history), best.genotype, best.fitness) == uninterrupted(name)
