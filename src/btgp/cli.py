@@ -41,7 +41,8 @@ def _add_common(parser: argparse.ArgumentParser, defaults: GpParams) -> None:
         action=argparse.BooleanOptionalAction,
         default=defaults.reevaluate_elites,
     )
-    parser.add_argument("--out", default="btgp_out", help="output directory (default %(default)s)")
+    out_help = "output directory (default %(default)s); reruns continue from its *.checkpoint.json"
+    parser.add_argument("--out", default="btgp_out", help=out_help)
 
 
 def _gp_params(args, seed: int = GpParams.seed) -> GpParams:
@@ -68,14 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--pool", default="core9", choices=POOLS)
     run_p.add_argument("--seed", type=int, default=GpParams.seed)
     run_p.add_argument("--delta", type=float, default=FitnessWeights.delta, help="risk weight")
-    run_p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="save the run every N generations to <out>/<stem>.checkpoint.json, "
-        "next to <stem>.csv; rerunning the command continues from it",
-    )
     _add_common(run_p, GpParams())
     run_p.set_defaults(handler=_cmd_run)
 
@@ -111,13 +104,8 @@ def _cmd_run(args) -> int:
     profile = make_profile(args.profile, args.pool)
     params = _gp_params(args, seed=args.seed)
     stem = f"run_{profile.name}_seed{args.seed}"
-    checkpoint = None
-    if args.checkpoint_every > 0:
-        checkpoint = out_dir / f"{stem}.checkpoint.json"
-        out_dir.mkdir(parents=True, exist_ok=True)
-    history, best = run(
-        params, profile, weights, checkpoint_path=checkpoint, checkpoint_every=args.checkpoint_every
-    )
+    checkpoint = out_dir / f"{stem}.checkpoint.json"
+    history, best = run(params, profile, weights, checkpoint_path=checkpoint)
     csv_path = out_dir / f"{stem}.csv"
     best_path = out_dir / f"{stem}_best.txt"
     write_history_csv(csv_path, history)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import bt
 from .fitness import TABLE2, FitnessWeights
-from .gp import GenerationStats, GpParams, Individual, mean_left_to_right, run
+from .gp import GenerationStats, GpParams, Individual, mean_left_to_right, run, write_atomic
 from .world import Profile, build_transition_table, make_profile, leaf_kinds, run_compiled
 
 DEFAULT_SEEDS = tuple(range(10))
@@ -116,36 +116,29 @@ def replay(genotype: bt.Genotype, profile: Profile, episodes: int, seed: int) ->
     )
 
 
+def _write_csv(path, rows) -> None:
+    write_atomic(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(rows))
+
+
 def write_history_csv(path, history: list[GenerationStats]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUN_CSV_HEADER)
-        for h in history:
-            writer.writerow(
-                [h.generation, repr(h.best_j), repr(h.mean_j), h.episodes, bt.to_text(h.best_genotype)]
-            )
+    rows = [
+        [h.generation, repr(h.best_j), repr(h.mean_j), h.episodes, bt.to_text(h.best_genotype)]
+        for h in history
+    ]
+    _write_csv(path, [RUN_CSV_HEADER, *rows])
 
 
 def write_curve_csv(path, curve: list[CurvePoint], seeds: tuple[int, ...]) -> None:
     """Curve CSV with one ``seed<N>`` column per seed, in ``per_seed`` order."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["generation", "mean_best", "std_best"] + [f"seed{s}" for s in seeds])
-        for point in curve:
-            writer.writerow(
-                [point.generation, repr(point.mean_best), repr(point.std_best)]
-                + [repr(v) for v in point.per_seed]
-            )
+    header = ["generation", "mean_best", "std_best"] + [f"seed{s}" for s in seeds]
+    rows = [
+        [p.generation, repr(p.mean_best), repr(p.std_best), *map(repr, p.per_seed)] for p in curve
+    ]
+    _write_csv(path, [header, *rows])
 
 
 def write_genotype(path, genotype: bt.Genotype) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(bt.to_text(genotype) + "\n")
+    write_atomic(path, lambda fh: fh.write(bt.to_text(genotype) + "\n"))
 
 
 @dataclass(frozen=True)
@@ -187,23 +180,29 @@ def experiment_variants(config: ExperimentConfig) -> list[tuple[str, Profile, Fi
     raise ValueError(f"unknown experiment {config.experiment!r}")
 
 
-def _run_job(args) -> tuple[str, int, list[GenerationStats], Individual]:
-    variant, seed, profile, weights, params = args
-    history, best = run(params, profile, weights)
-    return variant, seed, history, best
+def _run_job(args) -> tuple[str, int, Path, list[GenerationStats], Individual]:
+    out_root, variant, seed, profile, weights, params = args
+    checkpoint = out_root / variant / f"seed{seed}.checkpoint.json"
+    history, best = run(params, profile, weights, checkpoint_path=checkpoint)
+    return variant, seed, checkpoint, history, best
 
 
 def run_experiment(config: ExperimentConfig) -> list[Path]:
     """Run all (variant, seed) jobs and write per-run CSVs, aggregate curves
     and best-genotype files under <out_dir>/<experiment>/.
 
-    Each job's files are written when it returns and a variant's curve after
-    its last seed; the returned paths are in that order. The process pool's
-    module, with ``multiprocessing``, is imported only when a pool is made.
+    Each job keeps its run in <variant>/seed<N>.checkpoint.json, so a rerun
+    follows ``gp.run``'s rule: a finished job is rebuilt without breeding, a
+    larger budget extends it, an interrupted one starts again, and one with
+    other settings is refused with its files untouched.
+
+    Each job's CSV, best tree and checkpoint are listed when it returns and a
+    variant's curve after its last seed. The process pool's module, with
+    ``multiprocessing``, is imported only when a pool is made.
     """
     out_root = Path(config.out_dir) / config.experiment
     jobs = [
-        (variant, seed, profile, weights, replace(config.params, seed=seed))
+        (out_root, variant, seed, profile, weights, replace(config.params, seed=seed))
         for variant, profile, weights in experiment_variants(config)
         for seed in config.seeds
     ]
@@ -218,12 +217,12 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     else:
         pool_context = nullcontext()
     with pool_context as pool:
-        for variant, seed, history, best in (pool.map if pool else map)(_run_job, jobs):
+        for variant, seed, checkpoint, history, best in (pool.map if pool else map)(_run_job, jobs):
             run_csv = out_root / variant / f"seed{seed}.csv"
             write_history_csv(run_csv, history)
             best_txt = out_root / variant / f"best_seed{seed}.txt"
             write_genotype(best_txt, best.genotype)
-            written.extend([run_csv, best_txt])
+            written.extend([run_csv, best_txt, checkpoint])
             histories.append(history)
             if seed == config.seeds[-1]:
                 curve_csv = out_root / f"{variant}_curve.csv"

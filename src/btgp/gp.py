@@ -698,6 +698,22 @@ def _differing(stored, current, name: str = "") -> list[str]:
     return differ
 
 
+def write_atomic(path, write) -> None:
+    """Make ``path``'s directory, call ``write`` on ``<name>.tmp`` next to
+    ``path``, opened for text, and move that file over ``path``: a crash
+    mid-write leaves the previous file intact."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, fingerprint: dict, generation: int, population, history, rng) -> None:
     """Resumable snapshot: population with cost terms, rng cursor, history.
 
@@ -706,9 +722,7 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
     ``rng_state``, ``population`` entries ``{"genotype": text, "terms":
     [distance, length, time, risk, rewards]}``, the five cost terms of each
     fitness without the j they give, and ``history`` rows
-    [generation, best_j, mean_j, genotype, episodes].
-    Written to a temporary file next to ``path`` and moved over it, so a
-    crash mid-write leaves the previous checkpoint intact.
+    [generation, best_j, mean_j, genotype, episodes]; written by ``write_atomic``.
     """
     state = rng.getstate()
     data = {
@@ -725,14 +739,7 @@ def save_checkpoint(path, fingerprint: dict, generation: int, population, histor
             for h in history
         ],
     }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(data))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, lambda fh: fh.write(json.dumps(data)))
 
 
 _CHECKPOINT_KEYS = {
@@ -832,14 +839,13 @@ def run(
     0 describes the initial random population.
 
     With a ``checkpoint_path`` the run saves itself there every
-    ``checkpoint_every`` generations, and it continues from the file at that
-    path if one exists, ending as the uninterrupted run would. The file is
-    refused if it is from another run or is past ``generations``.
+    ``checkpoint_every`` generations (0: none) and at ``generations``, and
+    it continues from the file at that path if one exists, ending as the
+    uninterrupted run would: a finished run is rebuilt without breeding. The
+    file is refused if it is from another run or is past ``generations``.
     """
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-    if checkpoint_path is not None and checkpoint_every == 0:
-        raise ValueError("a checkpoint path needs checkpoint_every >= 1")
     if checkpoint_path is None and checkpoint_every > 0:
         raise ValueError(f"checkpoint_every={checkpoint_every} needs a checkpoint path")
     fingerprint = _run_fingerprint(params, profile, weights)
@@ -890,13 +896,17 @@ def run(
         episodes = evaluator.eval_batch(population, "init")
         history = [_stats(0, population, episodes)]
         start_generation = 1
+        if checkpoint_path is not None and params.generations == 0:
+            save_checkpoint(checkpoint_path, fingerprint, 0, population, history, rng)
 
     for g in range(start_generation, params.generations + 1):
         population, stats = evolve_generation(population, evaluator, rng, g)
         history.append(stats)
         if on_generation is not None:
             on_generation(stats, population)
-        if checkpoint_path is not None and g % checkpoint_every == 0:
+        if checkpoint_path is not None and (
+            g == params.generations or checkpoint_every and g % checkpoint_every == 0
+        ):
             save_checkpoint(checkpoint_path, fingerprint, g, population, history, rng)
         if stop_fn is not None:
             best = max(population, key=lambda ind: ind.fitness.j)

@@ -239,6 +239,29 @@ def test_genotype_file_roundtrip(tmp_path):
     assert bt.from_text(path.read_text()) == REFERENCE_SOLUTION
 
 
+WRITERS = {
+    "history": lambda path, h: experiments.write_history_csv(path, h),
+    "curve": lambda path, h: experiments.write_curve_csv(path, experiments.aggregate([h]), (0,)),
+    "genotype": lambda path, h: experiments.write_genotype(path, h[-1].best_genotype),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    WRITERS[writer](path, fake_history([1.5, 2.25]))
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(gp.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        WRITERS[writer](path, fake_history([3.0, 4.0], genotype=REFERENCE_SOLUTION))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def tiny_config(tmp_path, experiment, generations=2, **kw):
     # the harness's own run settings, at a tiny budget
     params = dataclasses.replace(
@@ -255,6 +278,7 @@ def test_exp1_writes_all_variant_files(tmp_path):
     for variant in ("det", "stoch1", "stoch2", "stoch3", "stoch4"):
         assert f"exp1/{variant}/seed0.csv" in names
         assert f"exp1/{variant}/best_seed0.txt" in names
+        assert f"exp1/{variant}/seed0.checkpoint.json" in names
         assert f"exp1/{variant}_curve.csv" in names
 
 
@@ -371,21 +395,64 @@ def test_exp3_curve_digests_are_pinned(tmp_path):
     assert got == EXP3_CURVE_DIGESTS
 
 
+def file_bytes(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_an_interrupted_experiment_reruns_only_its_unfinished_jobs(tmp_path, monkeypatch):
+    experiments.run_experiment(tiny_config(tmp_path / "full", "exp3", seeds=(0, 1)))
+    config = tiny_config(tmp_path / "cut", "exp3", seeds=(0, 1))
+    run = experiments.run
+    started = []
+
+    def interrupted_after_three_jobs(*args, **kwargs):
+        started.append(args)
+        if len(started) > 3:
+            raise RuntimeError("interrupted")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", interrupted_after_three_jobs)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        experiments.run_experiment(config)
+    monkeypatch.setattr(experiments, "run", run)
+    bred = []
+    evolve = gp.evolve_generation
+    monkeypatch.setattr(gp, "evolve_generation", lambda *args: bred.append(args[3]) or evolve(*args))
+    experiments.run_experiment(config)
+    # of exp3's four jobs only the fourth, delta150 seed 1, breeds again
+    assert bred == [1, 2]
+    assert file_bytes(tmp_path / "cut") == file_bytes(tmp_path / "full")
+
+
+def test_an_experiment_rerun_with_other_settings_is_refused(tmp_path):
+    config = tiny_config(tmp_path, "exp3")
+    experiments.run_experiment(config)
+    written = file_bytes(tmp_path)
+    other = dataclasses.replace(config.params, population=8)
+    with pytest.raises(ValueError, match="is from another run .different params.population"):
+        experiments.run_experiment(dataclasses.replace(config, params=other))
+    assert file_bytes(tmp_path) == written
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_experiment_returns_paths_in_job_order(tmp_path, workers):
-    # per variant: each seed's CSV and best tree, then the variant's curve
+    # per variant: each seed's CSV, best tree and checkpoint, then the variant's curve
     config = tiny_config(tmp_path, "exp3", seeds=(3, 7), workers=workers)
     written = experiments.run_experiment(config)
     assert [str(p.relative_to(tmp_path)) for p in written] == [
         "exp3/delta0/seed3.csv",
         "exp3/delta0/best_seed3.txt",
+        "exp3/delta0/seed3.checkpoint.json",
         "exp3/delta0/seed7.csv",
         "exp3/delta0/best_seed7.txt",
+        "exp3/delta0/seed7.checkpoint.json",
         "exp3/delta0_curve.csv",
         "exp3/delta150/seed3.csv",
         "exp3/delta150/best_seed3.txt",
+        "exp3/delta150/seed3.checkpoint.json",
         "exp3/delta150/seed7.csv",
         "exp3/delta150/best_seed7.txt",
+        "exp3/delta150/seed7.checkpoint.json",
         "exp3/delta150_curve.csv",
     ]
 
@@ -575,10 +642,10 @@ def test_cli_exp_rejects_workers_below_one(tmp_path, capsys, workers):
         (["--full"], "unrecognized arguments: --full"),
         (["--early-stop-window", "3"], "unrecognized arguments: --early-stop-window 3"),
         (["--resume", "c.json"], "unrecognized arguments: --resume c.json"),
-        # argparse takes an unambiguous prefix for the option it starts
-        (["--checkpoint", "c.json"], "argument --checkpoint-every: invalid int value: 'c.json'"),
+        (["--checkpoint", "c.json"], "unrecognized arguments: --checkpoint c.json"),
+        (["--checkpoint-every", "2"], "unrecognized arguments: --checkpoint-every 2"),
     ],
-    ids=["workers", "full", "early_stop_window", "resume", "checkpoint"],
+    ids=["workers", "full", "early_stop_window", "resume", "checkpoint", "checkpoint_every"],
 )
 def test_cli_run_has_no_removed_option(tmp_path, capsys, option, message):
     with pytest.raises(SystemExit) as exc:
@@ -589,16 +656,13 @@ def test_cli_run_has_no_removed_option(tmp_path, capsys, option, message):
 
 def test_cli_run_creates_the_directory_of_a_checkpoint_path(tmp_path):
     out = tmp_path / "nodir"
-    rc = cli.main(
-        ["run", "--generations", "2", "--population", "6", "--out", str(out)]
-        + ["--checkpoint-every", "1"]
-    )
+    rc = cli.main(["run", "--generations", "2", "--population", "6", "--out", str(out)])
     assert rc == 0
     assert json.loads((out / "run_det_seed0.checkpoint.json").read_text())["generation"] == 2
 
 
 def test_cli_run_checkpoints_to_the_output_directory_without_a_path(tmp_path, capsys):
-    args = ["run", "--population", "6", "--out", str(tmp_path), "--checkpoint-every", "1"]
+    args = ["run", "--population", "6", "--out", str(tmp_path)]
     assert cli.main(args + ["--generations", "2"]) == 0
     ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     assert json.loads(ckpt.read_text())["generation"] == 2
@@ -614,7 +678,7 @@ def test_cli_rejects_unknown_profile():
 
 def test_cli_checkpoint_resume(tmp_path):
     ckpt = tmp_path / "run_det_seed0.checkpoint.json"
-    args = ["run", "--population", "6", "--checkpoint-every", "2", "--out", str(tmp_path)]
+    args = ["run", "--population", "6", "--out", str(tmp_path)]
     assert cli.main(args + ["--generations", "4"]) == 0 and ckpt.exists()
     assert cli.main(args + ["--generations", "6"]) == 0
     rows = (tmp_path / "run_det_seed0.csv").read_text().splitlines()
@@ -622,8 +686,7 @@ def test_cli_checkpoint_resume(tmp_path):
 
 
 def test_cli_rerun_never_overwrites_another_runs_files(tmp_path, capsys):
-    args = ["run", "--profile", "exp3", "--pool", "safe_paths", "--checkpoint-every", "2"]
-    args += ["--out", str(tmp_path)]
+    args = ["run", "--profile", "exp3", "--pool", "safe_paths", "--out", str(tmp_path)]
     assert cli.main(args + ["--generations", "4"]) == 0
     stem = "run_exp3_safe_paths_seed0"
     paths = [tmp_path / (stem + end) for end in (".csv", "_best.txt", ".checkpoint.json")]
@@ -661,7 +724,7 @@ def test_cli_run_rejects_a_non_finite_weight(tmp_path, capsys, delta):
 def test_cli_resume_names_a_checkpoint_that_is_not_json(tmp_path, capsys, data, reason):
     ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     ckpt.write_bytes(data)
-    rc = cli.main(["run", "--generations", "2", "--checkpoint-every", "1", "--out", str(tmp_path)])
+    rc = cli.main(["run", "--generations", "2", "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: checkpoint {ckpt} is not a JSON file: {reason}\n"
 
@@ -669,7 +732,7 @@ def test_cli_resume_names_a_checkpoint_that_is_not_json(tmp_path, capsys, data, 
 def test_cli_resume_rejects_a_checkpoint_missing_keys(tmp_path, capsys):
     ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     ckpt.write_text(json.dumps({"format": gp.CHECKPOINT_FORMAT}))
-    rc = cli.main(["run", "--generations", "2", "--checkpoint-every", "1", "--out", str(tmp_path)])
+    rc = cli.main(["run", "--generations", "2", "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: checkpoint {ckpt} has no 'fingerprint' entry\n"
 
@@ -677,7 +740,6 @@ def test_cli_resume_rejects_a_checkpoint_missing_keys(tmp_path, capsys):
 def test_cli_resume_refuses_a_v2_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     args = ["run", "--generations", "4", "--population", "6", "--out", str(tmp_path)]
-    args += ["--checkpoint-every", "2"]
     assert cli.main(args) == 0
     capsys.readouterr()
     data = json.loads(ckpt.read_text())
@@ -757,7 +819,6 @@ NOT_AN_RNG_STATE = "'rng_state' entry is not a random.Random state"
 def test_cli_resume_rejects_a_malformed_checkpoint(tmp_path, capsys, path, value, message):
     ckpt = tmp_path / "run_det_seed0.checkpoint.json"
     args = ["run", "--generations", "4", "--population", "6", "--out", str(tmp_path)]
-    args += ["--checkpoint-every", "2"]
     assert cli.main(args) == 0
     capsys.readouterr()
     data = json.loads(ckpt.read_text())

@@ -1014,12 +1014,7 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "every, message",
-    [
-        (-1, "^checkpoint_every must be >= 0, got -1$"),
-        (0, "^a checkpoint path needs checkpoint_every >= 1$"),
-    ],
-    ids=["negative", "zero"],
+    "every, message", [(-1, "^checkpoint_every must be >= 0, got -1$")], ids=["negative"]
 )
 def test_run_rejects_checkpoint_interval(tmp_path, every, message):
     params = gp.GpParams(generations=2, population=6)
@@ -1027,6 +1022,68 @@ def test_run_rejects_checkpoint_interval(tmp_path, every, message):
     with pytest.raises(ValueError, match=message):
         gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=every)
     assert not path.exists()
+
+
+def recorded_saves(monkeypatch) -> list[int]:
+    """The generations of the checkpoints gp.run saves from now on."""
+    saves = []
+    save = gp.save_checkpoint
+
+    def recording(path, fingerprint, generation, *rest):
+        saves.append(generation)
+        save(path, fingerprint, generation, *rest)
+
+    monkeypatch.setattr(gp, "save_checkpoint", recording)
+    return saves
+
+
+@pytest.mark.parametrize("generations", [0, 3])
+def test_a_checkpoint_path_without_an_interval_saves_once_at_the_end(
+    tmp_path, monkeypatch, generations
+):
+    saves = recorded_saves(monkeypatch)
+    path = tmp_path / "c.json"
+    params = gp.GpParams(generations=generations, population=6)
+    history, _ = gp.run(params, DET, fitness.TABLE2, checkpoint_path=path)
+    assert saves == [generations]
+    data = gp.load_checkpoint(path)
+    assert data["generation"] == generations and len(data["history"]) == len(history)
+
+
+def test_a_finished_run_keeps_its_last_generation_and_reruns_without_breeding(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "c.json"
+    params = gp.GpParams(generations=5, population=6, seed=1)
+    history, best = gp.run(params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2)
+    assert gp.load_checkpoint(path)["generation"] == 5
+    before = path.read_bytes()
+    bred = []
+    evolve = gp.evolve_generation
+    monkeypatch.setattr(gp, "evolve_generation", lambda *args: bred.append(args) or evolve(*args))
+    again, again_best = gp.run(
+        params, DET, fitness.TABLE2, checkpoint_path=path, checkpoint_every=2
+    )
+    assert bred == []
+    assert again == history
+    assert (again_best.genotype, again_best.fitness) == (best.genotype, best.fitness)
+    assert path.read_bytes() == before
+
+
+def test_a_run_stopped_early_keeps_its_last_interval_save(tmp_path, monkeypatch):
+    saves = recorded_saves(monkeypatch)
+    path = tmp_path / "c.json"
+    params = gp.GpParams(generations=9, population=6)
+    history, _ = gp.run(
+        params,
+        DET,
+        fitness.TABLE2,
+        stop_fn=lambda stats, best: stats.generation == 5,
+        checkpoint_path=path,
+        checkpoint_every=2,
+    )
+    assert history[-1].generation == 5
+    assert saves == [2, 4]
 
 
 def test_run_rejects_an_interval_without_a_path(tmp_path, monkeypatch):
