@@ -116,13 +116,12 @@ def compile_tree(
 ) -> Callable[[object, object], int]:
     """Bind a genotype to a transition table as one policy ``fn(state, rng) -> status``.
 
-    One stack pass over the tokens, no tree: a leaf is ``table[behavior_id]``
-    itself, and a control's closure is built at its ``)`` over its
-    children's. A control with exactly one child returns that child's status
-    unchanged, so it compiles to the child's policy itself: a genotype ticks
-    as its ``canonical`` form. Raises MalformedGenotype for a sequence that
-    is not one balanced tree over the table's leaves; V1-V4 are ``parse``'s
-    to check, and childless controls compile. A leaf returns SUCCESS or
+    The genotype must be one ``parse`` accepts or breeding produced, over the
+    table's leaves. One stack pass over the tokens, no tree: a leaf is
+    ``table[behavior_id]`` itself, and a control's closure is built at its
+    ``)`` over its children's. A control with exactly one child returns that
+    child's status unchanged, so it compiles to the child's policy itself: a
+    genotype ticks as its ``canonical`` form. A leaf returns SUCCESS or
     FAILURE (each world transition is one atomic step), so every policy
     does too. A tick is reactive and memoryless: a Sequence returns Failure
     at its first failing child (Success if all succeed), a Fallback Success
@@ -130,19 +129,12 @@ def compile_tree(
     visited leaf executed exactly once.
     """
     stack: list[tuple[bool, list]] = []  # (is_sequence, child policies) per open control
-    root = None
-    for i, tok in enumerate(tokens):
-        if root is not None:
-            raise MalformedGenotype(f"trailing tokens after position {i}")
+    for tok in tokens:
         fn = table.get(tok)  # looked up first: most tokens are leaves
         if fn is None:
-            if tok == SEQUENCE_OPEN or tok == FALLBACK_OPEN:
+            if tok != CLOSE:
                 stack.append((tok == SEQUENCE_OPEN, []))
                 continue
-            if tok != CLOSE:
-                raise MalformedGenotype(f"unknown leaf id {tok!r}")
-            if not stack:
-                raise MalformedGenotype(f"unmatched close at token {i}")
             is_sequence, children = stack.pop()
             fns = tuple(children)
             if len(fns) == 1:
@@ -161,15 +153,9 @@ def compile_tree(
                             return SUCCESS
                     return FAILURE
                 fn = run_fallback
-        if stack:
-            stack[-1][1].append(fn)
-        else:
-            root = fn
-    if stack:
-        raise MalformedGenotype("unclosed control node")
-    if root is None:
-        raise MalformedGenotype("empty genotype")
-    return root
+        if not stack:
+            return fn  # the root: a leaf, or the control this close ends
+        stack[-1][1].append(fn)
 
 
 def subtree_span(tokens: Genotype, index: int) -> tuple[int, int]:
@@ -245,14 +231,12 @@ def fits(tokens: Genotype, row: tuple, root: str, kinds: LeafKinds) -> bool:
 
 
 def random_genotype(kinds: LeafKinds, length: int, rng) -> Genotype:
-    """Random valid genotype with exactly ``length`` nodes.
+    """Random valid genotype with exactly ``length`` >= 1 nodes.
 
     Controls are drawn with probability 0.5 per slot where a subtree of two
     or more nodes still fits. Invalid draws are resampled up to 100 times,
     after which the last draw is repaired by deleting violating nodes.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
     leaves = sorted(kinds)
 
     def grow(n: int, parent_kind: str | None) -> list[str]:

@@ -11,7 +11,15 @@ from pathlib import Path
 
 from . import bt
 from .fitness import TABLE2, FitnessWeights
-from .gp import GenerationStats, GpParams, Individual, mean_left_to_right, run, write_atomic
+from .gp import (
+    GenerationStats,
+    GpParams,
+    Individual,
+    mean_left_to_right,
+    resumable_checkpoint,
+    run,
+    write_atomic,
+)
 from .world import Profile, build_transition_table, make_profile, leaf_kinds, run_compiled
 
 DEFAULT_SEEDS = tuple(range(10))
@@ -30,17 +38,12 @@ class CurvePoint:
 
 
 def aggregate(histories: list[list[GenerationStats]]) -> list[CurvePoint]:
-    """Per-generation mean and sample std of best fitness across runs."""
+    """Per-generation mean and sample std of best fitness across runs: one
+    or more histories of equal length."""
     from statistics import stdev  # imported here: only curves need it
 
-    if not histories:
-        raise ValueError("no histories to aggregate")
-    length = len(histories[0])
-    for h in histories[1:]:
-        if len(h) != length:
-            raise ValueError("histories differ in length")
     curve = []
-    for g in range(length):
+    for g in range(len(histories[0])):
         values = tuple(h[g].best_j for h in histories)
         mean = mean_left_to_right(values)
         std = stdev(values) if len(values) > 1 else 0.0
@@ -181,8 +184,7 @@ def experiment_variants(config: ExperimentConfig) -> list[tuple[str, Profile, Fi
 
 
 def _run_job(args) -> tuple[str, int, Path, list[GenerationStats], Individual]:
-    out_root, variant, seed, profile, weights, params = args
-    checkpoint = out_root / variant / f"seed{seed}.checkpoint.json"
+    variant, seed, checkpoint, profile, weights, params = args
     history, best = run(params, profile, weights, checkpoint_path=checkpoint)
     return variant, seed, checkpoint, history, best
 
@@ -193,19 +195,22 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
 
     Each job keeps its run in <variant>/seed<N>.checkpoint.json, so a rerun
     follows ``gp.run``'s rule: a finished job is rebuilt without breeding, a
-    larger budget extends it, an interrupted one starts again, and one with
-    other settings is refused with its files untouched.
+    larger budget extends it, and an interrupted one starts again. Every
+    existing checkpoint is checked before any job runs, so a rerun with
+    other settings is refused with no file written.
 
     Each job's CSV, best tree and checkpoint are listed when it returns and a
     variant's curve after its last seed. The process pool's module, with
     ``multiprocessing``, is imported only when a pool is made.
     """
     out_root = Path(config.out_dir) / config.experiment
-    jobs = [
-        (out_root, variant, seed, profile, weights, replace(config.params, seed=seed))
-        for variant, profile, weights in experiment_variants(config)
-        for seed in config.seeds
-    ]
+    jobs = []
+    for variant, profile, weights in experiment_variants(config):
+        for seed in config.seeds:
+            checkpoint = out_root / variant / f"seed{seed}.checkpoint.json"
+            params = replace(config.params, seed=seed)
+            resumable_checkpoint(checkpoint, params, profile, weights)
+            jobs.append((variant, seed, checkpoint, profile, weights, params))
     written: list[Path] = []
     histories: list[list[GenerationStats]] = []
     # a process pool forks all its workers at once, so it gets no more than there are jobs

@@ -14,7 +14,6 @@ from .world import (
     Profile,
     WorldState,
     build_transition_table,
-    check_budgets,
     run_compiled,
 )
 
@@ -142,10 +141,9 @@ def evaluate_compiled(
     FitnessValue is built from their means, with j re-derived so the
     breakdown sums to the cost exactly. Either way ``rng`` ends where
     simulating every episode would leave it.
+
+    ``episodes`` and the budgets must be ones ``gp.GpParams`` accepts.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    check_budgets(max_root_failures, max_ticks)
     watch = _DrawWatch(rng)
     final = run_compiled(compiled, watch, max_root_failures=max_root_failures, max_ticks=max_ticks)
     terms = _terms(final, n_nodes, weights)
@@ -178,7 +176,7 @@ def evaluate(
 ) -> FitnessValue:
     """Mean fitness of a genotype over ``episodes`` independent episodes on
     ``profile``, from ``rng``: ``evaluate_compiled``'s value, without its
-    ``drew`` flag."""
+    ``drew`` flag. The genotype must be one ``bt.parse`` accepts."""
     return evaluate_compiled(
         compile_tree(genotype, build_transition_table(profile)),
         node_count(genotype),

@@ -12,7 +12,7 @@ from pathlib import Path
 from . import bt, fitness, world
 from .bt import Genotype
 from .fitness import FitnessValue, FitnessWeights, TABLE2, evaluate_compiled
-from .world import Profile, build_transition_table, check_budgets, leaf_kinds
+from .world import Profile, build_transition_table, leaf_kinds
 
 # A change that would make an existing checkpoint resume into a run it did
 # not come from bumps the format; it adds no marker key to the fingerprint.
@@ -76,7 +76,10 @@ class GpParams:
             raise ValueError(f"generations must be >= 0, got {self.generations}")
         if self.episodes_per_eval < 1:
             raise ValueError(f"episodes_per_eval must be >= 1, got {self.episodes_per_eval}")
-        check_budgets(self.max_root_failures, self.max_ticks)
+        if self.max_ticks < 1:
+            raise ValueError(f"max_ticks must be >= 1, got {self.max_ticks}")
+        if self.max_root_failures < 0:
+            raise ValueError(f"max_root_failures must be >= 0, got {self.max_root_failures}")
 
 
 class Individual:
@@ -133,18 +136,14 @@ def tournament(candidates, slots: int, rng) -> list:
     ``slots == len(candidates)`` returns everyone and ``slots <= 0`` nobody.
     Between the two, whenever fitness values are not all equal, the
     top-scoring candidate is guaranteed to survive and the bottom-scoring
-    one to be eliminated.
+    one to be eliminated. Every candidate must be evaluated, and ``slots``
+    must not exceed their number.
     """
     pool = list(candidates)
-    if slots > len(pool):
-        raise ValueError(f"{slots} slots for {len(pool)} candidates")
     if slots <= 0:
         return []
     if slots == len(pool):
         return pool
-    for c in pool:
-        if c.fitness is None:
-            raise ValueError("tournament requires evaluated candidates")
     js = [c.fitness.j for c in pool]
     top, bottom = max(js), min(js)
     if top == bottom:
@@ -578,12 +577,11 @@ def evolve_generation(
     keeps one fitness, the fresh one. When fewer distinct genotypes than
     places remain, the fittest duplicates fill the rest: no individual
     enters the next population twice. The run's settings are
-    ``evaluator.params``.
+    ``evaluator.params``; ``population`` must hold ``params.population``
+    valid, evaluated individuals.
     """
     params = evaluator.params
     n = params.population
-    if len(population) != n:
-        raise ValueError(f"population size {len(population)} != {n}")
     kinds = evaluator.kinds
     n_cx = round_half_up(n * CROSSOVER_FRACTION)
     n_mut = round_half_up(n * MUTATION_FRACTION)
@@ -822,6 +820,30 @@ def _loaded_genotype(text: str, kinds, node_cap: int, where: str) -> Genotype:
     return genotype
 
 
+def resumable_checkpoint(path, params: GpParams, profile: Profile, weights: FitnessWeights):
+    """``load_checkpoint``'s data for the file at ``path``, None if there is
+    none. A file this run cannot continue from is a one-line ValueError: one
+    from another run, one past ``params.generations``, or one that does not
+    hold ``params.population`` individuals."""
+    if not Path(path).exists():
+        return None
+    data = load_checkpoint(path)
+    differ = _differing(data["fingerprint"], _run_fingerprint(params, profile, weights))
+    if differ:
+        raise ValueError(f"checkpoint {path} is from another run (different {', '.join(differ)})")
+    if data["generation"] > params.generations:
+        raise ValueError(
+            f"checkpoint {path} is at generation {data['generation']}, "
+            f"past generations={params.generations}"
+        )
+    if len(data["population"]) != params.population:
+        raise ValueError(
+            f"checkpoint {path} holds {len(data['population'])} individuals, "
+            f"not population={params.population}"
+        )
+    return data
+
+
 def run(
     params: GpParams,
     profile: Profile,
@@ -842,7 +864,7 @@ def run(
     ``checkpoint_every`` generations (0: none) and at ``generations``, and
     it continues from the file at that path if one exists, ending as the
     uninterrupted run would: a finished run is rebuilt without breeding. The
-    file is refused if it is from another run or is past ``generations``.
+    file is refused as ``resumable_checkpoint`` refuses it.
     """
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
@@ -853,23 +875,10 @@ def run(
     rng = random.Random(params.seed)
     kinds = evaluator.kinds
     history: list[GenerationStats]
-    if checkpoint_path is not None and Path(checkpoint_path).exists():
-        data = load_checkpoint(checkpoint_path)
-        differ = _differing(data["fingerprint"], fingerprint)
-        if differ:
-            raise ValueError(
-                f"checkpoint {checkpoint_path} is from another run (different {', '.join(differ)})"
-            )
-        if data["generation"] > params.generations:
-            raise ValueError(
-                f"checkpoint {checkpoint_path} is at generation {data['generation']}, "
-                f"past generations={params.generations}"
-            )
-        if len(data["population"]) != params.population:
-            raise ValueError(
-                f"checkpoint {checkpoint_path} holds {len(data['population'])} individuals, "
-                f"not population={params.population}"
-            )
+    data = None
+    if checkpoint_path is not None:
+        data = resumable_checkpoint(checkpoint_path, params, profile, weights)
+    if data is not None:
         rs = data["rng_state"]
         rng.setstate((rs[0], tuple(rs[1]), rs[2]))
         # breeding assumes valid parents, so a checkpoint is held to that too

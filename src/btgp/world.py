@@ -390,14 +390,6 @@ def build_transition_table(profile: Profile) -> dict[str, TransitionFn]:
     return table
 
 
-def check_budgets(max_root_failures: int, max_ticks: int) -> None:
-    """One-line ValueError for an episode budget no episode can run under."""
-    if max_ticks < 1:
-        raise ValueError(f"max_ticks must be >= 1, got {max_ticks}")
-    if max_root_failures < 0:
-        raise ValueError(f"max_root_failures must be >= 0, got {max_root_failures}")
-
-
 def run_compiled(
     compiled, rng, *, max_root_failures: int = MAX_ROOT_FAILURES, max_ticks: int = MAX_TICKS
 ) -> WorldState:
@@ -406,8 +398,8 @@ def run_compiled(
     ``terminated_by`` set.
 
     The profile reaches the episode only through the transition table
-    ``compiled`` was built on. The budgets are not checked here, once per
-    episode: its callers check them once per call (``check_budgets``).
+    ``compiled`` was built on. ``max_root_failures`` must be >= 0 and
+    ``max_ticks`` >= 1, as ``gp.GpParams`` checks them.
     """
     state = WorldState()
     while True:

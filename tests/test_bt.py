@@ -130,8 +130,6 @@ def test_parse_rejects_malformed(tokens):
         parse_tree(tokens)
     with pytest.raises(bt.MalformedGenotype):
         bt.parse(tokens, KINDS)
-    with pytest.raises(bt.MalformedGenotype):
-        bt.compile_tree(tokens, scripted_table(dict.fromkeys(KINDS, bt.SUCCESS), []))
 
 
 @pytest.mark.parametrize(
@@ -278,16 +276,14 @@ def token_strings():
 
 @settings(max_examples=500, deadline=None)
 @given(token_strings())
-def test_compile_tree_raises_exactly_when_parse_does(tokens):
-    """compile_tree raises exactly when the reference parser does; bt.parse
-    raises then too, and on a parseable tree exactly when validate finds a
-    violation."""
+def test_parse_raises_exactly_when_the_reference_parser_or_validate_does(tokens):
+    """bt.parse raises when the reference parser does, and on a parseable
+    tree exactly when validate finds a violation; compile_tree compiles
+    every parseable tree."""
     table = scripted_table(dict.fromkeys(KINDS, bt.SUCCESS), [])
     try:
         parse_tree(tokens)
     except bt.MalformedGenotype:
-        with pytest.raises(bt.MalformedGenotype):
-            bt.compile_tree(tokens, table)
         with pytest.raises(bt.MalformedGenotype):
             bt.parse(tokens, KINDS)
     else:
@@ -339,11 +335,6 @@ def test_random_genotype_always_valid():
         g = bt.random_genotype(KINDS, 4, rng)
         assert bt.node_count(g) == 4
         assert not bt.validate(g, KINDS)
-
-
-def test_random_genotype_rejects_bad_args():
-    with pytest.raises(ValueError):
-        bt.random_genotype(KINDS, 0, random.Random(0))
 
 
 def test_subtree_span_leaf_and_root():

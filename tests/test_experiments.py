@@ -73,16 +73,6 @@ def test_aggregate_std_best_is_the_exact_value_correctly_rounded(values):
     assert var <= ((Fraction(got) + Fraction(above)) / 2) ** 2
 
 
-def test_aggregate_rejects_unequal_lengths():
-    with pytest.raises(ValueError, match="^histories differ in length$"):
-        experiments.aggregate([fake_history([1.0]), fake_history([1.0, 2.0])])
-
-
-def test_aggregate_rejects_no_histories():
-    with pytest.raises(ValueError, match="^no histories to aggregate$"):
-        experiments.aggregate([])
-
-
 def test_replay_reference_solution_on_det():
     report = experiments.replay(REFERENCE_SOLUTION, DET, 50, 0)
     assert report.success_rate == 1.0
@@ -435,6 +425,20 @@ def test_an_experiment_rerun_with_other_settings_is_refused(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_a_refused_rerun_runs_no_new_job(tmp_path, workers):
+    # seed 1 has no checkpoint, so it could run; seed 0's checkpoint refuses
+    # the rerun first, so no job of the refused settings writes a file
+    config = tiny_config(tmp_path, "exp3")
+    experiments.run_experiment(config)
+    written = file_bytes(tmp_path)
+    other = dataclasses.replace(config.params, population=8)
+    rerun = dataclasses.replace(config, seeds=(1, 0), params=other, workers=workers)
+    with pytest.raises(ValueError, match="seed0.checkpoint.json is from another run"):
+        experiments.run_experiment(rerun)
+    assert file_bytes(tmp_path) == written
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_experiment_returns_paths_in_job_order(tmp_path, workers):
     # per variant: each seed's CSV, best tree and checkpoint, then the variant's curve
     config = tiny_config(tmp_path, "exp3", seeds=(3, 7), workers=workers)
@@ -603,10 +607,17 @@ def test_cli_seed_parsing():
 
 
 def test_cli_run_rejects_negative_generations(tmp_path, capsys):
-    rc = cli.main(["run", "--generations", "-2", "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert capsys.readouterr().err == "error: generations must be >= 0, got -2\n"
-    assert not (tmp_path / "out").exists()
+    # GpParams checks each count once, before a run starts: no function below
+    # it checks them again
+    for option, value, message in [
+        ("--generations", "-2", "generations must be >= 0, got -2"),
+        ("--population", "1", "population must be >= 2, got 1"),
+        ("--episodes-per-eval", "0", "episodes_per_eval must be >= 1, got 0"),
+    ]:
+        out = tmp_path / option
+        assert cli.main(["run", option, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_cli_rejects_empty_seed_range(tmp_path, capsys):

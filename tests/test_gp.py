@@ -108,17 +108,6 @@ def test_run_with_population_three_completes():
     assert best.fitness.j == history[-1].best_j
 
 
-def test_tournament_rejects_oversized_slots():
-    with pytest.raises(ValueError, match="^3 slots for 2 candidates$"):
-        gp.tournament(evaluated([1.0, 2.0]), 3, random.Random(0))
-
-
-def test_tournament_rejects_unevaluated_candidates():
-    cands = evaluated([1.0, 2.0]) + [ind("tuck")]
-    with pytest.raises(ValueError, match="^tournament requires evaluated candidates$"):
-        gp.tournament(cands, 2, random.Random(0))
-
-
 def test_tournament_all_slots_returns_everyone():
     cands = evaluated([1.0, 2.0, 3.0])
     assert gp.tournament(cands, 3, random.Random(0)) == cands
@@ -794,14 +783,6 @@ def test_evolve_generation_reevaluates_elites_when_asked():
     evaluator.eval_batch(population, "init")
     _, stats = gp.evolve_generation(population, evaluator, random.Random(1), 1)
     assert stats.episodes == 63  # 60 offspring + 3 elites
-
-
-def test_evolve_generation_rejects_a_population_of_another_size():
-    evaluator = gp.Evaluator(DET, fitness.TABLE2, gp.GpParams(seed=0, population=6))
-    population = make_population(5)
-    evaluator.eval_batch(population, "init")
-    with pytest.raises(ValueError, match="^population size 5 != 6$"):
-        gp.evolve_generation(population, evaluator, random.Random(1), 1)
 
 
 @pytest.mark.parametrize("reevaluate_elites", [False, True])
