@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import csv
 import random
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import bt
+from . import bt, world
 from .fitness import TABLE2, FitnessWeights
 from .gp import (
     GenerationStats,
@@ -71,37 +70,43 @@ class ReplayReport:
         }
 
 
+def _counted(fn):
+    """``fn`` with its calls counted in a closure variable, and the count's getter."""
+    n = 0
+
+    def counted(st, rng):
+        nonlocal n
+        n += 1
+        return fn(st, rng)
+
+    return counted, lambda: n
+
+
 def replay(genotype: bt.Genotype, profile: Profile, episodes: int, seed: int) -> ReplayReport:
     """Monte Carlo report for a genotype at the default episode budgets:
     success rate, time, risk, action log.
 
     The genotype must pass ``bt.parse`` (MalformedGenotype otherwise).
-    ``executed`` maps each behavior run at least once to its total
-    executions over all episodes; a pool behavior that never ran is absent.
-    Counting draws nothing from the rng, so the episodes are the ones
-    ``run_compiled`` plays for the tree uncounted.
+    ``terminations`` and ``executed`` hold only what happened at least once:
+    an ending no episode reached, or a pool behavior that never ran, is
+    absent. ``executed`` maps a behavior to its total executions over all
+    episodes. Counting draws nothing from the rng, so the episodes are the
+    ones ``run_compiled`` plays for the tree uncounted.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     genotype = bt.parse(genotype, leaf_kinds(profile))
-    # One int cell per behavior, bound into its wrapper as a default argument:
-    # a counted call then costs one local add, with no dict lookup or hashing.
-    cells: dict[str, list[int]] = {}
-    table = {}
+    # Each behavior's wrapper counts in its own closure variable: a counted
+    # call costs one cell add, with no dict lookup or hashing.
+    table, counts = {}, {}
     for bid, fn in build_transition_table(profile).items():
-        cell = cells[bid] = [0]
-
-        def counted(st, rng, _fn=fn, _cell=cell):
-            _cell[0] += 1
-            return _fn(st, rng)
-
-        table[bid] = counted
+        table[bid], counts[bid] = _counted(fn)
     compiled = bt.compile_tree(genotype, table)
     rng = random.Random(f"replay:{seed}")
     successes = 0
     time_sum = 0.0
     risk_sum = 0.0
-    terminations: Counter[str] = Counter()
+    terminations = {world.ROOT_SUCCESS: 0, world.FAILURE_BUDGET: 0, world.TICK_BUDGET: 0}
     for _ in range(episodes):
         final = run_compiled(compiled, rng)
         if final.placed:
@@ -114,8 +119,8 @@ def replay(genotype: bt.Genotype, profile: Profile, episodes: int, seed: int) ->
         success_rate=successes / episodes,
         mean_time=time_sum / episodes,
         mean_risk=risk_sum / episodes,
-        terminations=dict(terminations),
-        executed={bid: cell[0] for bid, cell in cells.items() if cell[0]},
+        terminations={end: n for end, n in terminations.items() if n},
+        executed={bid: n for bid, count in counts.items() if (n := count())},
     )
 
 
@@ -196,8 +201,9 @@ def run_experiment(config: ExperimentConfig) -> list[Path]:
     Each job keeps its run in <variant>/seed<N>.checkpoint.json, so a rerun
     follows ``gp.run``'s rule: a finished job is rebuilt without breeding, a
     larger budget extends it, and an interrupted one starts again. Every
-    existing checkpoint is checked before any job runs, so a rerun with
-    other settings is refused with no file written.
+    existing checkpoint, its genotypes included, is checked before any job
+    runs, so a rerun with other settings or a bad checkpoint is refused with
+    no file written.
 
     Each job's CSV, best tree and checkpoint are listed when it returns and a
     variant's curve after its last seed. The process pool's module, with

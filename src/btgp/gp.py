@@ -821,10 +821,11 @@ def _loaded_genotype(text: str, kinds, node_cap: int, where: str) -> Genotype:
 
 
 def resumable_checkpoint(path, params: GpParams, profile: Profile, weights: FitnessWeights):
-    """``load_checkpoint``'s data for the file at ``path``, None if there is
+    """``load_checkpoint``'s data for the file at ``path``, its genotypes
+    parsed into ``Individual``s and ``GenerationStats``; None if there is
     none. A file this run cannot continue from is a one-line ValueError: one
-    from another run, one past ``params.generations``, or one that does not
-    hold ``params.population`` individuals."""
+    from another run, one past ``params.generations``, one that does not hold
+    ``params.population`` individuals, or one with a genotype it cannot breed."""
     if not Path(path).exists():
         return None
     data = load_checkpoint(path)
@@ -841,6 +842,21 @@ def resumable_checkpoint(path, params: GpParams, profile: Profile, weights: Fitn
             f"checkpoint {path} holds {len(data['population'])} individuals, "
             f"not population={params.population}"
         )
+    # breeding assumes valid parents, so a checkpoint is held to that too
+    kinds, cap, where = leaf_kinds(profile), params.node_cap, f"checkpoint {path}:"
+    data["population"] = [
+        Individual(
+            _loaded_genotype(e["genotype"], kinds, cap, f"{where} population genotype"),
+            fitness._from_terms(*e["terms"]),
+        )
+        for e in data["population"]
+    ]
+    data["history"] = [
+        GenerationStats(
+            g, bj, mj, _loaded_genotype(gt, kinds, cap, f"{where} history genotype"), ep
+        )
+        for g, bj, mj, gt, ep in data["history"]
+    ]
     return data
 
 
@@ -881,21 +897,7 @@ def run(
     if data is not None:
         rs = data["rng_state"]
         rng.setstate((rs[0], tuple(rs[1]), rs[2]))
-        # breeding assumes valid parents, so a checkpoint is held to that too
-        where, cap = f"checkpoint {checkpoint_path}:", params.node_cap
-        population = [
-            Individual(
-                _loaded_genotype(e["genotype"], kinds, cap, f"{where} population genotype"),
-                fitness._from_terms(*e["terms"]),
-            )
-            for e in data["population"]
-        ]
-        history = [
-            GenerationStats(
-                g, bj, mj, _loaded_genotype(gt, kinds, cap, f"{where} history genotype"), ep
-            )
-            for g, bj, mj, gt, ep in data["history"]
-        ]
+        population, history = data["population"], data["history"]
         start_generation = data["generation"] + 1
     else:
         population = [

@@ -94,8 +94,10 @@ def test_replay_stoch4_reproducible_and_strictly_between_0_and_1():
 
 
 def replay_counting_with_a_counter(genotype, profile, episodes, seed):
-    """``experiments.replay`` as it was before its int cells: every behavior
-    call adds to one ``Counter`` through a closure."""
+    """``experiments.replay`` as it was before it counted in int cells, and
+    later in one closure variable per wrapper with its endings in a seeded
+    dict: every behavior call adds to one ``Counter`` through a closure, and
+    every ending to another."""
     kinds = world.leaf_kinds(profile)
     violations = bt.validate(genotype, kinds)
     if violations:
@@ -154,6 +156,7 @@ def test_replay_matches_counter_oracle(profile_name, tree_seed, length, seed, ep
     want = replay_counting_with_a_counter(genotype, profile, episodes, seed)
     assert got.as_dict() == want.as_dict()
     assert 0 not in got.executed.values()
+    assert 0 not in got.terminations.values()
 
 
 @pytest.mark.parametrize(
@@ -434,6 +437,24 @@ def test_a_refused_rerun_runs_no_new_job(tmp_path, workers):
     other = dataclasses.replace(config.params, population=8)
     rerun = dataclasses.replace(config, seeds=(1, 0), params=other, workers=workers)
     with pytest.raises(ValueError, match="seed0.checkpoint.json is from another run"):
+        experiments.run_experiment(rerun)
+    assert file_bytes(tmp_path) == written
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_rerun_refused_for_a_bad_checkpoint_genotype_writes_no_file(tmp_path, workers):
+    # the last job's checkpoint holds a tree no run could breed, so the
+    # extended rerun is refused before the three good jobs are extended
+    config = tiny_config(tmp_path, "exp3", seeds=(0, 1))
+    experiments.run_experiment(config)
+    tampered = tmp_path / "exp3" / "delta150" / "seed1.checkpoint.json"
+    data = json.loads(tampered.read_text())
+    data["population"][2]["genotype"] = "s( )"
+    tampered.write_text(json.dumps(data))
+    written = file_bytes(tmp_path)
+    longer = dataclasses.replace(config.params, generations=3)
+    rerun = dataclasses.replace(config, params=longer, workers=workers)
+    with pytest.raises(ValueError, match="seed1.checkpoint.json: population genotype 's. .'"):
         experiments.run_experiment(rerun)
     assert file_bytes(tmp_path) == written
 
